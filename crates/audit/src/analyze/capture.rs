@@ -16,6 +16,15 @@
 //! * **`CM-A003`** — a call path from a worker to code touching a
 //!   `static mut`.
 //!
+//! The same pass reports the shared mutable state no worker reaches yet,
+//! as **`CM-L007`** (`shared-mut-in-worker`): every `static mut`
+//! declaration that no worker touches (each declaration is reported
+//! exactly once — `CM-A003` when a worker reaches it, `CM-L007`
+//! otherwise), and `RefCell::new` / `Cell::new` in a function that fans
+//! out, outside the worker closures themselves (inside them it is
+//! `CM-A002`). Either is a data race waiting for a refactor; keep
+//! per-worker state plus a reduction instead.
+//!
 //! Ownership tracking is an over-approximation of "locals" (see
 //! [`crate::ast::bound_idents`]); the passes flag only mutations whose
 //! base identifier is provably *not* in that set, so shadowed rebinds
@@ -41,6 +50,7 @@ const PRIMITIVES: [&str; 17] = [
 /// Run the capture passes over all regions.
 pub fn check(ws: &Workspace, cg: &CallGraph, regions: &[Region], findings: &mut Vec<Finding>) {
     let static_muts = collect_static_muts(ws);
+    let mut reached: Vec<String> = Vec::new();
     for region in regions {
         let head = region.describe(ws);
         let seeds = worker_seeds(ws, cg, region);
@@ -52,32 +62,76 @@ pub fn check(ws: &Workspace, cg: &CallGraph, regions: &[Region], findings: &mut 
             let mut owned = Vec::new();
             param_idents(file, clo.params.clone(), &mut owned);
             bound_idents(file, clo.body.clone(), &mut owned);
-            check_closure_mutations(file, &owned, clo.body.clone(), &head, &[], findings);
-            check_interior(file, clo.body.clone(), &head, &[], findings);
-            check_static_mut(file, clo.body.clone(), &static_muts, &head, &[], findings);
+            check_closure_mutations(file, &owned, clo.body.clone(), &head, findings);
+            check_interior(file, clo.body.clone(), &head, findings);
+            check_static_mut(
+                file,
+                clo.body.clone(),
+                &static_muts,
+                &mut reached,
+                &head,
+                findings,
+            );
         }
 
-        // Everything reachable from the worker seeds.
+        // Everything reachable from the worker seeds. The call-path
+        // evidence is a graph search per function, so it is only built
+        // for functions that actually produce a finding.
         for &fi in &reach {
             let f = &ws.fns[fi];
             let ffile = &ws.files[f.file];
-            let path = evidence_path(ws, cg, &seeds, fi);
+            let mut local = Vec::new();
             if f.is_closure {
                 let mut owned = Vec::new();
                 param_idents(ffile, f.sig.clone(), &mut owned);
                 bound_idents(ffile, f.body.clone(), &mut owned);
-                check_closure_mutations(ffile, &owned, f.body.clone(), &head, &path, findings);
+                check_closure_mutations(ffile, &owned, f.body.clone(), &head, &mut local);
             }
-            check_interior(ffile, f.body.clone(), &head, &path, findings);
-            check_static_mut(ffile, f.body.clone(), &static_muts, &head, &path, findings);
+            check_interior(ffile, f.body.clone(), &head, &mut local);
+            check_static_mut(
+                ffile,
+                f.body.clone(),
+                &static_muts,
+                &mut reached,
+                &head,
+                &mut local,
+            );
+            if !local.is_empty() {
+                let path = evidence_path(ws, cg, &seeds, fi);
+                for mut finding in local {
+                    finding.path.extend(path.iter().cloned());
+                    findings.push(finding);
+                }
+            }
         }
     }
+    for s in static_muts.iter().filter(|s| !reached.contains(&s.name)) {
+        findings.push(Finding {
+            code: Code::SharedMutInWorker,
+            file: ws.files[s.file].label.clone(),
+            line: s.line,
+            message: format!(
+                "`static mut {}` is an unconditional data race under real threads; use an \
+                 atomic, a lock, or per-worker state",
+                s.name
+            ),
+            path: Vec::new(),
+        });
+    }
+    check_spawner_cells(ws, regions, findings);
+}
+
+/// A `static mut` declaration in non-test workspace code.
+struct StaticMut {
+    name: String,
+    file: usize,
+    line: u32,
 }
 
 /// `static mut NAME` declarations in non-test workspace code.
-fn collect_static_muts(ws: &Workspace) -> Vec<String> {
+fn collect_static_muts(ws: &Workspace) -> Vec<StaticMut> {
     let mut out = Vec::new();
-    for file in &ws.files {
+    for (fi, file) in ws.files.iter().enumerate() {
         let n = file.tokens.len();
         for i in 0..n {
             let t = &file.tokens[i];
@@ -97,14 +151,62 @@ fn collect_static_muts(ws: &Workspace) -> Vec<String> {
                 continue;
             };
             if file.tokens[name].kind == TokKind::Ident {
-                let text = file.text(name).to_owned();
-                if !out.contains(&text) {
-                    out.push(text);
-                }
+                out.push(StaticMut {
+                    name: file.text(name).to_owned(),
+                    file: fi,
+                    line: t.line,
+                });
             }
         }
     }
     out
+}
+
+/// CM-L007: `RefCell::new` / `Cell::new` in a function that fans out,
+/// outside its worker closures.
+fn check_spawner_cells(ws: &Workspace, regions: &[Region], findings: &mut Vec<Finding>) {
+    let mut spawners: Vec<usize> = regions
+        .iter()
+        .map(|r| r.caller)
+        .filter(|&fi| !ws.fns[fi].is_closure)
+        .collect();
+    spawners.sort_unstable();
+    spawners.dedup();
+    for fi in spawners {
+        let f = &ws.fns[fi];
+        let file = &ws.files[f.file];
+        let workers: Vec<Range<usize>> = regions
+            .iter()
+            .filter(|r| r.file == f.file)
+            .flat_map(|r| r.closures.iter().map(|c| c.body.clone()))
+            .collect();
+        for i in f.body.clone() {
+            let Some(cell) = ["RefCell", "Cell"]
+                .into_iter()
+                .find(|c| file.spells(i, &[c, ":", ":", "new", "("]).is_some())
+            else {
+                continue;
+            };
+            let off = file.tokens[i].span.start;
+            if workers.iter().any(|w| w.contains(&i))
+                || file.in_thread_local(off)
+                || file.in_macro_def(off)
+            {
+                continue;
+            }
+            findings.push(Finding {
+                code: Code::SharedMutInWorker,
+                file: file.label.clone(),
+                line: file.tokens[i].line,
+                message: format!(
+                    "`{cell}::new(…)` in worker-spawning fn `{}` is not Sync; keep per-worker \
+                     state and reduce afterwards",
+                    f.name
+                ),
+                path: Vec::new(),
+            });
+        }
+    }
 }
 
 /// BFS path from the worker seeds to `sink`, rendered as qualified names
@@ -115,6 +217,8 @@ fn evidence_path(ws: &Workspace, cg: &CallGraph, seeds: &[usize], sink: usize) -
         .unwrap_or_default()
 }
 
+/// Push a finding whose evidence starts at the region `head`; callers
+/// append the call path to the sink's function, if any.
 fn push_finding(
     findings: &mut Vec<Finding>,
     code: Code,
@@ -122,16 +226,13 @@ fn push_finding(
     line: u32,
     message: String,
     head: &str,
-    path: &[String],
 ) {
-    let mut full = vec![head.to_owned()];
-    full.extend(path.iter().cloned());
     findings.push(Finding {
         code,
         file: file.label.clone(),
         line,
         message,
-        path: full,
+        path: vec![head.to_owned()],
     });
 }
 
@@ -141,7 +242,6 @@ fn check_closure_mutations(
     owned: &[String],
     body: Range<usize>,
     head: &str,
-    path: &[String],
     findings: &mut Vec<Finding>,
 ) {
     let mut reported: Vec<(u32, String)> = Vec::new();
@@ -186,7 +286,6 @@ fn check_closure_mutations(
                                         entry.0,
                                         format!("worker takes `&mut {name}` to captured state"),
                                         head,
-                                        path,
                                     );
                                     reported.push(entry);
                                 }
@@ -209,7 +308,6 @@ fn check_closure_mutations(
                             line,
                             format!("worker closure assigns to captured `{base}`"),
                             head,
-                            path,
                         );
                         reported.push(entry);
                     }
@@ -257,26 +355,8 @@ fn assignment_base(file: &File, body: &Range<usize>, eq: usize) -> Option<(u32, 
         let t = &file.tokens[place_end];
         match t.kind {
             TokKind::Close(Delim::Bracket) => {
-                // Backward-match the index group.
-                let mut depth = 0i32;
-                let mut j = place_end;
-                loop {
-                    match file.tokens[j].kind {
-                        TokKind::Close(Delim::Bracket) => depth += 1,
-                        TokKind::Open(Delim::Bracket) => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    if j == 0 {
-                        return None;
-                    }
-                    j -= 1;
-                }
-                place_end = file.prev_code(j)?;
+                // Step over the index group.
+                place_end = file.prev_code(file.matching(place_end))?;
                 if place_end < body.start {
                     return None;
                 }
@@ -319,13 +399,7 @@ fn assignment_base(file: &File, body: &Range<usize>, eq: usize) -> Option<(u32, 
 }
 
 /// A002: interior-mutability names mentioned in a token range.
-fn check_interior(
-    file: &File,
-    body: Range<usize>,
-    head: &str,
-    path: &[String],
-    findings: &mut Vec<Finding>,
-) {
+fn check_interior(file: &File, body: Range<usize>, head: &str, findings: &mut Vec<Finding>) {
     for i in body.start..body.end.min(file.tokens.len()) {
         let t = &file.tokens[i];
         if !t.is_code() || t.kind != TokKind::Ident {
@@ -345,19 +419,18 @@ fn check_interior(
             t.line,
             format!("`{name}` (non-Sync interior mutability) reachable from parallel workers"),
             head,
-            path,
         );
     }
 }
 
 /// A003: references to `static mut` names (or local declarations) in a
-/// token range.
+/// token range; each name referenced is recorded in `reached`.
 fn check_static_mut(
     file: &File,
     body: Range<usize>,
-    static_muts: &[String],
+    static_muts: &[StaticMut],
+    reached: &mut Vec<String>,
     head: &str,
-    path: &[String],
     findings: &mut Vec<Finding>,
 ) {
     for i in body.start..body.end.min(file.tokens.len()) {
@@ -366,8 +439,11 @@ fn check_static_mut(
             continue;
         }
         let name = file.text(i);
-        if !static_muts.iter().any(|s| s == name) {
+        if !static_muts.iter().any(|s| s.name == name) {
             continue;
+        }
+        if !reached.iter().any(|r| r == name) {
+            reached.push(name.to_owned());
         }
         // Skip the declaration site itself only if it is also the use —
         // touching it from a worker is the finding either way.
@@ -378,7 +454,6 @@ fn check_static_mut(
             t.line,
             format!("`static mut {name}` reachable from parallel workers"),
             head,
-            path,
         );
     }
 }
@@ -456,6 +531,29 @@ mod tests {
              v.into_par_iter().for_each(|i| out[i] = 1);\n}\n",
         );
         assert!(c.contains(&"CM-A001"), "{c:?}");
+    }
+
+    #[test]
+    fn unreached_static_mut_is_l007() {
+        let f = analyze_str("static mut COUNTER: u64 = 0;\npub fn f() {}\n");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].code, Code::SharedMutInWorker);
+        assert_eq!(f[0].line, 1);
+    }
+
+    #[test]
+    fn cell_beside_a_spawn_is_l007() {
+        let src = "pub fn fan_out() {\n    let acc = RefCell::new(0u64);\n    spawn(|| {});\n    \
+                   let _ = acc;\n}\npub fn quiet() {\n    let _ = RefCell::new(1u8);\n}\n";
+        let f = analyze_str(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].code, Code::SharedMutInWorker);
+        assert_eq!(f[0].line, 2);
+        assert!(f[0].message.contains("fan_out"), "{}", f[0].message);
+        // Inside the worker closure the same cell is CM-A002, not both.
+        let inside = "pub fn fan_out() {\n    spawn(|| {\n        let _ = Cell::new(0u8);\n    \
+                      });\n}\n";
+        assert_eq!(codes(inside), ["CM-A002"]);
     }
 
     #[test]

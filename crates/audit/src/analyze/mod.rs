@@ -1,10 +1,10 @@
-//! The concurrency & determinism analyzer: interprocedural passes over
-//! the lexer/AST/call-graph front end.
+//! The workspace's source analyzer: the lexer/AST/call-graph front end
+//! and every pass that runs over it. `cubemesh-audit analyze` is the one
+//! source gate; its findings answer two questions.
 //!
-//! Where [`crate::lint`] enforces local hygiene, this module answers the
-//! question the ROADMAP's real-parallelism item actually needs answered:
-//! *is the workspace safe to run on a work-stealing pool, and will it
-//! stay byte-identical when threads reorder chunks?* Four pass families:
+//! *Is the workspace safe to run on a work-stealing pool, and will it
+//! stay byte-identical when threads reorder chunks?* The interprocedural
+//! `CM-A…` passes:
 //!
 //! | code | rule | what it proves absent |
 //! |------|------|----------------------|
@@ -22,10 +22,26 @@
 //! | `CM-A012` | `taint-unvalidated-shape` | an untrusted value reaching a `Shape::…` constructor without validation |
 //! | `CM-A013` | `dropped-result` | the `Result` of a workspace fallible function dropped (bare statement, `let _ =`, or a binding never read) |
 //!
-//! Every finding carries *call-path evidence* — the chain of qualified
-//! function names from the fan-out site to the sink — and a stable
-//! diagnostic code, so the `check.sh` gate can archive machine-readable
-//! reports and a human can audit the path rather than re-derive it.
+//! *Does the library keep its local hygiene?* The site-local `CM-L…`
+//! rules, token checks over the same [`Workspace`]:
+//!
+//! | code | rule | pass | what it forbids |
+//! |------|------|------|-----------------|
+//! | `CM-L001` | `panic-in-lib` | [`hygiene`] | `.unwrap()`, `.expect(…)`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` |
+//! | `CM-L002` | `narrowing-addr-cast` | [`hygiene`] | an address-carrying value cast below 64 bits |
+//! | `CM-L005` | `shape-product-overflow` | [`hygiene`] | a shape extent, or a product of extents, cast below 64 bits |
+//! | `CM-L006` | `alloc-in-chunk-loop` | [`hygiene`] | `Vec::new()` / `vec![…]` inside a chunk/shard loop |
+//! | `CM-L007` | `shared-mut-in-worker` | [`capture`] | a `static mut` no worker reaches (reached, it is `CM-A003`), or `RefCell`/`Cell` built beside a fan-out |
+//! | `CM-L008` | `dropped-span-guard` | [`spans`] | a span guard bound to `_` or left as a bare statement |
+//!
+//! `CM-L003` and `CM-L004` belonged to the retired panic allowlist and
+//! are never reused.
+//!
+//! Interprocedural findings carry *call-path evidence* — the chain of
+//! qualified function names from the fan-out site to the sink — and
+//! every finding a stable diagnostic code, so the `check.sh` gate can
+//! archive machine-readable reports and a human can audit the path
+//! rather than re-derive it.
 //!
 //! Findings are suppressed by an inline justification comment on the
 //! same line or the line above:
@@ -38,6 +54,7 @@
 //! suppress.
 
 pub mod capture;
+pub mod hygiene;
 pub mod ordering;
 pub mod range;
 pub mod reduction;
@@ -53,7 +70,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Stable diagnostic codes for analyzer findings.
@@ -85,10 +102,22 @@ pub enum Code {
     TaintUnvalidatedShape,
     /// `Result` of a workspace fallible function is dropped.
     DroppedResult,
+    /// Panic-family call in non-test library code.
+    PanicInLib,
+    /// Narrowing cast of an address-carrying value.
+    NarrowingAddrCast,
+    /// Narrowing cast of a shape extent or extent product.
+    ShapeProductOverflow,
+    /// Allocation inside a chunk/shard loop body.
+    AllocInChunkLoop,
+    /// `static mut` no worker reaches, or a cell built beside a fan-out.
+    SharedMutInWorker,
+    /// Span guard dropped by the statement that creates it.
+    DroppedSpanGuard,
 }
 
 impl Code {
-    /// The stable `CM-Axxx` code string.
+    /// The stable `CM-Axxx` / `CM-Lxxx` code string.
     pub fn as_str(self) -> &'static str {
         match self {
             Code::WorkerCaptureMut => "CM-A001",
@@ -104,6 +133,12 @@ impl Code {
             Code::TaintUncheckedSink => "CM-A011",
             Code::TaintUnvalidatedShape => "CM-A012",
             Code::DroppedResult => "CM-A013",
+            Code::PanicInLib => "CM-L001",
+            Code::NarrowingAddrCast => "CM-L002",
+            Code::ShapeProductOverflow => "CM-L005",
+            Code::AllocInChunkLoop => "CM-L006",
+            Code::SharedMutInWorker => "CM-L007",
+            Code::DroppedSpanGuard => "CM-L008",
         }
     }
 
@@ -123,11 +158,17 @@ impl Code {
             Code::TaintUncheckedSink => "taint-unchecked-sink",
             Code::TaintUnvalidatedShape => "taint-unvalidated-shape",
             Code::DroppedResult => "dropped-result",
+            Code::PanicInLib => "panic-in-lib",
+            Code::NarrowingAddrCast => "narrowing-addr-cast",
+            Code::ShapeProductOverflow => "shape-product-overflow",
+            Code::AllocInChunkLoop => "alloc-in-chunk-loop",
+            Code::SharedMutInWorker => "shared-mut-in-worker",
+            Code::DroppedSpanGuard => "dropped-span-guard",
         }
     }
 
-    /// All analyzer codes, in code order.
-    pub const ALL: [Code; 13] = [
+    /// All analyzer codes, in declaration order.
+    pub const ALL: [Code; 19] = [
         Code::WorkerCaptureMut,
         Code::WorkerCaptureInterior,
         Code::WorkerReachStaticMut,
@@ -141,6 +182,12 @@ impl Code {
         Code::TaintUncheckedSink,
         Code::TaintUnvalidatedShape,
         Code::DroppedResult,
+        Code::PanicInLib,
+        Code::NarrowingAddrCast,
+        Code::ShapeProductOverflow,
+        Code::AllocInChunkLoop,
+        Code::SharedMutInWorker,
+        Code::DroppedSpanGuard,
     ];
 }
 
@@ -184,42 +231,27 @@ impl fmt::Display for Finding {
     }
 }
 
-/// JSON object for one finding (shared schema with `lint --json`).
-pub fn finding_json(
-    code: &str,
-    rule: &str,
-    file: &str,
-    line: u32,
-    message: &str,
-    path: &[String],
-) -> String {
-    let esc = |s: &str| {
-        s.replace('\\', "\\\\")
-            .replace('"', "\\\"")
-            .replace('\n', "\\n")
-    };
-    let path_json: Vec<String> = path.iter().map(|p| format!("\"{}\"", esc(p))).collect();
-    format!(
-        "{{\"code\":\"{}\",\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\",\"path\":[{}]}}",
-        esc(code),
-        esc(rule),
-        esc(file),
-        line,
-        esc(message),
-        path_json.join(",")
-    )
-}
-
 impl Finding {
-    /// Render as one JSON object in the shared diagnostic schema.
+    /// Render as one JSON object in the `cubemesh-audit-diag/v1` schema.
     pub fn to_json(&self) -> String {
-        finding_json(
-            self.code.as_str(),
+        let esc = |s: &str| {
+            s.replace('\\', "\\\\")
+                .replace('"', "\\\"")
+                .replace('\n', "\\n")
+        };
+        let path_json: Vec<String> = self
+            .path
+            .iter()
+            .map(|p| format!("\"{}\"", esc(p)))
+            .collect();
+        format!(
+            "{{\"code\":\"{}\",\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\",\"path\":[{}]}}",
+            self.code,
             self.code.slug(),
-            &self.file,
+            esc(&self.file),
             self.line,
-            &self.message,
-            &self.path,
+            esc(&self.message),
+            path_json.join(",")
         )
     }
 }
@@ -229,9 +261,8 @@ impl Finding {
 /// Defaults cover std (`spawn`, `scope`) and the rayon surface; the
 /// rayon shim *declares* its own entry points with analyzer-visible
 /// annotations (`// audit: fanout-source(into_par_iter)` /
-/// `fanout-entry(map)`), which are merged in by
-/// [`Analysis::run_root`] so the shim and the analyzer cannot drift
-/// apart silently.
+/// `fanout-entry(map)`), which are merged in by [`load_root`] so the
+/// shim and the analyzer cannot drift apart silently.
 #[derive(Clone, Debug)]
 pub struct FanoutApis {
     /// Receiver-chain markers that make a method chain parallel
@@ -351,6 +382,94 @@ impl Suppressions {
     }
 }
 
+/// Directories never holding library sources: vendored shims, binaries,
+/// benches, tests, examples and build output.
+const SKIP_DIRS: [&str; 7] = [
+    "shims", "bin", "benches", "tests", "examples", "target", ".git",
+];
+
+/// Is `rel` (repo-relative, `/`-separated) a library source the
+/// analyzer reads: `**/src/**.rs` outside [`SKIP_DIRS`]?
+fn is_lib_source(rel: &str) -> bool {
+    let parts: Vec<&str> = rel.split('/').collect();
+    rel.ends_with(".rs") && parts.contains(&"src") && !parts.iter().any(|p| SKIP_DIRS.contains(p))
+}
+
+/// Every library source under `root`, as sorted `(repo-relative label,
+/// path)` pairs: the analyzer's file set.
+pub fn walk_lib_sources(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
+    fn walk(dir: &Path, root: &Path, files: &mut Vec<(String, PathBuf)>) -> io::Result<()> {
+        for entry in fs::read_dir(dir)? {
+            let path = entry?.path();
+            if path.is_dir() {
+                let name = path.file_name().map(|n| n.to_string_lossy());
+                if !name.is_some_and(|n| SKIP_DIRS.contains(&n.as_ref())) {
+                    walk(&path, root, files)?;
+                }
+                continue;
+            }
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(&path)
+                .to_string_lossy()
+                .replace('\\', "/");
+            if is_lib_source(&rel) {
+                files.push((rel, path));
+            }
+        }
+        Ok(())
+    }
+    let mut files = Vec::new();
+    walk(root, root, &mut files)?;
+    files.sort();
+    Ok(files)
+}
+
+/// Parse the library sources under `root` (the repo checkout), with the
+/// fan-out sets extended by the rayon shim's annotations.
+pub fn load_root(root: &Path) -> io::Result<(Workspace, FanoutApis)> {
+    let mut ws = Workspace::default();
+    for (rel, path) in walk_lib_sources(root)? {
+        ws.add_file(&rel, fs::read_to_string(path)?);
+    }
+    let mut apis = FanoutApis::default();
+    if let Ok(text) = fs::read_to_string(root.join("crates/shims/rayon/src/lib.rs")) {
+        apis.merge_annotations(&text);
+    }
+    Ok((ws, apis))
+}
+
+/// What a pass sees: the parsed workspace and what is derived from it.
+struct Context<'a> {
+    ws: &'a Workspace,
+    apis: &'a FanoutApis,
+    cg: CallGraph,
+    regions: Vec<Region>,
+}
+
+/// A pass entry point.
+type PassFn = fn(&Context<'_>, &mut Vec<Finding>);
+
+/// Every pass in run order, under the name `pass_ms` reports it by.
+const PASSES: [(&str, PassFn); 8] = [
+    ("capture", |cx, out| {
+        capture::check(cx.ws, &cx.cg, &cx.regions, out)
+    }),
+    ("reduction", |cx, out| {
+        reduction::check(cx.ws, &cx.cg, &cx.regions, cx.apis, out)
+    }),
+    ("ordering", |cx, out| ordering::check(cx.ws, &cx.cg, out)),
+    ("spans", |cx, out| spans::check(cx.ws, out)),
+    ("range", |cx, out| range::check(cx.ws, out)),
+    ("taint", |cx, out| taint::check(cx.ws, out)),
+    ("results", |cx, out| results::check(cx.ws, out)),
+    ("hygiene", |cx, out| hygiene::check(cx.ws, out)),
+];
+
+/// The passes that carry the `CM-L…` rules. They skip the dataflow
+/// passes, so they stay cheap enough for a debug-build test.
+pub const SOURCE_RULE_PASSES: [&str; 3] = ["capture", "spans", "hygiene"];
+
 /// A complete analyzer run: findings plus run metadata.
 #[derive(Debug)]
 pub struct Analysis {
@@ -373,34 +492,37 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Analyze the workspace rooted at `root` (the repo checkout).
-    ///
-    /// Reads the same library-source file set as the lint pass, plus the
-    /// rayon shim for fan-out annotations.
+    /// Analyze the workspace rooted at `root` (the repo checkout) with
+    /// every pass.
     pub fn run_root(root: &Path) -> io::Result<Analysis> {
         let started = Instant::now();
-        let mut files = Vec::new();
-        crate::lint::walk_lib_sources(root, &mut files)?;
-        files.sort();
-        let mut ws = Workspace::default();
-        for (rel, path) in &files {
-            ws.add_file(rel, fs::read_to_string(path)?);
-        }
-        let mut apis = FanoutApis::default();
-        let shim = root.join("crates/shims/rayon/src/lib.rs");
-        if let Ok(text) = fs::read_to_string(&shim) {
-            apis.merge_annotations(&text);
-        }
+        let (ws, apis) = load_root(root)?;
         let mut analysis = Analysis::run(&ws, &apis);
         analysis.elapsed_ms = started.elapsed().as_millis();
         Ok(analysis)
     }
 
-    /// Analyze an already-parsed workspace with explicit fan-out sets.
+    /// Analyze an already-parsed workspace with every pass.
     pub fn run(ws: &Workspace, apis: &FanoutApis) -> Analysis {
+        Analysis::run_passes(ws, apis, |_| true)
+    }
+
+    /// Analyze with the passes whose names `select` accepts (see
+    /// [`SOURCE_RULE_PASSES`]).
+    pub fn run_passes(
+        ws: &Workspace,
+        apis: &FanoutApis,
+        select: impl Fn(&str) -> bool,
+    ) -> Analysis {
         let started = Instant::now();
         let cg = CallGraph::build(ws);
-        let regions: Vec<Region> = regions::find_regions(ws, &cg, apis);
+        let regions = regions::find_regions(ws, &cg, apis);
+        let cx = Context {
+            ws,
+            apis,
+            cg,
+            regions,
+        };
         let mut suppress = Suppressions::default();
         for f in &ws.files {
             suppress.collect(f);
@@ -408,27 +530,11 @@ impl Analysis {
 
         let mut findings = Vec::new();
         let mut pass_ms: Vec<(&'static str, u128)> = Vec::new();
-        let mut t0 = Instant::now();
-        capture::check(ws, &cg, &regions, &mut findings);
-        pass_ms.push(("capture", t0.elapsed().as_millis()));
-        t0 = Instant::now();
-        reduction::check(ws, &cg, &regions, apis, &mut findings);
-        pass_ms.push(("reduction", t0.elapsed().as_millis()));
-        t0 = Instant::now();
-        ordering::check(ws, &cg, &mut findings);
-        pass_ms.push(("ordering", t0.elapsed().as_millis()));
-        t0 = Instant::now();
-        spans::check(ws, &mut findings);
-        pass_ms.push(("spans", t0.elapsed().as_millis()));
-        t0 = Instant::now();
-        range::check(ws, &mut findings);
-        pass_ms.push(("range", t0.elapsed().as_millis()));
-        t0 = Instant::now();
-        taint::check(ws, &mut findings);
-        pass_ms.push(("taint", t0.elapsed().as_millis()));
-        t0 = Instant::now();
-        results::check(ws, &mut findings);
-        pass_ms.push(("results", t0.elapsed().as_millis()));
+        for (name, pass) in PASSES.iter().filter(|(name, _)| select(name)) {
+            let t0 = Instant::now();
+            pass(&cx, &mut findings);
+            pass_ms.push((name, t0.elapsed().as_millis()));
+        }
 
         findings.retain(|f| !suppress.covers(&f.file, f.line, f.code.as_str()));
         findings.sort_by(|a, b| (&a.file, a.line, a.code).cmp(&(&b.file, b.line, b.code)));
@@ -437,7 +543,7 @@ impl Analysis {
             findings,
             files: ws.files.len(),
             functions: ws.fns.len(),
-            regions: regions.len(),
+            regions: cx.regions.len(),
             suppressions: suppress.len(),
             elapsed_ms: started.elapsed().as_millis(),
             pass_ms,
@@ -560,8 +666,22 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for c in Code::ALL {
             assert!(seen.insert(c.as_str()), "duplicate code {c}");
-            assert!(c.as_str().starts_with("CM-A"));
+            assert!(c.as_str().starts_with("CM-A") || c.as_str().starts_with("CM-L"));
         }
+        // The retired allowlist codes are never reused.
+        assert!(!seen.contains("CM-L003") && !seen.contains("CM-L004"));
+    }
+
+    #[test]
+    fn lib_source_filter() {
+        assert!(is_lib_source("crates/core/src/plan.rs"));
+        assert!(is_lib_source("src/lib.rs"));
+        assert!(!is_lib_source("crates/core/src/bin/tool.rs"));
+        assert!(!is_lib_source("crates/shims/rand/src/lib.rs"));
+        assert!(!is_lib_source("tests/paper_examples.rs"));
+        assert!(!is_lib_source("examples/quickstart.rs"));
+        assert!(!is_lib_source("crates/bench/benches/obs_overhead.rs"));
+        assert!(!is_lib_source("crates/core/src/notes.md"));
     }
 
     #[test]

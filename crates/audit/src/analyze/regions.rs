@@ -53,11 +53,6 @@ impl Region {
 pub fn find_regions(ws: &Workspace, cg: &CallGraph, apis: &FanoutApis) -> Vec<Region> {
     let mut out: Vec<Region> = Vec::new();
     for (fi, f) in ws.lib_fns() {
-        if f.is_closure {
-            // Closure bodies are scanned as part of their owner: a
-            // fan-out site inside a named closure is attributed to it
-            // by the range check below anyway.
-        }
         let file = &ws.files[f.file];
         let mut i = f.body.start;
         while i < f.body.end.min(file.tokens.len()) {

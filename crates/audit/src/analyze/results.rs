@@ -1,7 +1,7 @@
 //! Dataflow-grade dropped-`Result` analysis (CM-A013).
 //!
-//! The lexical `let _ = …` heuristics in [`crate::lint`] only see span
-//! guards; this pass uses the workspace symbol table to know which
+//! The lexical `let _ = …` check in [`super::spans`] (`CM-L008`) only
+//! sees span guards; this pass uses the workspace symbol table to know which
 //! *workspace* functions actually return `Result`, and def-use analysis
 //! to know whether a binding of such a call is ever read again. Three
 //! dropped shapes are flagged:

@@ -18,6 +18,14 @@
 //! The pass is intraprocedural and scans only bindings initialized from
 //! a `span!` macro invocation, so ordinary values named like guards are
 //! never flagged.
+//!
+//! It also flags the guard that never lives at all, `CM-L008`
+//! (`dropped-span-guard`): a `span!(…)` / `SpanTimer::new(…)` bound to
+//! the `_` wildcard (`let _ = span!(…)`) or left as a bare statement
+//! (`span!(…);`) drops at the end of that statement, silently recording
+//! a zero-length span and mis-parenting every span opened after it.
+//! Binding a named placeholder (`let _span = span!(…);`) keeps it to the
+//! end of the scope.
 
 use super::{Code, Finding};
 use crate::ast::{File, Workspace};
@@ -32,6 +40,70 @@ pub fn check(ws: &Workspace, findings: &mut Vec<Finding>) {
         let file = &ws.files[f.file];
         check_body(file, &f.qual, f.body.clone(), findings);
     }
+    for file in &ws.files {
+        check_dropped_guards(file, findings);
+    }
+}
+
+/// CM-L008: span guards discarded by the statement that creates them.
+fn check_dropped_guards(file: &File, findings: &mut Vec<Finding>) {
+    for i in 0..file.tokens.len() {
+        let (call, paren) = if let Some(paren) = file.spells(i, &["span", "!", "("]) {
+            ("span!", paren)
+        } else if let Some(paren) = file.spells(i, &["SpanTimer", ":", ":", "new", "("]) {
+            ("SpanTimer::new", paren)
+        } else {
+            continue;
+        };
+        let off = file.tokens[i].span.start;
+        if file.in_tests(off) || file.in_macro_def(off) {
+            continue;
+        }
+        // Peel a module path (`obs::`, `crate::trace::`) off the call.
+        let mut start = i;
+        while let Some(seg) = path_segment_before(file, start) {
+            start = seg;
+        }
+        let before = file.prev_code(start);
+        let wildcard_bound = before.is_some_and(|eq| {
+            file.is(eq, "=")
+                && file.prev_code(eq).is_some_and(|w| {
+                    file.is(w, "_") && file.prev_code(w).is_some_and(|l| file.is(l, "let"))
+                })
+        });
+        let bare_statement = before.is_none_or(|b| [";", "{", "}"].iter().any(|s| file.is(b, s)))
+            && file
+                .next_code(file.matching(paren) + 1)
+                .is_some_and(|end| file.is(end, ";"));
+        let message = if wildcard_bound {
+            format!(
+                "`let _ = {call}(…)` drops the span guard immediately, recording a zero-length \
+                 span; bind it (`let _span = {call}(…);`)"
+            )
+        } else if bare_statement {
+            format!(
+                "bare `{call}(…);` statement drops the span guard immediately, recording a \
+                 zero-length span; bind it (`let _span = {call}(…);`)"
+            )
+        } else {
+            continue;
+        };
+        findings.push(Finding {
+            code: Code::DroppedSpanGuard,
+            file: file.label.clone(),
+            line: file.tokens[i].line,
+            message,
+            path: Vec::new(),
+        });
+    }
+}
+
+/// If tokens `seg :: ` directly precede token `i`, the index of `seg`.
+fn path_segment_before(file: &File, i: usize) -> Option<usize> {
+    let c2 = file.prev_code(i).filter(|&c| file.is(c, ":"))?;
+    let c1 = file.prev_code(c2).filter(|&c| file.is(c, ":"))?;
+    file.prev_code(c1)
+        .filter(|&seg| file.tokens[seg].kind == TokKind::Ident)
 }
 
 fn check_body(file: &File, qual: &str, body: std::ops::Range<usize>, findings: &mut Vec<Finding>) {
@@ -207,6 +279,44 @@ mod tests {
     fn returned_guard_is_a008() {
         let c = codes("fn f() -> SpanGuard {\n    let g = span!(\"phase\");\n    return g;\n}\n");
         assert!(c.contains(&"CM-A008"), "{c:?}");
+    }
+
+    #[test]
+    fn wildcard_bound_guard_is_l008() {
+        let f = analyze_str("pub fn f() {\n    let _ = obs::span!(\"construct\");\n}\n");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].code.as_str(), "CM-L008");
+        assert_eq!(f[0].line, 2);
+        assert!(f[0].message.contains("let _ ="), "{}", f[0].message);
+    }
+
+    #[test]
+    fn bare_guard_statement_is_l008() {
+        // Both constructor spellings.
+        for src in [
+            "pub fn f() {\n    span!(\"construct\");\n}\n",
+            "pub fn f() {\n    obs::SpanTimer::new(\"x\");\n}\n",
+        ] {
+            assert_eq!(codes(src), ["CM-L008"], "{src}");
+        }
+    }
+
+    #[test]
+    fn bound_guards_are_not_l008() {
+        for src in [
+            // A named placeholder lives until the end of the scope.
+            "pub fn f() {\n    let _span = obs::span!(\"x\");\n}\n",
+            // A closure returning the guard hands it to the caller.
+            "pub fn f(top: bool) {\n    let _span = top.then(|| obs::span!(\"x\"));\n}\n",
+            // A continuation line is still the same binding statement.
+            "pub fn f() {\n    let _span =\n        span!(\"x\");\n}\n",
+            // Test modules are exempt, like every other rule.
+            "pub fn ok() {}\n#[cfg(test)]\nmod tests {\n    fn t() { span!(\"x\"); }\n}\n",
+            // A different macro sharing the suffix is not a span guard.
+            "pub fn f() {\n    my_span!(\"x\");\n}\n",
+        ] {
+            assert!(codes(src).is_empty(), "{src}: {:?}", codes(src));
+        }
     }
 
     #[test]

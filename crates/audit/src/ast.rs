@@ -98,27 +98,51 @@ impl File {
         self.text(i) == s
     }
 
-    /// Find the matching close delimiter for the open delimiter at token
-    /// `open` (same flavor, depth-balanced). Returns the token index of
-    /// the closer, or the last token if unbalanced.
-    pub fn matching(&self, open: usize) -> usize {
-        let TokKind::Open(d) = self.tokens[open].kind else {
-            return open;
+    /// If the code tokens starting *at* `i` spell `pat`, one token per
+    /// entry with trivia between them ignored (`::` is two `:` tokens),
+    /// the index of the token matching the last entry.
+    pub fn spells(&self, i: usize, pat: &[&str]) -> Option<usize> {
+        let (first, rest) = pat.split_first()?;
+        if i >= self.tokens.len() || !self.tokens[i].is_code() || !self.is(i, first) {
+            return None;
+        }
+        rest.iter()
+            .try_fold(i, |j, p| self.next_code(j + 1).filter(|&k| self.is(k, p)))
+    }
+
+    /// Find the delimiter matching the one at token `i` (same flavor,
+    /// depth-balanced): forward from an opener to its closer, backward
+    /// from a closer to its opener. If unbalanced, returns the last
+    /// (respectively first) token; for a non-delimiter, `i` itself.
+    pub fn matching(&self, i: usize) -> usize {
+        let (d, forward) = match self.tokens[i].kind {
+            TokKind::Open(d) => (d, true),
+            TokKind::Close(d) => (d, false),
+            _ => return i,
         };
         let mut depth = 0usize;
-        for i in open..self.tokens.len() {
-            match self.tokens[i].kind {
-                TokKind::Open(x) if x == d => depth += 1,
-                TokKind::Close(x) if x == d => {
+        let mut k = i;
+        loop {
+            match self.tokens[k].kind {
+                TokKind::Open(x) | TokKind::Close(x) if x != d => {}
+                TokKind::Open(_) if forward => depth += 1,
+                TokKind::Close(_) if !forward => depth += 1,
+                TokKind::Open(_) | TokKind::Close(_) => {
                     depth -= 1;
                     if depth == 0 {
-                        return i;
+                        return k;
                     }
                 }
                 _ => {}
             }
+            if forward && k + 1 < self.tokens.len() {
+                k += 1;
+            } else if !forward && k > 0 {
+                k -= 1;
+            } else {
+                return k;
+            }
         }
-        self.tokens.len() - 1
     }
 
     /// Record `#[cfg(test)]` item spans and `macro_rules!` bodies.
@@ -303,13 +327,14 @@ fn extract_fns(file: &File, file_idx: usize, out: &mut Vec<FnItem>) {
             }
         }
         if t.kind == TokKind::Ident && file.is(i, "fn") {
-            if let Some(item) = fn_item(file, file_idx, i, impl_stack.last().map(|(_, t)| t)) {
-                let next = item.body.end.max(item.sig.end);
-                out.push(item);
-                // Recurse into the body for nested fns/closures by just
-                // continuing the linear scan (the scan is flat).
-                let _ = next;
-            }
+            // The scan stays flat: nested fns and closures in the body
+            // are found as it continues.
+            out.extend(fn_item(
+                file,
+                file_idx,
+                i,
+                impl_stack.last().map(|(_, t)| t),
+            ));
         }
         if t.kind == TokKind::Ident && file.is(i, "let") {
             if let Some(item) = named_closure(file, file_idx, i) {
@@ -325,7 +350,6 @@ fn extract_fns(file: &File, file_idx: usize, out: &mut Vec<FnItem>) {
 /// `for` wins.
 fn impl_header(file: &File, impl_tok: usize) -> Option<(String, usize)> {
     let mut ty = String::new();
-    let mut after_for = false;
     let mut j = impl_tok + 1;
     let mut depth = 0i32;
     while j < file.tokens.len() {
@@ -337,20 +361,12 @@ fn impl_header(file: &File, impl_tok: usize) -> Option<(String, usize)> {
                 }
                 TokKind::Open(_) => depth += 1,
                 TokKind::Close(_) => depth -= 1,
-                TokKind::Ident if file.is(j, "for") && depth == 0 => {
-                    after_for = true;
-                    ty.clear();
-                }
-                TokKind::Ident if depth == 0 => {
-                    // Remember the last plain identifier at depth 0 as
-                    // the candidate type name (skips generics in <…>,
-                    // which lex as Punct `<`).
-                    let txt = file.text(j);
-                    if txt != "where" {
-                        ty = txt.to_owned();
-                    } else if !after_for || !ty.is_empty() {
-                        // `where` clause: stop updating.
-                    }
+                TokKind::Ident if file.is(j, "for") && depth == 0 => ty.clear(),
+                // Remember the last plain identifier at depth 0 as the
+                // candidate type name (skips generics in <…>, which lex
+                // as Punct `<`).
+                TokKind::Ident if depth == 0 && !file.is(j, "where") => {
+                    ty = file.text(j).to_owned();
                 }
                 TokKind::Punct if file.is(j, ";") => return None,
                 _ => {}
@@ -463,17 +479,13 @@ pub struct Closure {
     /// Tokens of the body: a brace block inclusive of braces, or the
     /// expression up to the enclosing delimiter / comma at depth 0.
     pub body: Range<usize>,
-    /// `move` closure?
-    pub is_move: bool,
 }
 
 /// Parse the closure literal starting at token `start`, which must be a
 /// `|` (or the `move` keyword directly before one).
 pub fn closure_at(file: &File, start: usize) -> Option<Closure> {
     let mut i = start;
-    let mut is_move = false;
     if file.is(i, "move") {
-        is_move = true;
         i = file.next_code(i + 1)?;
     }
     if !file.is(i, "|") {
@@ -561,7 +573,6 @@ pub fn closure_at(file: &File, start: usize) -> Option<Closure> {
     Some(Closure {
         params: params_start..params_end + 1,
         body,
-        is_move,
     })
 }
 
@@ -683,7 +694,6 @@ mod tests {
         // Find the `move` token.
         let mv = (0..f.tokens.len()).find(|&i| f.is(i, "move")).unwrap();
         let c = closure_at(&f, mv).unwrap();
-        assert!(c.is_move);
         let mut params = Vec::new();
         param_idents(&f, c.params.clone(), &mut params);
         assert_eq!(params, vec!["a", "b", "c"]);

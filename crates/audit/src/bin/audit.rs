@@ -1,19 +1,19 @@
 //! The `cubemesh-audit` gate binary.
 //!
 //! ```text
-//! cubemesh-audit lint [--json] [--sarif FILE] [--root DIR] [--allowlist FILE]
-//!     Run the workspace lints; print violations; exit 1 on any.
-//!     --json emits the shared cubemesh-audit-diag/v1 schema;
-//!     --sarif additionally writes a SARIF 2.1.0 log to FILE.
 //! cubemesh-audit analyze [--json] [--sarif FILE] [--baseline JSON] [--root DIR]
-//!     Run the interprocedural dataflow analyzer (CM-A001..A013):
-//!     worker-capture escapes, non-deterministic reductions,
-//!     lock/atomic discipline, span-stack balance, value-range
-//!     overflow proofs, taint tracking and dropped Results. Exit 1
-//!     on any finding; each finding carries call-path evidence from
-//!     the fan-out site to the sink. --baseline diffs against a prior
-//!     `analyze --json` artifact and reports only new findings;
-//!     --sarif writes the (post-baseline) findings as SARIF 2.1.0.
+//!     Run the source analyzer over the library sources: the
+//!     interprocedural passes (CM-A001..A013: worker-capture escapes,
+//!     non-deterministic reductions, lock/atomic discipline, span-stack
+//!     balance, value-range overflow proofs, taint tracking, dropped
+//!     Results) and the hygiene rules (CM-L001/L002/L005..L008: panics,
+//!     narrowing casts, chunk-loop allocation, shared mutable state,
+//!     dropped span guards). Exit 1 on any finding; interprocedural
+//!     findings carry call-path evidence from the fan-out site to the
+//!     sink. --json emits the cubemesh-audit-diag/v1 schema;
+//!     --baseline diffs against a prior `analyze --json` artifact and
+//!     reports only new findings; --sarif writes the (post-baseline)
+//!     findings as SARIF 2.1.0.
 //! cubemesh-audit certify [--json] [--sweep N] [L1 [L2 L3]]
 //!     Certify shapes and report certificate vs proven floor per
 //!     figure of merit. With explicit extents, one shape; with
@@ -35,9 +35,8 @@
 //! `trace_event` JSON at FILE plus FILE.folded / FILE.jsonl exports).
 
 use cubemesh_audit::{
-    certify_fold, certify_torus, lint_workspace, manytoone_floors, mesh_floors, sweep,
-    sweep_contract, sweep_fold, sweep_torus, torus_floors, Allowlist, Certificate, CrosscheckError,
-    Floors,
+    certify_fold, certify_torus, manytoone_floors, mesh_floors, sweep, sweep_contract, sweep_fold,
+    sweep_torus, torus_floors, Certificate, CrosscheckError, Finding, Floors,
 };
 use cubemesh_core::Planner;
 use cubemesh_manytoone::plan_corollary5;
@@ -69,13 +68,10 @@ fn main() -> ExitCode {
         None => None,
     };
     let Some((cmd, rest)) = args.split_first() else {
-        eprintln!(
-            "usage: cubemesh-audit <lint|analyze|certify|selfcheck> ... [--stats] [--trace FILE]"
-        );
+        eprintln!("usage: cubemesh-audit <analyze|certify|selfcheck> ... [--stats] [--trace FILE]");
         return ExitCode::from(2);
     };
     let code = match cmd.as_str() {
-        "lint" => cmd_lint(rest),
         "analyze" => cmd_analyze(rest),
         "certify" => cmd_certify(rest),
         "selfcheck" => cmd_selfcheck(rest),
@@ -106,77 +102,17 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-/// Write a SARIF 2.1.0 log for `diags` to `path` (from `--sarif`).
-fn write_sarif(path: &str, tool: &str, diags: &[cubemesh_audit::sarif::Diag]) -> bool {
-    let log = cubemesh_audit::sarif::to_sarif(tool, diags);
+/// Write a SARIF 2.1.0 log for `findings` to `path` (from `--sarif`).
+fn write_sarif(path: &str, findings: &[Finding]) -> bool {
+    let log = cubemesh_audit::sarif::to_sarif(findings);
     match std::fs::write(path, log) {
         Ok(()) => {
-            eprintln!("sarif: {} result(s) -> {path}", diags.len());
+            eprintln!("sarif: {} result(s) -> {path}", findings.len());
             true
         }
         Err(e) => {
             eprintln!("cubemesh-audit: cannot write SARIF to {path}: {e}");
             false
-        }
-    }
-}
-
-fn cmd_lint(args: &[String]) -> ExitCode {
-    let root = PathBuf::from(flag_value(args, "--root").unwrap_or_else(|| ".".to_owned()));
-    let json = args.iter().any(|a| a == "--json");
-    let allow_path = flag_value(args, "--allowlist")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| root.join("audit-allowlist.txt"));
-    let allow = match Allowlist::load(&allow_path) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("cubemesh-audit: bad allowlist: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let entries = allow.len();
-    let sarif_out = flag_value(args, "--sarif");
-    let started = std::time::Instant::now();
-    match lint_workspace(&root, allow) {
-        Ok(violations) => {
-            if let Some(path) = &sarif_out {
-                let diags: Vec<cubemesh_audit::sarif::Diag> =
-                    violations.iter().map(Into::into).collect();
-                if !write_sarif(path, "cubemesh-audit lint", &diags) {
-                    return ExitCode::from(2);
-                }
-            }
-            if json {
-                let mut files = Vec::new();
-                let nfiles = cubemesh_audit::lint::walk_lib_sources(&root, &mut files)
-                    .map(|_| files.len())
-                    .unwrap_or(0);
-                println!(
-                    "{}",
-                    cubemesh_audit::lint::lint_report_json(
-                        &violations,
-                        nfiles,
-                        entries,
-                        started.elapsed().as_millis(),
-                    )
-                );
-            } else if violations.is_empty() {
-                println!("audit lint: clean ({entries} allowlist entries)");
-            } else {
-                for v in &violations {
-                    println!("{v}");
-                }
-                println!("audit lint: {} violation(s)", violations.len());
-            }
-            if violations.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("cubemesh-audit: {e}");
-            ExitCode::from(2)
         }
     }
 }
@@ -212,9 +148,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
                 .map(|keys| analysis.apply_baseline(&keys))
                 .unwrap_or(0);
             if let Some(path) = &sarif_out {
-                let diags: Vec<cubemesh_audit::sarif::Diag> =
-                    analysis.findings.iter().map(Into::into).collect();
-                if !write_sarif(path, "cubemesh-audit analyze", &diags) {
+                if !write_sarif(path, &analysis.findings) {
                     return ExitCode::from(2);
                 }
             }

@@ -261,8 +261,10 @@ impl Builder<'_> {
 
     /// Find the `{` opening the block a control header leads to,
     /// pushing the header tokens (condition/iterator) into `block`.
-    /// Returns the index of the `{`, or `end` if none is found.
-    fn header_to_brace(&mut self, start: usize, end: usize, block: usize) -> usize {
+    /// Returns `Ok` with the index of the `{`, or `Err` with the index
+    /// to resume at when there is none: an unbalanced closer (the `if`
+    /// was a match guard inside `matches!(…)`), or `end`.
+    fn header_to_brace(&mut self, start: usize, end: usize, block: usize) -> Result<usize, usize> {
         let file = self.file;
         let mut depth = 0i32;
         let mut i = start;
@@ -273,11 +275,11 @@ impl Builder<'_> {
                 continue;
             }
             match t.kind {
-                TokKind::Open(Delim::Brace) if depth == 0 => return i,
+                TokKind::Open(Delim::Brace) if depth == 0 => return Ok(i),
                 TokKind::Open(_) => depth += 1,
                 TokKind::Close(_) => {
                     if depth == 0 {
-                        return end; // malformed; bail out
+                        return Err(i);
                     }
                     depth -= 1;
                 }
@@ -286,7 +288,7 @@ impl Builder<'_> {
             self.push(block, i);
             i += 1;
         }
-        end
+        Err(end)
     }
 
     /// `if cond { … } [else if … { … }]* [else { … }]` — returns the
@@ -294,10 +296,10 @@ impl Builder<'_> {
     fn if_chain(&mut self, if_tok: usize, end: usize, cur: usize, ctx: &LoopCtx) -> (usize, usize) {
         let file = self.file;
         self.push(cur, if_tok);
-        let open = self.header_to_brace(if_tok + 1, end, cur);
-        if open >= end {
-            return (cur, end);
-        }
+        let open = match self.header_to_brace(if_tok + 1, end, cur) {
+            Ok(open) => open,
+            Err(resume) => return (cur, resume),
+        };
         let close = file.matching(open);
         let then_entry = self.new_block();
         self.edge(cur, then_entry, false);
@@ -356,10 +358,10 @@ impl Builder<'_> {
         self.edge(cur, head, false);
         self.push(head, kw);
         let is_plain_loop = file.is(kw, "loop");
-        let open = self.header_to_brace(kw + 1, end, head);
-        if open >= end {
-            return (head, end);
-        }
+        let open = match self.header_to_brace(kw + 1, end, head) {
+            Ok(open) => open,
+            Err(resume) => return (head, resume),
+        };
         let close = file.matching(open);
         let after = self.new_block();
         let body_entry = self.new_block();
@@ -385,10 +387,10 @@ impl Builder<'_> {
     fn match_stmt(&mut self, kw: usize, end: usize, cur: usize, ctx: &LoopCtx) -> (usize, usize) {
         let file = self.file;
         self.push(cur, kw);
-        let open = self.header_to_brace(kw + 1, end, cur);
-        if open >= end {
-            return (cur, end);
-        }
+        let open = match self.header_to_brace(kw + 1, end, cur) {
+            Ok(open) => open,
+            Err(resume) => return (cur, resume),
+        };
         let close = file.matching(open);
         self.push(cur, open);
         let join = self.new_block();
@@ -610,6 +612,14 @@ mod tests {
         token_partition_ok(&ws, &cfg);
         assert!(cfg.blocks[cfg.entry].succs.len() >= 2);
         assert_eq!(cfg.back_edge_count(), 0);
+    }
+
+    #[test]
+    fn match_guard_if_in_macro_keeps_the_rest_of_the_body() {
+        let (ws, cfg) = cfg_of(
+            "fn f(x: Option<u32>) -> bool {\n    let y = matches!(x, Some(c) if c > 1);\n    y\n}\n",
+        );
+        token_partition_ok(&ws, &cfg);
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! A zero-dependency Rust lexer for the workspace's own sources.
 //!
-//! The analysis layer ([`crate::analyze`]) and the lint driver
-//! ([`crate::lint`]) both need to see *code* — not comments, not string
-//! literals, not doc text — and the legacy approach of blanking
-//! non-code byte ranges with regex-ish scanners broke down exactly where
-//! Rust's grammar is lexical: byte strings, raw byte strings, nested
-//! block comments, lifetimes vs char literals. This module lexes for
-//! real.
+//! The analyzer ([`crate::analyze`]) needs to see *code* — not comments,
+//! not string literals, not doc text — and blanking non-code byte ranges
+//! with ad-hoc scanners breaks down exactly where Rust's grammar is
+//! lexical: byte strings, raw byte strings, nested block comments,
+//! lifetimes vs char literals. This module lexes for real.
 //!
 //! Design points:
 //!
@@ -406,41 +404,6 @@ fn is_ident_continue(c: u8) -> bool {
     c == b'_' || c.is_ascii_alphanumeric()
 }
 
-/// Render the *code view* of a token stream: a string the same length as
-/// the input where every trivia and string/char-literal byte is a space
-/// (newlines preserved), and all other tokens appear verbatim at their
-/// original offsets.
-///
-/// This is the token-stream replacement for the legacy
-/// `lint::strip_noncode` — byte-offset- and line-compatible with the
-/// original text, so line/column diagnostics need no mapping, but
-/// guaranteed (by the lexer, not by heuristics) to contain no comment or
-/// literal text.
-pub fn code_view(src: &str, tokens: &[Token]) -> String {
-    let mut out = vec![b' '; src.len()];
-    let bytes = src.as_bytes();
-    for (i, &b) in bytes.iter().enumerate() {
-        if b == b'\n' {
-            out[i] = b'\n';
-        }
-    }
-    for t in tokens {
-        let keep = !matches!(
-            t.kind,
-            TokKind::Whitespace
-                | TokKind::Comment
-                | TokKind::Literal(LitKind::Str | LitKind::ByteStr | LitKind::Char)
-        );
-        if keep {
-            out[t.span.clone()].copy_from_slice(&bytes[t.span.clone()]);
-        }
-    }
-    // Safety of from_utf8: we only copied whole token spans, and every
-    // non-copied byte is ASCII space/newline; token spans of kept kinds
-    // are valid UTF-8 substrings starting/ending at char boundaries.
-    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,24 +477,6 @@ mod tests {
                 LitKind::Int,
             ]
         );
-    }
-
-    #[test]
-    fn code_view_blanks_noncode_and_preserves_offsets() {
-        let src = "let s = \"panic!\"; // unwrap()\nlet c = 'p'; call();\n";
-        let toks = lex(src);
-        let view = code_view(src, &toks);
-        assert_eq!(view.len(), src.len());
-        assert!(!view.contains("panic!"));
-        assert!(!view.contains("unwrap"));
-        assert!(view.contains("call();"));
-        assert_eq!(
-            view.match_indices('\n').count(),
-            src.match_indices('\n').count()
-        );
-        // Offsets of surviving code are unchanged.
-        assert_eq!(view.find("let s").unwrap(), src.find("let s").unwrap());
-        assert_eq!(view.find("call").unwrap(), src.find("call").unwrap());
     }
 
     #[test]

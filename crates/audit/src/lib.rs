@@ -1,5 +1,5 @@
-//! Static analysis for the cubemesh workspace: plan certificates and a
-//! custom lint driver.
+//! Static analysis for the cubemesh workspace: plan certificates and the
+//! source analyzer.
 //!
 //! Two prongs, both runnable through the `cubemesh-audit` binary and wired
 //! into the repo gate (`scripts/check.sh`):
@@ -14,30 +14,30 @@
 //!   supplies the provable per-shape floors so `certified − floor` is a
 //!   rigorous optimality gap; [`crosscheck`] then builds real embeddings
 //!   and asserts measured ≤ certificate and certificate ≥ floor.
-//! * [`lint`] — source-level rules over the workspace's own library code:
-//!   no `unwrap`/`expect`/`panic!` outside tests (explicit, shrinking
-//!   allowlist; allowlisted functions must carry `# Panics` docs), no
-//!   narrowing casts on 64-bit cube addresses, no narrowing casts of
-//!   shape-extent products, no allocation inside chunk/shard loops, and
-//!   no shared mutable state in worker-spawning functions.
-//! * [`analyze`] — the interprocedural concurrency/determinism analyzer
-//!   built on a real front end: a lossless Rust [`lexer`], a lightweight
-//!   item/closure parser ([`ast`]) producing a workspace symbol table,
-//!   and a may-call [`callgraph`]. Its passes prove worker closures free
-//!   of captured mutation, interior mutability, and `static mut`
-//!   (`CM-A001`–`A003`), reductions deterministic under chunk reorder
-//!   (`CM-A004`–`A005`), atomics/locks disciplined (`CM-A006`–`A007`),
-//!   and span guards LIFO (`CM-A008`) — each finding carrying call-path
-//!   evidence from the fan-out site to the sink. On top of the same
-//!   front end sits a dataflow engine — an intraprocedural [`cfg`] and
-//!   a generic worklist solver with widening ([`dataflow`]) — powering
-//!   value-range overflow proofs on shape/address arithmetic
-//!   (`CM-A009`–`A010`), taint tracking from untrusted inputs to
-//!   index/capacity/constructor sinks (`CM-A011`–`A012`), and def-use
-//!   dropped-`Result` analysis (`CM-A013`). Findings serialize in the
-//!   shared `cubemesh-audit-diag/v1` schema, diff against a prior
-//!   artifact ([`analyze::baseline_keys`], `analyze --baseline`), and
-//!   export as SARIF 2.1.0 ([`sarif`]) for editor/CI annotation.
+//! * [`analyze`] — the one source analyzer, built on a real front end: a
+//!   lossless Rust [`lexer`], a lightweight item/closure parser ([`ast`])
+//!   producing a workspace symbol table, and a may-call [`callgraph`].
+//!   Its interprocedural passes prove worker closures free of captured
+//!   mutation, interior mutability, and `static mut` (`CM-A001`–`A003`),
+//!   reductions deterministic under chunk reorder (`CM-A004`–`A005`),
+//!   atomics/locks disciplined (`CM-A006`–`A007`), and span guards LIFO
+//!   (`CM-A008`) — each finding carrying call-path evidence from the
+//!   fan-out site to the sink. On top of the same front end sits a
+//!   dataflow engine — an intraprocedural [`cfg`] and a generic worklist
+//!   solver with widening ([`dataflow`]) — powering value-range overflow
+//!   proofs on shape/address arithmetic (`CM-A009`–`A010`), taint
+//!   tracking from untrusted inputs to index/capacity/constructor sinks
+//!   (`CM-A011`–`A012`), and def-use dropped-`Result` analysis
+//!   (`CM-A013`). Site-local hygiene rules ride the same token stream:
+//!   no `unwrap`/`expect`/`panic!` outside tests (`CM-L001`), no
+//!   narrowing casts of cube addresses or shape extents (`CM-L002`,
+//!   `CM-L005`), no allocation inside chunk/shard loops (`CM-L006`), no
+//!   shared mutable state beside a fan-out (`CM-L007`), and no span
+//!   guard dropped on the spot (`CM-L008`). Findings are waived only by
+//!   an inline `audit:allow(CODE)` comment that states its reason; they
+//!   serialize in the `cubemesh-audit-diag/v1` schema, diff against a
+//!   prior artifact ([`analyze::baseline_keys`], `analyze --baseline`),
+//!   and export as SARIF 2.1.0 ([`sarif`]) for editor/CI annotation.
 
 pub mod analyze;
 pub mod ast;
@@ -49,7 +49,6 @@ pub mod crosscheck;
 pub mod dataflow;
 pub mod fingerprint;
 pub mod lexer;
-pub mod lint;
 pub mod manytoone;
 pub mod sarif;
 pub mod torus;
@@ -62,6 +61,5 @@ pub use crosscheck::{
     sweep, sweep_contract, sweep_fold, sweep_torus, CrosscheckError, SweepReport,
 };
 pub use fingerprint::{fingerprint, fnv1a};
-pub use lint::{lint_source, lint_workspace, Allowlist, Rule, Violation};
 pub use manytoone::{certify_contract, certify_fold};
 pub use torus::{certify_torus, certify_torus_combo};

@@ -1,12 +1,10 @@
-//! SARIF 2.1.0 export for the shared `cubemesh-audit-diag/v1` schema.
+//! SARIF 2.1.0 export for analyzer findings.
 //!
-//! Both gate front-ends — `lint` (CM-L…) and `analyze` (CM-A…) — emit
-//! findings in the same internal shape: a stable code, a rule slug, a
-//! repo-relative file, a 1-based line, a message, and (for dataflow
-//! findings) a call path. [`Diag`] is that shape made explicit, and
-//! [`to_sarif`] renders any list of them as a single-run SARIF log so
-//! editors and CI annotators can consume the gate output without
-//! knowing the in-house schema.
+//! [`to_sarif`] renders a list of [`Finding`]s — stable code, rule slug,
+//! repo-relative file, 1-based line, message and (for interprocedural
+//! findings) a call path — as a single-run SARIF log, so editors and CI
+//! annotators can consume the gate output without knowing the in-house
+//! `cubemesh-audit-diag/v1` schema.
 //!
 //! The emitted subset is deliberately small: one `run`, one
 //! `tool.driver` with a deduplicated `rules` table, and one `result`
@@ -16,52 +14,6 @@
 //! golden-file test in `tests/sarif_golden.rs` pins the exact bytes.
 
 use crate::analyze::Finding;
-use crate::lint::Violation;
-
-/// One diagnostic in the shared schema, independent of which front-end
-/// produced it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Diag {
-    /// Stable code (`CM-L001`…, `CM-A001`…). Becomes the SARIF `ruleId`.
-    pub code: String,
-    /// Human-readable rule slug (`panic-in-lib`, `range-mul-overflow`).
-    pub rule: String,
-    /// Repo-relative file path.
-    pub file: String,
-    /// 1-based line.
-    pub line: u32,
-    /// Explanation.
-    pub message: String,
-    /// Call-path evidence, root to sink (empty for intraprocedural
-    /// findings and all lint findings).
-    pub path: Vec<String>,
-}
-
-impl From<&Violation> for Diag {
-    fn from(v: &Violation) -> Diag {
-        Diag {
-            code: v.rule.code().to_owned(),
-            rule: v.rule.slug().to_owned(),
-            file: v.file.clone(),
-            line: v.line as u32,
-            message: v.message.clone(),
-            path: Vec::new(),
-        }
-    }
-}
-
-impl From<&Finding> for Diag {
-    fn from(f: &Finding) -> Diag {
-        Diag {
-            code: f.code.as_str().to_owned(),
-            rule: f.code.slug().to_owned(),
-            file: f.file.clone(),
-            line: f.line,
-            message: f.message.clone(),
-            path: f.path.clone(),
-        }
-    }
-}
 
 fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -69,17 +21,17 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// Render `diags` as a SARIF 2.1.0 log with one run.
+/// Render `findings` as a SARIF 2.1.0 log with one run of the
+/// `cubemesh-audit analyze` tool.
 ///
-/// `tool` names the front-end (`"cubemesh-audit lint"` /
-/// `"cubemesh-audit analyze"`). Rules are collected in first-seen
-/// order and deduplicated by code; each result carries `ruleIndex`
-/// into that table. Output is deterministic for a given input.
-pub fn to_sarif(tool: &str, diags: &[Diag]) -> String {
+/// Rules are collected in first-seen order and deduplicated by code;
+/// each result carries `ruleIndex` into that table. Output is
+/// deterministic for a given input.
+pub fn to_sarif(findings: &[Finding]) -> String {
     let mut rules: Vec<(&str, &str)> = Vec::new();
-    for d in diags {
-        if !rules.iter().any(|(c, _)| *c == d.code) {
-            rules.push((&d.code, &d.rule));
+    for f in findings {
+        if !rules.iter().any(|(c, _)| *c == f.code.as_str()) {
+            rules.push((f.code.as_str(), f.code.slug()));
         }
     }
     let rules_json: Vec<String> = rules
@@ -93,19 +45,22 @@ pub fn to_sarif(tool: &str, diags: &[Diag]) -> String {
             )
         })
         .collect();
-    let results: Vec<String> = diags
+    let results: Vec<String> = findings
         .iter()
-        .map(|d| {
-            let rule_index = rules.iter().position(|(c, _)| *c == d.code).unwrap_or(0);
-            let text = if d.path.is_empty() {
-                d.message.clone()
+        .map(|f| {
+            let rule_index = rules
+                .iter()
+                .position(|(c, _)| *c == f.code.as_str())
+                .unwrap_or(0);
+            let text = if f.path.is_empty() {
+                f.message.clone()
             } else {
-                format!("{} (via {})", d.message, d.path.join(" -> "))
+                format!("{} (via {})", f.message, f.path.join(" -> "))
             };
-            let props = if d.path.is_empty() {
+            let props = if f.path.is_empty() {
                 String::new()
             } else {
-                let steps: Vec<String> = d.path.iter().map(|p| esc(p)).collect();
+                let steps: Vec<String> = f.path.iter().map(|p| esc(p)).collect();
                 format!(
                     ",\"properties\":{{\"cubemesh/path\":[{}]}}",
                     steps.join(",")
@@ -117,11 +72,11 @@ pub fn to_sarif(tool: &str, diags: &[Diag]) -> String {
                  \"locations\":[{{\"physicalLocation\":{{\
                  \"artifactLocation\":{{\"uri\":{}}},\
                  \"region\":{{\"startLine\":{}}}}}}}]{}}}",
-                esc(&d.code),
+                esc(f.code.as_str()),
                 rule_index,
                 esc(&text),
-                esc(&d.file),
-                d.line.max(1),
+                esc(&f.file),
+                f.line.max(1),
                 props
             )
         })
@@ -131,7 +86,7 @@ pub fn to_sarif(tool: &str, diags: &[Diag]) -> String {
          \"version\":\"2.1.0\",\"runs\":[{{\"tool\":{{\"driver\":{{\
          \"name\":{},\"informationUri\":\"https://example.invalid/cubemesh\",\
          \"rules\":[{}]}}}},\"results\":[{}]}}]}}",
-        esc(tool),
+        esc("cubemesh-audit analyze"),
         rules_json.join(","),
         results.join(",")
     )
@@ -140,39 +95,47 @@ pub fn to_sarif(tool: &str, diags: &[Diag]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::Code;
 
-    fn sample() -> Vec<Diag> {
+    fn finding(code: Code, file: &str, line: u32, message: &str, path: &[&str]) -> Finding {
+        Finding {
+            code,
+            file: file.to_owned(),
+            line,
+            message: message.to_owned(),
+            path: path.iter().map(|p| p.to_string()).collect(),
+        }
+    }
+
+    fn sample() -> Vec<Finding> {
         vec![
-            Diag {
-                code: "CM-A009".to_owned(),
-                rule: "range-mul-overflow".to_owned(),
-                file: "crates/x/src/lib.rs".to_owned(),
-                line: 12,
-                message: "product may exceed usize".to_owned(),
-                path: vec!["x::outer".to_owned(), "x::inner".to_owned()],
-            },
-            Diag {
-                code: "CM-L001".to_owned(),
-                rule: "panic-in-lib".to_owned(),
-                file: "crates/y/src/lib.rs".to_owned(),
-                line: 3,
-                message: "unwrap in library code".to_owned(),
-                path: Vec::new(),
-            },
-            Diag {
-                code: "CM-A009".to_owned(),
-                rule: "range-mul-overflow".to_owned(),
-                file: "crates/z/src/lib.rs".to_owned(),
-                line: 7,
-                message: "another product".to_owned(),
-                path: Vec::new(),
-            },
+            finding(
+                Code::RangeMulOverflow,
+                "crates/x/src/lib.rs",
+                12,
+                "product may exceed usize",
+                &["x::outer", "x::inner"],
+            ),
+            finding(
+                Code::PanicInLib,
+                "crates/y/src/lib.rs",
+                3,
+                "unwrap in library code",
+                &[],
+            ),
+            finding(
+                Code::RangeMulOverflow,
+                "crates/z/src/lib.rs",
+                7,
+                "another product",
+                &[],
+            ),
         ]
     }
 
     #[test]
     fn sarif_is_valid_json_with_expected_structure() {
-        let log = to_sarif("cubemesh-audit analyze", &sample());
+        let log = to_sarif(&sample());
         let doc = cubemesh_obs::parse_json(&log).expect("valid JSON");
         assert_eq!(doc.get("version").and_then(|v| v.as_str()), Some("2.1.0"));
         let runs = doc.get("runs").and_then(|r| r.as_arr()).unwrap();
@@ -200,7 +163,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_still_a_valid_run() {
-        let log = to_sarif("cubemesh-audit lint", &[]);
+        let log = to_sarif(&[]);
         let doc = cubemesh_obs::parse_json(&log).expect("valid JSON");
         let runs = doc.get("runs").and_then(|r| r.as_arr()).unwrap();
         assert_eq!(
@@ -210,19 +173,5 @@ mod tests {
                 .map(<[_]>::len),
             Some(0)
         );
-    }
-
-    #[test]
-    fn conversions_from_both_frontends() {
-        let v = Violation {
-            file: "a.rs".to_owned(),
-            line: 5,
-            rule: crate::lint::Rule::PanicInLib,
-            message: "m".to_owned(),
-        };
-        let d = Diag::from(&v);
-        assert_eq!(d.code, "CM-L001");
-        assert_eq!(d.rule, "panic-in-lib");
-        assert!(d.path.is_empty());
     }
 }

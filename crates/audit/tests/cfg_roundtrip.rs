@@ -25,18 +25,12 @@ use std::path::Path;
 /// Load every library source the real analyzer run reads.
 fn workspace() -> Workspace {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut files = Vec::new();
-    cubemesh_audit::lint::walk_lib_sources(&root, &mut files).expect("walk workspace");
-    files.sort();
+    let (ws, _) = cubemesh_audit::analyze::load_root(&root).expect("load workspace");
     assert!(
-        files.len() > 50,
+        ws.files.len() > 50,
         "workspace walk found only {} files",
-        files.len()
+        ws.files.len()
     );
-    let mut ws = Workspace::default();
-    for (rel, path) in &files {
-        ws.add_file(rel, std::fs::read_to_string(path).expect("read source"));
-    }
     ws
 }
 

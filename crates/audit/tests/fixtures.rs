@@ -12,7 +12,7 @@ use std::path::Path;
 
 /// `(fixture file, the one code it must trip)`, covering all of
 /// [`Code::ALL`].
-const CORPUS: [(&str, Code); 13] = [
+const CORPUS: [(&str, Code); 19] = [
     ("a001_worker_capture_mut.rs", Code::WorkerCaptureMut),
     (
         "a002_worker_capture_interior.rs",
@@ -35,6 +35,12 @@ const CORPUS: [(&str, Code); 13] = [
         Code::TaintUnvalidatedShape,
     ),
     ("a013_dropped_result.rs", Code::DroppedResult),
+    ("l001_panic_in_lib.rs", Code::PanicInLib),
+    ("l002_narrowing_addr_cast.rs", Code::NarrowingAddrCast),
+    ("l005_shape_product_overflow.rs", Code::ShapeProductOverflow),
+    ("l006_alloc_in_chunk_loop.rs", Code::AllocInChunkLoop),
+    ("l007_shared_mut_in_worker.rs", Code::SharedMutInWorker),
+    ("l008_dropped_span_guard.rs", Code::DroppedSpanGuard),
 ];
 
 fn analyze_fixture(name: &str) -> Analysis {

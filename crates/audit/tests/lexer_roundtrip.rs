@@ -2,27 +2,24 @@
 //!
 //! The lexer is *lossless*: every byte of the input lands in exactly one
 //! token span, so concatenating token texts reproduces the source
-//! verbatim. `code_view` is the blanked projection: same length and line
-//! structure, code tokens verbatim at their original offsets, trivia and
-//! string/char-literal bytes spaced out.
+//! verbatim.
 //!
-//! Both properties are checked exhaustively over every library source in
+//! The property is checked exhaustively over every library source in
 //! the workspace (the corpus the analyzer actually runs on) and then
 //! property-tested on adversarial slices of those files — line-granular
 //! cuts that split block comments, raw strings and string literals mid-
 //! token, where a heuristic scanner would desynchronize.
 
-use cubemesh_audit::lexer::{code_view, lex, TokKind};
-use cubemesh_audit::lint::walk_lib_sources;
+use cubemesh_audit::analyze::walk_lib_sources;
+use cubemesh_audit::lexer::lex;
 use proptest::prelude::*;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Every library source in the workspace as `(label, contents)`.
 fn workspace_sources() -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut files: Vec<(String, PathBuf)> = Vec::new();
-    walk_lib_sources(&root, &mut files).expect("walk workspace");
+    let files = walk_lib_sources(&root).expect("walk workspace");
     assert!(files.len() > 50, "workspace walk found too few files");
     files
         .into_iter()
@@ -51,40 +48,10 @@ fn assert_lossless(label: &str, src: &str) {
     assert_eq!(rebuilt, src, "{label}: concat of tokens differs from input");
 }
 
-/// `code_view` invariants: equal length, newlines preserved, trivia and
-/// literal spans blanked, code tokens verbatim.
-fn assert_code_view(label: &str, src: &str) {
-    let tokens = lex(src);
-    let view = code_view(src, &tokens);
-    assert_eq!(view.len(), src.len(), "{label}: view length differs");
-    for (a, b) in src.bytes().zip(view.bytes()) {
-        if a == b'\n' {
-            assert_eq!(b, b'\n', "{label}: newline not preserved");
-        }
-    }
-    for t in &tokens {
-        let slice = &view[t.span.clone()];
-        match t.kind {
-            TokKind::Whitespace | TokKind::Comment => {
-                assert!(
-                    slice.bytes().all(|b| b == b' ' || b == b'\n'),
-                    "{label}: trivia at {:?} not blanked: {slice:?}",
-                    t.span
-                );
-            }
-            TokKind::Ident | TokKind::Punct | TokKind::Lifetime => {
-                assert_eq!(slice, t.text(src), "{label}: code token altered");
-            }
-            _ => {}
-        }
-    }
-}
-
 #[test]
 fn every_workspace_source_roundtrips() {
     for (label, src) in workspace_sources() {
         assert_lossless(&label, &src);
-        assert_code_view(&label, &src);
     }
 }
 

@@ -1,20 +1,20 @@
 //! Golden-file test for the SARIF 2.1.0 export.
 //!
 //! Pins the exact bytes `cubemesh_audit::sarif::to_sarif` produces for
-//! a representative pair of diagnostics — one dataflow finding with a
-//! call path, one lint finding without — so any change to the SARIF
+//! a representative pair of findings — one dataflow finding with a
+//! call path, one hygiene finding without — so any change to the SARIF
 //! surface (field order, escaping, schema URL) shows up as a readable
 //! diff against `tests/golden/analyze.sarif` rather than a silent
 //! consumer break. Regenerate by running this test with
 //! `BLESS_SARIF=1` if a change is intentional.
 
-use cubemesh_audit::sarif::{to_sarif, Diag};
+use cubemesh_audit::sarif::to_sarif;
+use cubemesh_audit::{Code, Finding};
 
-fn sample() -> Vec<Diag> {
+fn sample() -> Vec<Finding> {
     vec![
-        Diag {
-            code: "CM-A009".to_owned(),
-            rule: "range-mul-overflow".to_owned(),
+        Finding {
+            code: Code::RangeMulOverflow,
             file: "crates/core/src/product.rs".to_owned(),
             line: 42,
             message: "`n1 * n2` may exceed usize (lhs <= 2^48, rhs <= 2^48)".to_owned(),
@@ -23,9 +23,8 @@ fn sample() -> Vec<Diag> {
                 "core::mesh_product_embedding".to_owned(),
             ],
         },
-        Diag {
-            code: "CM-L001".to_owned(),
-            rule: "panic-in-lib".to_owned(),
+        Finding {
+            code: Code::PanicInLib,
             file: "crates/topology/src/graph.rs".to_owned(),
             line: 7,
             message: "`.unwrap()` in library code without an allowlist entry".to_owned(),
@@ -36,7 +35,7 @@ fn sample() -> Vec<Diag> {
 
 #[test]
 fn sarif_export_matches_golden_file() {
-    let actual = to_sarif("cubemesh-audit analyze", &sample());
+    let actual = to_sarif(&sample());
     let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/analyze.sarif");
     if std::env::var_os("BLESS_SARIF").is_some() {
         std::fs::write(golden_path, &actual).expect("bless golden");

@@ -1,52 +1,14 @@
-//! Cost of the compiled-in instrumentation: identical workloads with
-//! stats disabled (each site is one relaxed atomic load) and enabled.
-//! The acceptance bar is ≤2% overhead when enabled and ~0 when off.
-//!
-//! `bench_trace_overhead` additionally gates the tracing layer on the
-//! 64³ construct: disabled tracing must stay within 1% of the fully
-//! uninstrumented baseline and enabled tracing within 5%. These are
-//! hard assertions — `cargo bench --bench obs_overhead` fails if the
+//! Cost of the tracing layer on the hot 64³ construct: disabled tracing
+//! must stay within 1% of the uninstrumented baseline and enabled
+//! tracing within 5%. These are hard assertions —
+//! `cargo bench -p cubemesh-bench --bench obs_overhead` fails if the
 //! trace guard stops being cheap.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use cubemesh_census::census_3d;
 use cubemesh_core::{construct, Planner};
 use cubemesh_obs as obs;
 use cubemesh_topology::Shape;
 use std::hint::black_box;
 use std::time::Instant;
-
-fn bench_planner_overhead(c: &mut Criterion) {
-    let shape = Shape::new(&[21, 9, 5]);
-    let mut group = c.benchmark_group("obs_overhead/planner");
-    for (label, on) in [("off", false), ("on", true)] {
-        group.bench_function(label, |b| {
-            obs::set_enabled(on);
-            b.iter_batched(
-                Planner::new,
-                |mut planner| black_box(planner.plan(black_box(&shape))),
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    group.finish();
-    obs::set_enabled(false);
-    obs::reset();
-}
-
-fn bench_census_overhead(c: &mut Criterion) {
-    let mut group = c.benchmark_group("obs_overhead/census_small");
-    group.sample_size(10);
-    for (label, on) in [("off", false), ("on", true)] {
-        group.bench_function(label, |b| {
-            obs::set_enabled(on);
-            b.iter(|| black_box(census_3d(black_box(4))))
-        });
-    }
-    group.finish();
-    obs::set_enabled(false);
-    obs::reset();
-}
 
 /// Median seconds per call of `f` over `samples` runs (one warmup).
 fn median_secs<O>(samples: usize, mut f: impl FnMut() -> O) -> f64 {
@@ -58,14 +20,11 @@ fn median_secs<O>(samples: usize, mut f: impl FnMut() -> O) -> f64 {
             start.elapsed().as_secs_f64()
         })
         .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    times.sort_by(f64::total_cmp);
     times[times.len() / 2]
 }
 
-fn bench_trace_overhead(_c: &mut Criterion) {
-    // The trace guard on the hot construct path. Measured directly
-    // (not via the criterion shim) because the assertions need the
-    // medians, which the shim does not expose to callers.
+fn main() {
     let shape = Shape::new(&[64, 64, 64]);
     let plan = Planner::new().plan(&shape).expect("64^3 is plannable");
     let samples = 9;
@@ -104,11 +63,3 @@ fn bench_trace_overhead(_c: &mut Criterion) {
         "enabled tracing costs {enabled_pct:.2}% on 64^3 construct (budget 5%)"
     );
 }
-
-criterion_group!(
-    benches,
-    bench_planner_overhead,
-    bench_census_overhead,
-    bench_trace_overhead
-);
-criterion_main!(benches);

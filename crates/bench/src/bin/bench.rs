@@ -3,7 +3,7 @@
 //! Times the full hot pipeline — plan, construct, metrics, verify — on a
 //! fixed ladder of paper-scale shapes and writes the results as JSON
 //! (`BENCH_3.json` at the repo root by default). Every rung is also run
-//! with `RAYON_NUM_THREADS=1` to record the sequential wall time and the
+//! with `CUBEMESH_THREADS=1` to record the sequential wall time and the
 //! parallel speedup, and the bench *asserts* that the parallel and
 //! sequential pipelines produce identical metrics, so the smoke run in
 //! `scripts/check.sh` doubles as a correctness gate.
@@ -17,7 +17,7 @@
 //!
 //! * `--json`      print the JSON document to stdout too
 //! * `--out PATH`  where to write the JSON (default `BENCH_3.json`)
-//! * `--threads N` cap the worker count (sets `RAYON_NUM_THREADS`)
+//! * `--threads N` cap the worker count (sets `CUBEMESH_THREADS`)
 //! * `--quick`     only the 16^3 rung (the check.sh smoke)
 //! * `--reps N`    repetitions per rung; min wall time is reported (default 3)
 //! * `--par-only`  skip the sequential re-run (no speedup column)
@@ -651,7 +651,7 @@ fn main() -> ExitCode {
         obs::trace::set_enabled(true);
     }
     if let Some(t) = flag_value(&args, "--threads") {
-        std::env::set_var("RAYON_NUM_THREADS", &t);
+        std::env::set_var("CUBEMESH_THREADS", &t);
     }
     let threads = rayon::current_num_threads();
     // Lead with the execution environment so a pasted bench line can't be
@@ -695,7 +695,7 @@ fn main() -> ExitCode {
             // Sequential re-run: same pipeline with one worker. The env
             // var is re-read per parallel region, so toggling it here
             // switches every stage onto the sequential path.
-            std::env::set_var("RAYON_NUM_THREADS", "1");
+            std::env::set_var("CUBEMESH_THREADS", "1");
             let shape = Shape::new(dims);
             let mut planner = Planner::new();
             let plan = planner.plan(&shape).expect("planned above");
@@ -713,7 +713,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
+            std::env::set_var("CUBEMESH_THREADS", threads.to_string());
             if m_seq != m_par {
                 eprintln!(
                     "cubemesh-bench: {shape}: parallel metrics {m_par:?} != sequential {m_seq:?}"

@@ -88,12 +88,19 @@ pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Everything the
+/// workspace writes nests a handful of levels; the cap keeps a hostile
+/// document (say, 10⁶ `[`) from overflowing the recursive parser's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document. Returns `Err(position, message)` on malformed
-/// input or trailing garbage.
+/// input, nesting deeper than `MAX_DEPTH` (128) arrays and objects, or
+/// trailing garbage.
 pub fn parse(input: &str) -> Result<JsonValue, (usize, String)> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -107,6 +114,8 @@ pub fn parse(input: &str) -> Result<JsonValue, (usize, String)> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -135,8 +144,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, (usize, String)> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -144,6 +153,20 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => self.err("expected a JSON value"),
         }
+    }
+
+    /// Parse one array/object with `container`, within [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, (usize, String)>,
+    ) -> Result<JsonValue, (usize, String)> {
+        if self.depth == MAX_DEPTH {
+            return self.err(&format!("nesting deeper than {MAX_DEPTH}"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, (usize, String)> {
@@ -321,6 +344,19 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse(r#""unterminated"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&deep).is_err());
+        // A hostile line errors instead of overflowing the stack.
+        let (pos, msg) = parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(pos, MAX_DEPTH);
+        assert!(msg.contains("nesting"), "{msg}");
+        assert!(parse(&"{\"a\":".repeat(1_000_000)).is_err());
     }
 
     #[test]

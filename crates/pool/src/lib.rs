@@ -14,11 +14,10 @@
 //! which task; callers own all reduction/merge semantics, so stealing is
 //! invisible to output bytes.
 //!
-//! Sizing: `CUBEMESH_THREADS` > `RAYON_NUM_THREADS` >
-//! `available_parallelism()`, re-read at every region so benches can
-//! toggle a sequential rerun mid-process. Tests use the scoped
-//! [`with_threads`] override instead of mutating the (process-global)
-//! environment.
+//! Sizing: `CUBEMESH_THREADS` > `available_parallelism()`, re-read at
+//! every region so benches can toggle a sequential rerun mid-process.
+//! Tests use the scoped [`with_threads`] override instead of mutating
+//! the (process-global) environment.
 //!
 //! Panics: the first worker panic is captured, remaining tasks are
 //! abandoned (counted but not run), and the original payload is resumed
@@ -61,16 +60,13 @@ fn env_threads(var: &str) -> Option<usize> {
 
 /// Effective parallelism for a region started on this thread right now:
 /// scoped [`with_threads`] override, else `CUBEMESH_THREADS`, else
-/// `RAYON_NUM_THREADS`, else `available_parallelism()`.
+/// `available_parallelism()`.
 pub fn effective_threads() -> usize {
     let forced = OVERRIDE.with(|o| o.load(SeqCst));
     if forced > 0 {
         return forced;
     }
     if let Some(n) = env_threads("CUBEMESH_THREADS") {
-        return n;
-    }
-    if let Some(n) = env_threads("RAYON_NUM_THREADS") {
         return n;
     }
     thread::available_parallelism()

@@ -423,6 +423,20 @@ mod tests {
     }
 
     #[test]
+    fn finds_3x3x3_and_11x11_dilation2_minimal() {
+        // The paper's direct 3-D embedding and its largest 2-D one, in
+        // their minimal cubes Q5 and Q7.
+        for dims in [&[3usize, 3, 3][..], &[11, 11]] {
+            let g = Mesh::from_dims(dims).to_graph();
+            let cfg = SearchConfig::dilation2_minimal(g.nodes());
+            match find_embedding(&g, &row_major_order(g.nodes()), &cfg) {
+                SearchOutcome::Found(map) => check_map(&g, &map, 2),
+                other => panic!("{dims:?}: expected Found, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn proves_3x5_has_no_dilation1_embedding_in_q4() {
         // Theorem 1: dilation-1 needs Σ⌈log₂ℓᵢ⌉ = 2 + 3 = 5 > 4 dims.
         let g = Mesh::from_dims(&[3, 5]).to_graph();

@@ -5,7 +5,7 @@
 
 use cubemesh_obs::{parse_json, JsonValue};
 use cubemesh_plandb::{build, load_checkpoint, BuildConfig, RecordStatus};
-use cubemesh_service::{serve, EngineConfig, QueryEngine, ServerConfig, Source};
+use cubemesh_service::{handle_line, serve, EngineConfig, QueryEngine, ServerConfig, Source};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -158,6 +158,17 @@ fn engine_without_database_plans_everything_live() {
     assert_eq!(stats.db_records, 0);
     assert_eq!(stats.live_plans, 1);
     assert_eq!(stats.overlay_hits, 1);
+}
+
+#[test]
+fn hostile_nesting_gets_an_in_band_error() {
+    let engine = QueryEngine::new(&EngineConfig::default()).expect("engine");
+    let (reply, stop) = handle_line(&engine, &"[".repeat(1_000_000));
+    assert!(!stop);
+    let v = parse_json(&reply).expect("reply parses");
+    assert_eq!(v.get("ok"), Some(&JsonValue::Bool(false)));
+    let error = v.get("error").and_then(JsonValue::as_str).unwrap_or("");
+    assert!(error.contains("nesting"), "{reply}");
 }
 
 #[test]

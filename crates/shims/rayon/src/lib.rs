@@ -19,9 +19,9 @@
 //! contiguous blocks.
 //!
 //! Worker-count resolution and the backend honesty string both come
-//! from `cubemesh-pool` (`CUBEMESH_THREADS` > `RAYON_NUM_THREADS` >
-//! `available_parallelism()`, re-read per region); a worker panic is
-//! resumed on the calling thread with its original payload.
+//! from `cubemesh-pool` (`CUBEMESH_THREADS` > `available_parallelism()`,
+//! re-read per region); a worker panic is resumed on the calling thread
+//! with its original payload.
 //!
 //! Block results always come back in input order, and all reductions
 //! here fold the per-block partials in block order — stealing never

@@ -3,15 +3,13 @@
 # Run from anywhere; operates on the repo root.
 #
 #   check.sh          full gate
-#   check.sh --quick  lint + a <=8^3 certify/selfcheck smoke (exits
-#                     non-zero on any violation or certificate failure)
+#   check.sh --quick  source analyzer + a <=8^3 certify/selfcheck smoke
+#                     (exits non-zero on any finding or certificate failure)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [[ "${1:-}" == "--quick" ]]; then
-    echo "== quick: audit source lints =="
-    cargo run --release -q -p cubemesh-audit -- lint
-    echo "== quick: audit static analyzer =="
+    echo "== quick: audit source analyzer =="
     cargo run --release -q -p cubemesh-audit -- analyze
     echo "== quick: certify smoke (<=8^3) =="
     cargo run --release -q -p cubemesh-audit -- selfcheck --quick
@@ -34,18 +32,12 @@ cargo build --release
 CUBEMESH_THREADS=1 cargo test -q
 cargo test -q
 
-echo "== audit: source lints (panic discipline, casts, concurrency) =="
-cargo run --release -q -p cubemesh-audit -- lint
-mkdir -p target
-cargo run --release -q -p cubemesh-audit -- lint --json > target/audit-lint.json
-test -s target/audit-lint.json
-echo "wrote target/audit-lint.json"
-
-echo "== audit: static analyzer (CM-A001..A013, interprocedural dataflow) =="
+echo "== audit: source analyzer (CM-A001..A013 dataflow, CM-L hygiene rules) =="
 # Hard gate: any finding fails the build. The JSON artifact doubles as
 # the --baseline input for diff-mode runs and is archived for CI
 # annotation alongside a SARIF 2.1.0 log; per-pass wall time is
 # surfaced so a pass that blows the analyze budget is identifiable.
+mkdir -p target
 analyze_t0=$(date +%s%N)
 cargo run --release -q -p cubemesh-audit -- analyze --json \
     --sarif target/audit-analyze.sarif > target/audit-analyze.json
@@ -84,9 +76,10 @@ cargo test --release -q -p cubemesh-audit --test fixtures
 echo "== audit: injected-violation self-test (the analyze gate must trip) =="
 # Drop known-bad sources into a scratch workspace shaped like a crate
 # and run the analyzer over each; the gate failing to exit non-zero is
-# itself a failure. One concurrency fixture (CM-A001) and one dataflow
-# fixture (CM-A009) so both analyzer generations stay live in the gate.
-for fixture in a001_worker_capture_mut a009_range_overflow_mul; do
+# itself a failure. One concurrency fixture (CM-A001), one dataflow
+# fixture (CM-A009) and one hygiene fixture (CM-L001) so every rule
+# family stays live in the gate.
+for fixture in a001_worker_capture_mut a009_range_overflow_mul l001_panic_in_lib; do
     inject_dir=$(mktemp -d)
     mkdir -p "$inject_dir/src"
     cp "crates/audit/tests/fixtures/${fixture}.rs" "$inject_dir/src/lib.rs"
@@ -97,7 +90,7 @@ for fixture in a001_worker_capture_mut a009_range_overflow_mul; do
     fi
     rm -rf "$inject_dir"
 done
-echo "analyze gate trips on injected concurrency and dataflow violations, as designed."
+echo "analyze gate trips on injected concurrency, dataflow and hygiene violations, as designed."
 
 echo "== audit: certificate self-check (mesh/torus/fold/contract, 32^3) =="
 cargo run --release -q -p cubemesh-audit -- selfcheck --stats
@@ -158,9 +151,9 @@ echo "== trace: determinism (event sequence stable modulo timestamps) =="
 # Two traced runs of the same embed must produce identical JSONL event
 # sequences once timestamps are stripped (ts_ns is always the last
 # field, so a sed suffices). Single-threaded to pin chunk order.
-RAYON_NUM_THREADS=1 cargo run --release -q --bin cubemesh -- \
+CUBEMESH_THREADS=1 cargo run --release -q --bin cubemesh -- \
     embed 9 9 9 --trace /tmp/cubemesh_trace_a.json >/dev/null
-RAYON_NUM_THREADS=1 cargo run --release -q --bin cubemesh -- \
+CUBEMESH_THREADS=1 cargo run --release -q --bin cubemesh -- \
     embed 9 9 9 --trace /tmp/cubemesh_trace_b.json >/dev/null
 sed -E 's/,"ts_ns":[0-9]+//' /tmp/cubemesh_trace_a.jsonl > /tmp/cubemesh_trace_a.seq
 sed -E 's/,"ts_ns":[0-9]+//' /tmp/cubemesh_trace_b.jsonl > /tmp/cubemesh_trace_b.seq
