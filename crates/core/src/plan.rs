@@ -205,12 +205,28 @@ impl Plan {
 }
 
 fn canonical_shape_into(shape: &Shape, out: &mut String) {
-    for (i, d) in shape.dims().iter().enumerate() {
+    for (i, &d) in shape.dims().iter().enumerate() {
         if i > 0 {
             out.push('x');
         }
-        out.push_str(&d.to_string());
+        push_decimal(d, out);
     }
+}
+
+/// Append `n` in decimal without a temporary `String`.
+fn push_decimal(mut n: usize, out: &mut String) {
+    // Least significant digit first; `usize::MAX` has 20 digits.
+    let mut digits = [b'0'; 20];
+    let mut len = 0;
+    for slot in digits.iter_mut() {
+        *slot = b'0' + (n % 10) as u8;
+        len += 1;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[..len].iter().rev().map(|&b| char::from(b)));
 }
 
 fn parse_plan(b: &[u8], pos: &mut usize) -> Result<Plan, PlanParseError> {
@@ -395,6 +411,15 @@ mod tests {
         let s = nested.to_canonical_string();
         assert_eq!(s, "(15x1 (3x1 g * 5x1 d) * 1x7 g)");
         assert_eq!(Plan::parse(&s), Ok(nested));
+    }
+
+    #[test]
+    fn decimal_extents_match_to_string() {
+        for n in [0, 1, 9, 10, 99, 100, 512, 32_768, usize::MAX] {
+            let mut out = String::from("x");
+            push_decimal(n, &mut out);
+            assert_eq!(out, format!("x{n}"));
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@ use cubemesh_obs as obs;
 use cubemesh_search::{catalog_entries, catalog_lookup};
 use cubemesh_topology::{cube_dim, Shape};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Bit-set selecting which planner rules a pass may apply — the
 /// mechanism behind the pluggable [`crate::strategy`] layer. Each
@@ -78,7 +79,7 @@ impl RuleMask {
 /// see conclusions a wider rule set reached).
 #[derive(Default)]
 pub struct Planner {
-    memo: HashMap<(RuleMask, Vec<usize>), Option<Plan>>,
+    memo: HashMap<MemoKey, Option<Plan>, BuildHasherDefault<MemoHasher>>,
     /// Current recursion depth (observability only).
     depth: u32,
     /// Batched metric tallies, flushed to the global registry once per
@@ -86,6 +87,109 @@ pub struct Planner {
     /// (single-threaded), so plain integers keep the recursion free of
     /// atomics.
     stats: PlannerStats,
+}
+
+/// Extents a [`MemoKey`] holds inline: every 3-D census shape and every
+/// rank-4..8 sub-shape of the k-D path. Wider shapes spill to the heap.
+const KEY_RANK: usize = 8;
+
+/// Memo key: the rule mask plus the *reduced* extents (unit axes
+/// dropped). An extent is at most [`Shape::MAX_AXIS`] = 2¹⁵, so it fits
+/// a `u16`; zero-padding is unambiguous because reduced extents are
+/// ≥ 2, or the single extent 1. A probe therefore builds its key on the
+/// stack unless the shape has more than [`KEY_RANK`] axes.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+enum MemoKey {
+    Inline {
+        mask: RuleMask,
+        dims: [u16; KEY_RANK],
+    },
+    Wide {
+        mask: RuleMask,
+        dims: Vec<usize>,
+    },
+}
+
+impl MemoKey {
+    /// The key of `dims` with unit axes dropped (all-unit → `[1]`).
+    fn reduced(mask: RuleMask, dims: &[usize]) -> MemoKey {
+        let mut inline = [0u16; KEY_RANK];
+        let mut slots = inline.iter_mut();
+        for &d in dims.iter().filter(|&&d| d > 1) {
+            match (slots.next(), u16::try_from(d)) {
+                (Some(slot), Ok(d)) => *slot = d,
+                _ => {
+                    return MemoKey::Wide {
+                        mask,
+                        dims: dims.iter().copied().filter(|&d| d > 1).collect(),
+                    }
+                }
+            }
+        }
+        if inline[0] == 0 {
+            inline[0] = 1;
+        }
+        MemoKey::Inline { mask, dims: inline }
+    }
+
+    /// The reduced shape the key stands for.
+    fn shape(&self) -> Shape {
+        match self {
+            MemoKey::Inline { dims, .. } => {
+                let mut buf = [0usize; KEY_RANK];
+                let mut rank = 0;
+                for (b, &d) in buf.iter_mut().zip(dims.iter().take_while(|&&d| d != 0)) {
+                    *b = usize::from(d);
+                    rank += 1;
+                }
+                Shape::new(&buf[..rank])
+            }
+            MemoKey::Wide { dims, .. } => Shape::new(dims),
+        }
+    }
+}
+
+/// Multiply-rotate hasher for [`MemoKey`]s (the FxHash step). The keys
+/// are the planner's own sub-shapes, never outside input, so SipHash's
+/// resistance to crafted collisions buys nothing on this hot path.
+#[derive(Default)]
+struct MemoHasher(u64);
+
+impl MemoHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for MemoHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(w);
+            self.add(u64::from_le_bytes(word));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.add(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the low bits weakest; the table indexes
+        // buckets by them.
+        self.0.rotate_left(26)
+    }
 }
 
 /// Index names for [`PlannerStats::attempts`] / `hits`.
@@ -164,7 +268,7 @@ impl Planner {
         // opens a trace span, so a query shows up as one `planner.plan`
         // with rule-hit instants nested inside it.
         let _span = (self.depth == 0).then(|| obs::span!("planner.plan"));
-        let result = self.replan(shape, mask);
+        let result = self.replan(shape.dims(), mask);
         // Only the outermost call (depth back at 0) publishes the
         // batched tallies.
         if self.depth == 0 {
@@ -174,9 +278,28 @@ impl Planner {
     }
 
     /// Internal recursion entry: reduce, then consult the masked memo.
-    fn replan(&mut self, shape: &Shape, mask: RuleMask) -> Option<Plan> {
-        let reduced = reduce(shape);
-        self.plan_dims(reduced.dims().to_vec(), mask)
+    /// Takes bare extents so a rule can probe a candidate piece without
+    /// building a [`Shape`] for it.
+    fn replan(&mut self, dims: &[usize], mask: RuleMask) -> Option<Plan> {
+        let key = MemoKey::reduced(mask, dims);
+        if let Some(hit) = self.memo.get(&key) {
+            self.stats.memo_hit += 1;
+            return hit.clone();
+        }
+        self.stats.memo_miss += 1;
+        // No cycle guard is needed: every rule recurses only on shapes
+        // with fewer nodes, so a key is never probed while it is being
+        // computed.
+        let result = self.compute(&key.shape(), mask);
+        self.memo.insert(key, result.clone());
+        result
+    }
+
+    /// Sub-plans held in the memo table (one per distinct reduced
+    /// shape and rule mask planned so far). Its growth is what a
+    /// long-lived planner costs in memory.
+    pub fn memo_len(&self) -> usize {
+        self.memo.len()
     }
 
     /// `true` if the planner covers `shape`.
@@ -191,25 +314,11 @@ impl Planner {
         obs::trace::instant("planner.rule.hit", rule::NAMES[r]);
     }
 
-    fn plan_dims(&mut self, dims: Vec<usize>, mask: RuleMask) -> Option<Plan> {
-        let key = (mask, dims);
-        if let Some(hit) = self.memo.get(&key) {
-            self.stats.memo_hit += 1;
-            return hit.clone();
-        }
-        self.stats.memo_miss += 1;
-        // Cycle guard (recursion always shrinks, but stay defensive).
-        self.memo.insert(key.clone(), None);
-        let result = self.compute(&key.1, mask);
-        self.memo.insert(key, result.clone());
-        result
-    }
-
-    fn compute(&mut self, dims: &[usize], mask: RuleMask) -> Option<Plan> {
+    fn compute(&mut self, shape: &Shape, mask: RuleMask) -> Option<Plan> {
         self.depth += 1;
         let d = (self.depth as usize).min(self.stats.depth_seen.len() - 1);
         self.stats.depth_seen[d] += 1;
-        let result = self.compute_rules(dims, mask);
+        let result = self.compute_rules(shape, mask);
         self.depth -= 1;
         result
     }
@@ -250,8 +359,7 @@ impl Planner {
         }
     }
 
-    fn compute_rules(&mut self, dims: &[usize], mask: RuleMask) -> Option<Plan> {
-        let shape = Shape::new(dims);
+    fn compute_rules(&mut self, shape: &Shape, mask: RuleMask) -> Option<Plan> {
         let total = shape.minimal_cube_dim();
 
         // 1. Gray.
@@ -265,7 +373,7 @@ impl Planner {
         // 2. Direct, exact…
         if mask.has(rule::DIRECT) {
             self.stats.attempts[rule::DIRECT] += 1;
-            if catalog_lookup(&shape).is_some() {
+            if catalog_lookup(shape).is_some() {
                 self.rule_hit(rule::DIRECT);
                 return Some(Plan::Direct);
             }
@@ -273,7 +381,7 @@ impl Planner {
         // …or by extension into a catalog shape with the same cube.
         if mask.has(rule::DIRECT_EXT) {
             self.stats.attempts[rule::DIRECT_EXT] += 1;
-            if let Some(plan) = self.direct_extension(&shape, total) {
+            if let Some(plan) = self.direct_extension(shape, total) {
                 self.rule_hit(rule::DIRECT_EXT);
                 return Some(plan);
             }
@@ -281,16 +389,16 @@ impl Planner {
         // 3. Peel powers of two.
         if mask.has(rule::PEEL_POW2) {
             self.stats.attempts[rule::PEEL_POW2] += 1;
-            if let Some(plan) = self.peel_pow2(&shape, total, mask) {
+            if let Some(plan) = self.peel_pow2(shape, total, mask) {
                 self.rule_hit(rule::PEEL_POW2);
                 return Some(plan);
             }
         }
-        match dims.len() {
+        match shape.rank() {
             0 | 1 => None, // Gray is always minimal for rank ≤ 1; unreachable.
-            2 => self.plan2(&shape, total, mask),
-            3 => self.plan3(&shape, total, mask),
-            _ => self.plan_k(&shape, total, mask),
+            2 => self.plan2(shape, total, mask),
+            3 => self.plan3(shape, total, mask),
+            _ => self.plan_k(shape, total, mask),
         }
     }
 
@@ -331,14 +439,13 @@ impl Planner {
         if epsilon == 0 {
             return None; // nothing to peel
         }
-        let odd_shape = Shape::new(&odd);
-        let odd_total = cube_dim(odd_shape.nodes() as u64);
+        let odd_total = cube_dim(odd.iter().product::<usize>() as u64);
         if odd_total + epsilon != total {
             return None;
         }
-        let p1 = self.replan(&odd_shape, mask)?;
+        let p1 = self.replan(&odd, mask)?;
         Some(Plan::Product {
-            f1: odd_shape,
+            f1: Shape::new(&odd),
             p1: Box::new(p1),
             f2: Shape::new(&pow),
             p2: Box::new(Plan::Gray),
@@ -361,23 +468,17 @@ impl Planner {
                 }
                 // The piece must keep the target's axis order: its plan is
                 // constructed against `reduce(f1)` verbatim.
-                let piece = if axis == 1 {
-                    Shape::new(&[la, lp])
+                let (piece, f2) = if axis == 1 {
+                    ([la, lp], [1, ls])
                 } else {
-                    Shape::new(&[lp, la])
+                    ([lp, la], [ls, 1])
                 };
                 if let Some(p1) = self.replan(&piece, mask) {
                     self.rule_hit(rule::AXIS_SPLIT);
-                    let f2 = if axis == 1 {
-                        Shape::new(&[1, ls])
-                    } else {
-                        Shape::new(&[ls, 1])
-                    };
-                    let f1 = piece;
                     return Some(Plan::Product {
-                        f1,
+                        f1: Shape::new(&piece),
                         p1: Box::new(p1),
-                        f2,
+                        f2: Shape::new(&f2),
                         p2: Box::new(Plan::Gray),
                     });
                 }
@@ -388,7 +489,7 @@ impl Planner {
 
     /// Rank-3 strategy: catalog⊙quotient, pair + Gray, axis splits.
     fn plan3(&mut self, shape: &Shape, total: u32, mask: RuleMask) -> Option<Plan> {
-        let l: Vec<usize> = shape.dims().to_vec();
+        let l = [shape.len(0), shape.len(1), shape.len(2)];
 
         // 4. Catalog entry ⊙ planned factor (exact quotient or Gray
         //    extension).
@@ -419,8 +520,7 @@ impl Planner {
             if cube_dim((l[a] * l[b]) as u64) + cube_dim(l[c] as u64) != total {
                 continue;
             }
-            let pair = Shape::new(&[l[a], l[b]]);
-            if let Some(p1) = self.replan(&pair, mask) {
+            if let Some(p1) = self.replan(&[l[a], l[b]], mask) {
                 self.rule_hit(rule::PAIR_GRAY);
                 let mut f1 = vec![1usize; 3];
                 f1[a] = l[a];
@@ -452,16 +552,8 @@ impl Planner {
                     }
                     // Pieces keep the target's axis order (they are
                     // constructed against `reduce(f1)`/`reduce(f2)`).
-                    let piece1 = if a < j {
-                        Shape::new(&[l[a], lp])
-                    } else {
-                        Shape::new(&[lp, l[a]])
-                    };
-                    let piece2 = if j < b {
-                        Shape::new(&[ls, l[b]])
-                    } else {
-                        Shape::new(&[l[b], ls])
-                    };
+                    let piece1 = if a < j { [l[a], lp] } else { [lp, l[a]] };
+                    let piece2 = if j < b { [ls, l[b]] } else { [l[b], ls] };
                     if let (Some(p1), Some(p2)) =
                         (self.replan(&piece1, mask), self.replan(&piece2, mask))
                     {
@@ -515,9 +607,9 @@ impl Planner {
                 }
                 // (b) Exact quotient, planned recursively.
                 if (0..3).all(|i| l[i].is_multiple_of(d[i])) {
-                    let q: Vec<usize> = (0..3).map(|i| l[i] / d[i]).collect();
-                    let q_shape = Shape::new(&q);
-                    if let Some(p2) = self.replan(&q_shape, mask) {
+                    let q = [l[0] / d[0], l[1] / d[1], l[2] / d[2]];
+                    if let Some(p2) = self.replan(&q, mask) {
+                        let q_shape = Shape::new(&q);
                         if entry.host_dim + p2.host_dim(&reduce(&q_shape)) == total {
                             return Some(Plan::Product {
                                 f1: Shape::new(&d),
@@ -553,19 +645,17 @@ impl Planner {
                     g2[i] = l[i];
                 }
             }
-            let s1 = Shape::new(&g1);
-            let s2 = Shape::new(&g2);
-            let h1 = cube_dim(s1.nodes() as u64);
-            let h2 = cube_dim(s2.nodes() as u64);
+            let h1 = cube_dim(g1.iter().product::<usize>() as u64);
+            let h2 = cube_dim(g2.iter().product::<usize>() as u64);
             if h1 + h2 != total {
                 continue;
             }
-            if let (Some(p1), Some(p2)) = (self.replan(&s1, rules), self.replan(&s2, rules)) {
+            if let (Some(p1), Some(p2)) = (self.replan(&g1, rules), self.replan(&g2, rules)) {
                 self.rule_hit(rule::BIPARTITION);
                 return Some(Plan::Product {
-                    f1: s1,
+                    f1: Shape::new(&g1),
                     p1: Box::new(p1),
-                    f2: s2,
+                    f2: Shape::new(&g2),
                     p2: Box::new(p2),
                 });
             }
@@ -594,18 +684,18 @@ impl Planner {
                             g2[i] = l[i];
                         }
                     }
-                    let s1 = Shape::new(&g1);
-                    let s2 = Shape::new(&g2);
-                    if cube_dim(s1.nodes() as u64) + cube_dim(s2.nodes() as u64) != total {
+                    let h1 = cube_dim(g1.iter().product::<usize>() as u64);
+                    let h2 = cube_dim(g2.iter().product::<usize>() as u64);
+                    if h1 + h2 != total {
                         continue;
                     }
-                    if let (Some(p1), Some(p2)) = (self.replan(&s1, rules), self.replan(&s2, rules))
+                    if let (Some(p1), Some(p2)) = (self.replan(&g1, rules), self.replan(&g2, rules))
                     {
                         self.rule_hit(rule::AXIS_SPLIT);
                         return Some(Plan::Product {
-                            f1: s1,
+                            f1: Shape::new(&g1),
                             p1: Box::new(p1),
-                            f2: s2,
+                            f2: Shape::new(&g2),
                             p2: Box::new(p2),
                         });
                     }
@@ -628,13 +718,15 @@ const PERMS3: [[usize; 3]; 6] = [
 /// Can each of `dims` be matched one-to-one under some permutation of
 /// `cover` with `dims[i] ≤ cover[σ(i)]`?
 fn fits_under_permuted(dims: &[usize], cover: &[usize]) -> bool {
-    // Greedy works because both are small (k ≤ 3 in the catalog): sort both
-    // ascending and compare elementwise.
-    let mut a: Vec<usize> = dims.to_vec();
-    let mut b: Vec<usize> = cover.to_vec();
-    a.sort_unstable();
-    b.sort_unstable();
-    a.iter().zip(&b).all(|(x, y)| x <= y)
+    // The same answer as sorting both ascending and comparing
+    // elementwise, without a buffer to sort in: the i-th smallest of
+    // `dims` fits under the i-th smallest cover extent `t` exactly when
+    // no more of `dims` than of `cover` exceed `t`.
+    dims.len() == cover.len()
+        && cover.iter().all(|&t| {
+            let above = |s: &[usize]| s.iter().filter(|&&x| x > t).count();
+            above(dims) <= above(cover)
+        })
 }
 
 /// The cover's dims arranged so `dims[i] ≤ out[i]` — ascending-by-rank
@@ -753,5 +845,54 @@ mod tests {
         assert_eq!(cover, vec![11, 11]);
         let cover = sorted_cover(&[7, 2, 3], &[3, 3, 7]);
         assert_eq!(cover, vec![7, 3, 3]);
+    }
+
+    #[test]
+    fn fits_under_permuted_agrees_with_sorted_comparison() {
+        let sorted_fit = |dims: &[usize], cover: &[usize]| {
+            let (mut a, mut b) = (dims.to_vec(), cover.to_vec());
+            a.sort_unstable();
+            b.sort_unstable();
+            a.iter().zip(&b).all(|(x, y)| x <= y)
+        };
+        for k in 1..=3u32 {
+            let n = 4usize.pow(k);
+            for i in 0..n * n {
+                let digits = |mut x: usize| {
+                    (0..k)
+                        .map(|_| {
+                            let d = x % 4 + 1;
+                            x /= 4;
+                            d
+                        })
+                        .collect::<Vec<usize>>()
+                };
+                let (dims, cover) = (digits(i % n), digits(i / n));
+                assert_eq!(
+                    fits_under_permuted(&dims, &cover),
+                    sorted_fit(&dims, &cover),
+                    "{dims:?} under {cover:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn memo_keys_reduce_and_round_trip() {
+        let key = |dims: &[usize]| MemoKey::reduced(RuleMask::ALL, dims);
+        assert_eq!(key(&[1, 5, 1, 3]), key(&[5, 3]));
+        assert_ne!(key(&[5, 3]), key(&[3, 5]));
+        assert_ne!(key(&[5, 3]), MemoKey::reduced(RuleMask::GRAY, &[5, 3]));
+        assert_eq!(key(&[1, 5, 1, 3]).shape(), Shape::new(&[5, 3]));
+        assert_eq!(key(&[1, 1]).shape(), Shape::new(&[1]));
+        assert_eq!(
+            key(&[Shape::MAX_AXIS]).shape(),
+            Shape::new(&[Shape::MAX_AXIS])
+        );
+        let eight = [2, 3, 1, 4, 5, 6, 7, 8, 9];
+        assert!(matches!(key(&eight), MemoKey::Inline { .. }));
+        let nine = [2, 3, 4, 5, 6, 7, 8, 9, 10];
+        assert!(matches!(key(&nine), MemoKey::Wide { .. }));
+        assert_eq!(key(&nine).shape(), Shape::new(&nine));
     }
 }

@@ -668,10 +668,14 @@ mod tests {
         let _g = crate::testutil::guard();
         reset();
         set_enabled(true);
+        // Join the handle explicitly: the scope's implicit join can
+        // return before the worker's thread-local buffer is flushed by
+        // its destructor, while `join` waits for the thread to exit.
         std::thread::scope(|s| {
-            s.spawn(|| {
+            let worker = s.spawn(|| {
                 let _w = crate::span!("trace_test_worker");
             });
+            assert!(worker.join().is_ok(), "worker panicked");
         });
         let log = drain();
         set_enabled(false);

@@ -18,7 +18,7 @@
 use crate::format::{db_bytes, load_checkpoint, Checkpoint};
 use crate::record::{CertSummary, FloorSummary, PlanRecord, RecordStatus};
 use crate::{validate_key, DbError};
-use cubemesh_audit::{check_plan, fingerprint, mesh_floors};
+use cubemesh_audit::{check_plan, fnv1a, mesh_floors};
 use cubemesh_core::{default_strategies, plan_with_strategies, Plan, PlanStrategy, Planner};
 use cubemesh_obs as obs;
 use cubemesh_topology::Shape;
@@ -29,6 +29,12 @@ use std::path::{Path, PathBuf};
 /// the block partition — and with it every produced byte — is the same
 /// at any pool width.
 const BLOCK_SHAPES: usize = 32;
+
+/// Largest `max_axis` a build accepts: the paper's 512³ census, about
+/// 2.25×10⁷ canonical keys. [`enumerate_keys`] holds every key in
+/// memory, so the [`Shape::MAX_AXIS`] universe (~5.9×10¹² keys) would
+/// grow the process until it is killed.
+pub const MAX_BUILD_AXIS: usize = 512;
 
 /// Census-sweep configuration.
 #[derive(Clone, Debug)]
@@ -118,13 +124,16 @@ pub fn plan_record(
         shape: shape.to_string(),
         detail: e.to_string(),
     })?;
+    // Rendered once: the fingerprint is FNV-1a of exactly this text
+    // (`cubemesh_audit::fingerprint`'s definition).
+    let plan_text = plan.to_canonical_string();
     Ok(PlanRecord {
         key,
         status,
         strategy,
         confidence,
-        plan_text: plan.to_canonical_string(),
-        fingerprint: fingerprint(&plan),
+        fingerprint: fnv1a(plan_text.as_bytes()),
+        plan_text,
         cert: CertSummary {
             host_dim: cert.host_dim,
             dilation: cert.dilation_bound,
@@ -142,18 +151,42 @@ pub fn plan_record(
     })
 }
 
+/// Plan `pending` on the pool, one task with its own [`Planner`] per
+/// block of [`BLOCK_SHAPES`] keys; the records come back in `pending`
+/// order.
+fn plan_blocks(pending: &[&Vec<usize>]) -> Result<Vec<PlanRecord>, DbError> {
+    let blocks: Vec<&[&Vec<usize>]> = pending.chunks(BLOCK_SHAPES).collect();
+    let results: Vec<Result<Vec<PlanRecord>, DbError>> =
+        cubemesh_pool::run_tasks(blocks.len(), |b| {
+            let mut planner = Planner::new();
+            let strategies = default_strategies();
+            let mut records = Vec::with_capacity(blocks[b].len());
+            for key in blocks[b] {
+                records.push(plan_record(&mut planner, &strategies, key)?);
+            }
+            Ok(records)
+        });
+    let mut fresh = Vec::with_capacity(pending.len());
+    for block in results {
+        fresh.extend(block?);
+    }
+    Ok(fresh)
+}
+
 /// Run the census sweep and write the database to `out`. Resumes from
 /// `cfg.checkpoint` when the log exists; the final file is byte-
 /// identical across pool widths and across fresh-vs-resumed runs.
 pub fn build(cfg: &BuildConfig, out: &Path) -> Result<BuildReport, DbError> {
     let _span = obs::span!("plandb.build");
-    if cfg.max_axis == 0 || cfg.max_axis > Shape::MAX_AXIS {
+    if cfg.max_axis == 0 || cfg.max_axis > MAX_BUILD_AXIS {
         return Err(DbError::BadKey {
-            reason: format!("max_axis {} out of 1..={}", cfg.max_axis, Shape::MAX_AXIS),
+            reason: format!("max_axis {} out of 1..={MAX_BUILD_AXIS}", cfg.max_axis),
         });
     }
     let keys = enumerate_keys(cfg.max_axis);
 
+    // Checkpointed records, by canonical key; fresh records never enter
+    // this map.
     let mut done: HashMap<Vec<usize>, PlanRecord> = HashMap::new();
     if let Some(ck) = &cfg.checkpoint {
         for rec in load_checkpoint(ck)? {
@@ -170,44 +203,30 @@ pub fn build(cfg: &BuildConfig, out: &Path) -> Result<BuildReport, DbError> {
         None => None,
     };
 
+    let mut records = Vec::with_capacity(keys.len());
     let chunk_shapes = cfg.chunk_shapes.max(1);
     for chunk in keys.chunks(chunk_shapes) {
         let pending: Vec<&Vec<usize>> = chunk.iter().filter(|k| !done.contains_key(*k)).collect();
-        if pending.is_empty() {
-            continue;
-        }
-        let blocks: Vec<&[&Vec<usize>]> = pending.chunks(BLOCK_SHAPES).collect();
-        let results: Vec<Result<Vec<PlanRecord>, DbError>> =
-            cubemesh_pool::run_tasks(blocks.len(), |b| {
-                let mut planner = Planner::new();
-                let strategies = default_strategies();
-                let mut records = Vec::with_capacity(blocks[b].len());
-                for key in blocks[b] {
-                    records.push(plan_record(&mut planner, &strategies, key)?);
-                }
-                Ok(records)
-            });
-        let mut fresh = Vec::with_capacity(pending.len());
-        for block in results {
-            fresh.extend(block?);
-        }
+        let fresh = plan_blocks(&pending)?;
         if let Some(log) = &mut log {
-            log.append(&fresh)?;
+            // A fully resumed chunk appends (and syncs) nothing.
+            if !fresh.is_empty() {
+                log.append(&fresh)?;
+            }
         }
-        for rec in fresh {
-            done.insert(rec.key.clone(), rec);
-        }
-    }
-
-    let mut records = Vec::with_capacity(keys.len());
-    for key in &keys {
-        match done.remove(key) {
-            Some(rec) => records.push(rec),
-            None => {
-                return Err(DbError::Corrupt {
-                    offset: 0,
-                    what: format!("sweep produced no record for key {key:?}"),
-                })
+        // Fresh records come back in `pending` order, which is the
+        // chunk's key order with the resumed keys left out: walking the
+        // chunk interleaves the two and keeps `records` in key order.
+        let mut fresh = fresh.into_iter();
+        for key in chunk {
+            match done.remove(key).or_else(|| fresh.next()) {
+                Some(rec) => records.push(rec),
+                None => {
+                    return Err(DbError::Corrupt {
+                        offset: 0,
+                        what: format!("sweep produced no record for key {key:?}"),
+                    })
+                }
             }
         }
     }

@@ -34,7 +34,7 @@ pub mod record;
 
 mod crc;
 
-pub use builder::{build, enumerate_keys, plan_record, BuildConfig, BuildReport};
+pub use builder::{build, enumerate_keys, plan_record, BuildConfig, BuildReport, MAX_BUILD_AXIS};
 pub use crc::crc32;
 pub use format::{load_checkpoint, Checkpoint, PlanDb};
 pub use record::{CertSummary, FloorSummary, PlanRecord, RecordStatus};

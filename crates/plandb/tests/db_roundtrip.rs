@@ -2,7 +2,10 @@
 //! byte-determinism across pool widths, corruption detection, and
 //! checkpoint-based resumption.
 
-use cubemesh_plandb::{build, enumerate_keys, load_checkpoint, BuildConfig, PlanDb, RecordStatus};
+use cubemesh_plandb::{
+    build, enumerate_keys, load_checkpoint, BuildConfig, DbError, PlanDb, RecordStatus,
+    MAX_BUILD_AXIS,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -154,5 +157,49 @@ fn interrupted_build_resumes_from_the_checkpoint() {
         std::fs::read(&resumed).expect("read resumed"),
         "resumed build must reproduce the fresh bytes"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn resume_interleaves_checkpointed_and_fresh_keys() {
+    // A max-axis-6 checkpoint covers a subset of the max-axis-8 keys
+    // spread through the whole key order, so with 7-key chunks most
+    // chunks mix resumed and freshly planned records.
+    let dir = scratch("interleave");
+    let fresh = dir.join("fresh.db");
+    let small = dir.join("small.db");
+    let resumed = dir.join("resumed.db");
+    let ck = dir.join("sweep.ck");
+    build(&BuildConfig::new(8), &fresh).expect("fresh build");
+    let small_cfg = BuildConfig {
+        max_axis: 6,
+        chunk_shapes: 7,
+        checkpoint: Some(ck.clone()),
+    };
+    build(&small_cfg, &small).expect("max-axis-6 build");
+    let cfg = BuildConfig {
+        max_axis: 8,
+        ..small_cfg
+    };
+    let report = build(&cfg, &resumed).expect("resumed build");
+    assert_eq!(report.resumed, enumerate_keys(6).len());
+    assert_eq!(report.shapes, enumerate_keys(8).len());
+    assert_eq!(
+        std::fs::read(&fresh).expect("read fresh"),
+        std::fs::read(&resumed).expect("read resumed"),
+        "interleaved resume must reproduce the fresh bytes"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn build_rejects_a_universe_beyond_the_paper_census() {
+    let dir = scratch("too-wide");
+    let out = dir.join("plans.db");
+    for max_axis in [0, MAX_BUILD_AXIS + 1, 30_000] {
+        let err = build(&BuildConfig::new(max_axis), &out).expect_err("must reject");
+        assert!(matches!(err, DbError::BadKey { .. }), "{max_axis}: {err}");
+    }
+    assert!(!out.exists());
     std::fs::remove_dir_all(&dir).ok();
 }

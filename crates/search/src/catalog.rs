@@ -62,25 +62,34 @@ pub fn catalog_lookup(shape: &Shape) -> Option<(&'static CatalogEntry, Vec<usize
 }
 
 /// A permutation `perm` with `pattern[i] == target[perm[i]]`, if any.
+/// Allocates only on a match: nearly every probe fails.
 fn match_permutation(pattern: &[usize], target: &[usize]) -> Option<Vec<usize>> {
-    let k = pattern.len();
-    let mut used = vec![false; k];
-    let mut perm = vec![usize::MAX; k];
-    for i in 0..k {
-        let mut found = false;
-        for j in 0..k {
-            if !used[j] && target[j] == pattern[i] {
-                used[j] = true;
-                perm[i] = j;
-                found = true;
-                break;
-            }
-        }
-        if !found {
-            return None;
-        }
+    if !greedy_match(pattern, target, |_| {}) {
+        return None;
     }
+    let mut perm = Vec::with_capacity(pattern.len());
+    greedy_match(pattern, target, |j| perm.push(j));
     Some(perm)
+}
+
+/// Match each `pattern` axis to the first unused equal `target` axis,
+/// passing each chosen index to `pick`; `false` when some axis finds
+/// none. A bitmask tracks the used axes, so a probe allocates nothing.
+fn greedy_match(pattern: &[usize], target: &[usize], mut pick: impl FnMut(usize)) -> bool {
+    let mut used = 0u64;
+    pattern.len() == target.len()
+        && target.len() <= u64::BITS as usize
+        && pattern.iter().all(|&p| {
+            let free = |j: &usize| used & (1u64 << j) == 0 && target[*j] == p;
+            match (0..target.len()).find(free) {
+                Some(j) => {
+                    used |= 1u64 << j;
+                    pick(j);
+                    true
+                }
+                None => false,
+            }
+        })
 }
 
 /// The raw node map for `shape` (row-major in `shape`'s own axis order),

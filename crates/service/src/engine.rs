@@ -96,6 +96,14 @@ pub struct Resolved {
     pub within_certificate: bool,
 }
 
+/// Memo entries the live planner may hold between requests. Each
+/// distinct cold miss leaves about five sub-plans (~1.4 KB of RSS) in
+/// the memo, so a long-running engine would otherwise grow with every
+/// distinct miss it answers. Past the limit the engine starts a fresh
+/// [`Planner`]; no answer changes, because every memo entry is a pure
+/// function of its rule mask and shape.
+pub const LIVE_MEMO_LIMIT: usize = 1 << 14;
+
 struct Overflow {
     tx: Option<Sender<PlanRecord>>,
     writer: Option<JoinHandle<()>>,
@@ -108,6 +116,8 @@ pub struct QueryEngine {
     db: Option<PlanDb>,
     overlay: Mutex<HashMap<Vec<usize>, PlanRecord>>,
     planner: Mutex<(Planner, Vec<Box<dyn PlanStrategy + Send + Sync>>)>,
+    /// [`LIVE_MEMO_LIMIT`], lowered by tests.
+    memo_limit: usize,
     overflow: Mutex<Overflow>,
     db_hits: AtomicU64,
     overlay_hits: AtomicU64,
@@ -161,6 +171,7 @@ impl QueryEngine {
             db,
             overlay: Mutex::new(HashMap::new()),
             planner: Mutex::new((Planner::new(), default_strategies())),
+            memo_limit: LIVE_MEMO_LIMIT,
             overflow: Mutex::new(overflow),
             db_hits: AtomicU64::new(0),
             overlay_hits: AtomicU64::new(0),
@@ -198,7 +209,11 @@ impl QueryEngine {
         let rec = {
             let mut guard = lock(&self.planner);
             let (planner, strategies) = &mut *guard;
-            plan_record(planner, strategies, &key).inspect_err(|_| {
+            let rec = plan_record(planner, strategies, &key);
+            if planner.memo_len() > self.memo_limit {
+                *planner = Planner::new();
+            }
+            rec.inspect_err(|_| {
                 self.errors.fetch_add(1, SeqCst);
             })?
         };
@@ -274,5 +289,34 @@ impl QueryEngine {
 impl Drop for QueryEngine {
     fn drop(&mut self) {
         self.flush_overflow();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cubemesh_plandb::enumerate_keys;
+
+    #[test]
+    fn live_memo_stays_bounded_and_answers_do_not_change() {
+        let mut engine = QueryEngine::new(&EngineConfig::default()).expect("engine");
+        engine.memo_limit = 64;
+        let mut unbounded = Planner::new();
+        let strategies = default_strategies();
+        let keys = enumerate_keys(9);
+        assert!(keys.len() >= 100);
+        let mut resets = 0;
+        let mut last = 0;
+        for key in &keys {
+            let (rec, source) = engine.lookup(key).expect("lookup");
+            assert_eq!(source, Source::Live, "{key:?}");
+            let want = plan_record(&mut unbounded, &strategies, key).expect("plan");
+            assert_eq!(rec, want, "{key:?}");
+            let memo = lock(&engine.planner).0.memo_len();
+            assert!(memo <= engine.memo_limit, "{key:?}: memo {memo}");
+            resets += usize::from(memo < last);
+            last = memo;
+        }
+        assert!(resets > 0 && unbounded.memo_len() > engine.memo_limit);
     }
 }

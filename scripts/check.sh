@@ -32,6 +32,12 @@ cargo build --release
 CUBEMESH_THREADS=1 cargo test -q
 cargo test -q
 
+echo "== crate test suites (every workspace member but the root package) =="
+# At a workspace root with a root package, `cargo test -q` tests only the
+# root package, so the crates' own unit and integration tests (plandb,
+# service, pool, obs, the planner, ...) need this step to gate.
+cargo test -q --workspace --exclude cubemesh
+
 echo "== audit: source analyzer (CM-A001..A013 dataflow, CM-L hygiene rules) =="
 # Hard gate: any finding fails the build. The JSON artifact doubles as
 # the --baseline input for diff-mode runs and is archived for CI
