@@ -39,7 +39,7 @@ impl std::error::Error for ConstructError {}
 /// hot in censuses).
 pub fn construct(shape: &Shape, plan: &Plan) -> Result<Embedding, ConstructError> {
     // One span per top-level lowering; the product recursion shows up as
-    // nested `product.map` / `product.routes` children in a trace.
+    // nested `product.count` / `product.fill` children in a trace.
     let _span = obs::span!("construct");
     let reduced = reduce(shape);
     let emb = construct_reduced(&reduced, plan)?;

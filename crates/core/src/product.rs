@@ -17,10 +17,10 @@
 //!   `φ₂(y) ‖ φ₁(x′)`. Allowing `ℓᵢ < ℓ₁ᵢ·ℓ₂ᵢ` implements the §4.2
 //!   axis-extension trick (embed the slightly larger mesh, restrict).
 
-use cubemesh_embedding::builders::{node_chunks, MeshEdgeView};
+use cubemesh_embedding::builders::{node_chunks, split_at_ends, MeshEdgeView};
 use cubemesh_embedding::{Embedding, RouteSet};
 use cubemesh_obs as obs;
-use cubemesh_topology::{Hypercube, Mesh, Shape};
+use cubemesh_topology::{Hypercube, Shape};
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -32,13 +32,21 @@ pub struct MeshEdgeIndex {
 }
 
 impl MeshEdgeIndex {
-    /// Build the lookup for a mesh shape.
+    /// Build the lookup for a mesh shape: one pass in canonical order
+    /// (nodes row-major, axes ascending) behind a coordinate cursor.
     pub fn new(shape: &Shape) -> Self {
         let rank = shape.rank();
-        let mesh = Mesh::new(shape.clone());
         let mut ids = vec![u32::MAX; shape.nodes() * rank];
-        for (i, e) in mesh.edges().enumerate() {
-            ids[e.node * rank + e.axis] = i as u32;
+        let mut coords = vec![0usize; rank];
+        let mut next = 0u32;
+        for node_ids in ids.chunks_exact_mut(rank) {
+            for (axis, id) in node_ids.iter_mut().enumerate() {
+                if coords[axis] + 1 < shape.len(axis) {
+                    *id = next;
+                    next += 1;
+                }
+            }
+            shape.advance_coords(&mut coords);
         }
         MeshEdgeIndex { rank, ids }
     }
@@ -144,125 +152,314 @@ pub fn mesh_product_embedding(
 
     let n1 = e1.host().dim();
     let host = Hypercube::new(n1 + e2.host().dim());
-    let idx1 = MeshEdgeIndex::new(s1);
-    let idx2 = MeshEdgeIndex::new(s2);
-
-    // Decompose z into (y, x) and the reflected x'.
-    let split = |z: &[usize], x: &mut [usize], y: &mut [usize], xr: &mut [usize]| {
-        for i in 0..z.len() {
-            let l1 = s1.len(i);
-            y[i] = z[i] / l1;
-            x[i] = z[i] % l1;
-            xr[i] = if y[i].is_multiple_of(2) {
-                x[i]
-            } else {
-                l1 - 1 - x[i]
-            };
-        }
+    let lowering = Lowering {
+        shape,
+        s1,
+        s2,
+        e1,
+        e2,
+        idx1: MeshEdgeIndex::new(s1),
+        idx2: MeshEdgeIndex::new(s2),
+        s1_strides: (0..k)
+            .map(|a| s1.dims()[a + 1..].iter().product())
+            .collect(),
+        n1,
     };
 
-    // Node map, filled in parallel chunks. The factor indices fold over the
-    // axes directly, so a worker needs no coordinate scratch beyond the
-    // cursor `fill_node_map` maintains.
-    let map = {
-        let _span = obs::span!("product.map");
-        cubemesh_embedding::builders::fill_node_map(shape, |z| {
-            let mut nidx1 = 0usize;
-            let mut nidx2 = 0usize;
-            for (i, &zi) in z.iter().enumerate() {
-                let l1 = s1.len(i);
-                let y = zi / l1;
-                let x = zi % l1;
-                let xr = if y.is_multiple_of(2) { x } else { l1 - 1 - x };
-                nidx1 = nidx1 * l1 + xr;
-                nidx2 = nidx2 * s2.len(i) + y;
-            }
-            (e2.image(nidx2) << n1) | e1.image(nidx1)
-        })
-    };
-
-    // Routes, built per contiguous node range. The canonical enumeration
-    // visits nodes in linear order and axes ascending within a node, so
-    // ranges split at node boundaries produce dense, splicable edge-id
-    // runs; `edges_before_node` sizes each worker's arena exactly.
+    // The map and the routes are written in place per contiguous node
+    // range. The canonical enumeration visits nodes in linear order and
+    // axes ascending within a node, so a node range owns a dense run of
+    // edge ids (`edges_before_node` places it in `offsets`); a counting
+    // pass over the same walk places its run of route nodes in the arena.
+    let nodes = shape.nodes();
     let view = MeshEdgeView::new(shape);
-    let fill_routes = |range: Range<usize>| -> RouteSet {
-        let chunk_edges = view.edges_before_node(range.end) - view.edges_before_node(range.start);
-        let mut rs = RouteSet::with_capacity(chunk_edges, chunk_edges * 3);
-        let mut z = vec![0usize; k];
-        let mut x = vec![0usize; k];
-        let mut y = vec![0usize; k];
-        let mut xr = vec![0usize; k];
-        shape.coords_into(range.start, &mut z);
+    let chunks = node_chunks(nodes);
+    let arena_ends: Vec<usize> = {
+        let _span = obs::span!("product.count");
+        let sizes: Vec<usize> = chunks
+            .clone()
+            .into_par_iter()
+            .map(|range| lowering.route_nodes(range))
+            .collect();
+        sizes
+            .iter()
+            .scan(0, |end, &size| {
+                *end += size;
+                Some(*end)
+            })
+            .collect()
+    };
+    let mut map = vec![0u64; nodes];
+    let mut offsets = vec![0u32; view.edge_count() + 1];
+    let mut arena = vec![0u64; arena_ends.last().copied().unwrap_or(0)];
+    {
+        let _span = obs::span!("product.fill");
+        let map_pieces = split_at_ends(&mut map, chunks.iter().map(|r| r.end));
+        let offset_pieces = split_at_ends(
+            &mut offsets[1..],
+            chunks.iter().map(|r| view.edges_before_node(r.end)),
+        );
+        let arena_pieces = split_at_ends(&mut arena, arena_ends.iter().copied());
+        let bases = std::iter::once(0).chain(arena_ends.iter().copied());
+        let pieces: Vec<Piece<'_>> = chunks
+            .into_iter()
+            .zip(bases)
+            .zip(map_pieces)
+            .zip(offset_pieces.into_iter().zip(arena_pieces))
+            .map(|(((nodes, base), map), (offsets, arena))| Piece {
+                nodes,
+                base,
+                map,
+                offsets,
+                arena,
+            })
+            .collect();
+        pieces
+            .into_par_iter()
+            .map(|piece| lowering.fill(piece))
+            .collect::<Vec<()>>();
+    }
+    Embedding::new_mesh(shape, host, map, RouteSet::from_parts(offsets, arena))
+}
+
+/// One worker's share of a product lowering: its node range, and the
+/// pieces of the map, the route offsets and the route arena it writes.
+/// The arena piece starts `base` nodes into the arena.
+struct Piece<'a> {
+    nodes: Range<usize>,
+    base: usize,
+    map: &'a mut [u64],
+    offsets: &'a mut [u32],
+    arena: &'a mut [u64],
+}
+
+/// The factor route a product edge copies (Theorem 3): an `M₂` route
+/// with `φ₁(x′)` below it, or an `M₁` route with `φ₂(y)` above it,
+/// reversed in a reflected instance.
+#[derive(Clone, Copy)]
+enum FactorRoute {
+    Outer(usize),
+    Inner(usize),
+    InnerReversed(usize),
+}
+
+/// Everything the Corollary 2 lowering reads, shared by its workers.
+struct Lowering<'a> {
+    shape: &'a Shape,
+    s1: &'a Shape,
+    s2: &'a Shape,
+    e1: &'a Embedding,
+    e2: &'a Embedding,
+    idx1: MeshEdgeIndex,
+    idx2: MeshEdgeIndex,
+    /// Row-major strides of `M₁`.
+    s1_strides: Vec<usize>,
+    /// `φ₁`'s cube dimension: `φ₂` sits above it.
+    n1: u32,
+}
+
+impl Lowering<'_> {
+    /// Visit the nodes of `range` in order, as `visit(c, a1, a2)`: the
+    /// cursor at the node, `a1 = φ₁(x′)` and `a2 = φ₂(y) << n₁`.
+    fn walk(&self, range: Range<usize>, mut visit: impl FnMut(&FactorCursor<'_>, u64, u64)) {
+        let mut c = FactorCursor::new(self.shape, self.s1, self.s2, range.start);
         for _ in range {
-            split(&z, &mut x, &mut y, &mut xr);
-            for axis in 0..k {
-                if z[axis] + 1 >= shape.len(axis) {
-                    continue;
-                }
-                let l1 = s1.len(axis);
-                if (z[axis] + 1).is_multiple_of(l1) {
-                    // M₂-type edge: y -> y + e_axis; x' identical on both ends.
-                    let ynode = s2.index(&y);
-                    let a1 = e1.image(s1.index(&xr));
-                    let rid = idx2.id(ynode, axis);
-                    rs.push_iter(e2.routes().route(rid).iter().map(|&r| (r << n1) | a1));
-                } else {
-                    // M₁-type edge within instance y; reflected when y is odd.
-                    let a2 = e2.image(s2.index(&y)) << n1;
-                    let xnode = s1.index(&xr);
-                    if y[axis].is_multiple_of(2) {
-                        // x' increases along the edge: stored route runs forward.
-                        let rid = idx1.id(xnode, axis);
-                        rs.push_iter(e1.routes().route(rid).iter().map(|&r| a2 | r));
-                    } else {
-                        // x' decreases: the canonical edge starts at x' - 1;
-                        // reverse its route.
-                        let s1_stride: usize = s1.dims()[axis + 1..].iter().product();
-                        let rid = idx1.id(xnode - s1_stride, axis);
-                        rs.push_iter(e1.routes().route(rid).iter().rev().map(|&r| a2 | r));
+            visit(
+                &c,
+                self.e1.image(c.inner),
+                self.e2.image(c.outer) << self.n1,
+            );
+            c.advance();
+        }
+    }
+
+    /// The factor routes of the edges at the cursor's node, in canonical
+    /// (axis) order.
+    fn edges<'s>(&'s self, c: &'s FactorCursor<'_>) -> impl Iterator<Item = FactorRoute> + 's {
+        (0..self.shape.rank()).filter_map(move |axis| {
+            if c.z[axis] + 1 == self.shape.len(axis) {
+                return None;
+            }
+            Some(if c.x[axis] + 1 == self.s1.len(axis) {
+                // M₂-type edge: y -> y + e_axis; x' identical on both ends.
+                FactorRoute::Outer(self.idx2.id(c.outer, axis))
+            } else if c.y[axis].is_multiple_of(2) {
+                // M₁-type edge, x' increasing: the stored route runs
+                // forward.
+                FactorRoute::Inner(self.idx1.id(c.inner, axis))
+            } else {
+                // Reflected instance: x' decreases, so the canonical edge
+                // starts at x' - 1; reverse its route.
+                let from = c.inner - self.s1_strides[axis];
+                FactorRoute::InnerReversed(self.idx1.id(from, axis))
+            })
+        })
+    }
+
+    /// Total route nodes of the edges whose lower endpoint lies in
+    /// `range`: the arena space [`Lowering::fill`] writes for it.
+    fn route_nodes(&self, range: Range<usize>) -> usize {
+        let mut total = 0;
+        self.walk(range, |c, _, _| {
+            for route in self.edges(c) {
+                total += self.factor_route(route).len();
+            }
+        });
+        total
+    }
+
+    /// The stored factor route a product edge copies.
+    fn factor_route(&self, route: FactorRoute) -> &[u64] {
+        match route {
+            FactorRoute::Outer(id) => self.e2.routes().route(id),
+            FactorRoute::Inner(id) | FactorRoute::InnerReversed(id) => self.e1.routes().route(id),
+        }
+    }
+
+    /// Write a piece's node map `φ₂(y) ‖ φ₁(x′)`, its routes, and each
+    /// route's end offset.
+    fn fill(&self, piece: Piece<'_>) {
+        let Piece {
+            nodes,
+            base,
+            map,
+            offsets,
+            arena,
+        } = piece;
+        let n1 = self.n1;
+        let (mut node, mut edge, mut at) = (0, 0, 0);
+        self.walk(nodes, |c, a1, a2| {
+            map[node] = a2 | a1;
+            node += 1;
+            for route in self.edges(c) {
+                let src = self.factor_route(route);
+                let dst = &mut arena[at..at + src.len()];
+                match route {
+                    FactorRoute::Outer(_) => {
+                        for (slot, &r) in dst.iter_mut().zip(src) {
+                            *slot = (r << n1) | a1;
+                        }
+                    }
+                    FactorRoute::Inner(_) => {
+                        for (slot, &r) in dst.iter_mut().zip(src) {
+                            *slot = a2 | r;
+                        }
+                    }
+                    FactorRoute::InnerReversed(_) => {
+                        for (slot, &r) in dst.iter_mut().zip(src.iter().rev()) {
+                            *slot = a2 | r;
+                        }
                     }
                 }
+                at += src.len();
+                offsets[edge] = (base + at) as u32;
+                edge += 1;
             }
-            shape.advance_coords(&mut z);
-        }
-        rs
-    };
+        });
+    }
+}
 
-    let routes = {
-        let _span = obs::span!("product.routes");
-        let chunks = node_chunks(shape.nodes());
-        if chunks.len() == 1 {
-            fill_routes(0..shape.nodes())
+/// A product node's place in the two factors, stepped in row-major order.
+///
+/// Per axis `zᵢ = yᵢ·ℓ₁ᵢ + xᵢ`; `inner` is the `M₁` index of the
+/// reflected `x′` and `outer` the `M₂` index of `y`. Along a row of the
+/// innermost axis only that axis moves, so `x`, `y`, `x′` and both
+/// indices change by one per step, and the reflection keeps `x′` fixed
+/// across an instance boundary. Coordinates are divided out again only
+/// when a row wraps or a chunk starts.
+struct FactorCursor<'a> {
+    shape: &'a Shape,
+    s1: &'a Shape,
+    s2: &'a Shape,
+    z: Vec<usize>,
+    x: Vec<usize>,
+    y: Vec<usize>,
+    inner: usize,
+    outer: usize,
+}
+
+impl<'a> FactorCursor<'a> {
+    fn new(shape: &'a Shape, s1: &'a Shape, s2: &'a Shape, node: usize) -> Self {
+        let k = shape.rank();
+        let mut c = FactorCursor {
+            shape,
+            s1,
+            s2,
+            z: vec![0; k],
+            x: vec![0; k],
+            y: vec![0; k],
+            inner: 0,
+            outer: 0,
+        };
+        shape.coords_into(node, &mut c.z);
+        c.split();
+        c
+    }
+
+    /// Re-derive `x`, `y` and both factor indices from `z`.
+    fn split(&mut self) {
+        self.inner = 0;
+        self.outer = 0;
+        for i in 0..self.z.len() {
+            let l1 = self.s1.len(i);
+            let (y, x) = (self.z[i] / l1, self.z[i] % l1);
+            let xr = if y.is_multiple_of(2) { x } else { l1 - 1 - x };
+            // audit:allow(CM-A009): the row-major index of x' in M₁, below s1.nodes()
+            self.inner = self.inner * l1 + xr;
+            // audit:allow(CM-A009): the row-major index of y in M₂, below s2.nodes()
+            self.outer = self.outer * self.s2.len(i) + y;
+            self.x[i] = x;
+            self.y[i] = y;
+        }
+    }
+
+    /// Step to the next node in row-major order.
+    fn advance(&mut self) {
+        let last = self.z.len() - 1;
+        if self.z[last] + 1 == self.shape.len(last) {
+            self.shape.advance_coords(&mut self.z);
+            self.split();
+        } else if self.x[last] + 1 == self.s1.len(last) {
+            // Into the next M₁ instance: y steps, the reflection keeps x'.
+            self.z[last] += 1;
+            self.x[last] = 0;
+            self.y[last] += 1;
+            self.outer += 1;
         } else {
-            let parts: Vec<RouteSet> = chunks.into_par_iter().map(fill_routes).collect();
-            let total_nodes: usize = parts
-                .iter()
-                .map(|p| p.total_length() as usize + p.len())
-                .sum();
-            let mut combined = RouteSet::with_capacity(view.edge_count(), total_nodes);
-            for p in &parts {
-                combined.append(p);
+            self.z[last] += 1;
+            self.x[last] += 1;
+            if self.y[last].is_multiple_of(2) {
+                self.inner += 1;
+            } else {
+                self.inner -= 1;
             }
-            combined
         }
-    };
-
-    Embedding::new_mesh(shape, host, map, routes)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cubemesh_embedding::gray_mesh_embedding;
+    use cubemesh_topology::Mesh;
 
     #[test]
     fn mesh_edge_index_matches_enumeration() {
-        let shape = Shape::new(&[3, 4]);
-        let idx = MeshEdgeIndex::new(&shape);
-        let mesh = Mesh::new(shape.clone());
-        for (i, e) in mesh.edges().enumerate() {
-            assert_eq!(idx.id(e.node, e.axis), i);
+        for dims in [
+            vec![7usize],
+            vec![3, 4],
+            vec![1, 5, 1],
+            vec![4, 3, 5],
+            vec![2, 1, 3, 2],
+        ] {
+            let shape = Shape::new(&dims);
+            let idx = MeshEdgeIndex::new(&shape);
+            let mesh = Mesh::new(shape.clone());
+            for (i, e) in mesh.edges().enumerate() {
+                assert_eq!(idx.id(e.node, e.axis), i, "{dims:?}");
+            }
+            let assigned = idx.ids.iter().filter(|&&id| id != u32::MAX).count();
+            assert_eq!(assigned, shape.mesh_edges(), "{dims:?}");
         }
     }
 

@@ -37,6 +37,39 @@ pub fn node_chunks(nodes: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
+/// Cut `out` into consecutive pieces ending at the ascending offsets
+/// `ends` (the last end is normally `out.len()`).
+///
+/// # Panics
+/// Panics if an end is below the one before it or past `out.len()`.
+pub fn split_at_ends<T>(out: &mut [T], ends: impl IntoIterator<Item = usize>) -> Vec<&mut [T]> {
+    let mut pieces = Vec::new();
+    let mut rest = out;
+    let mut at = 0;
+    for end in ends {
+        let (piece, tail) = std::mem::take(&mut rest).split_at_mut(end - at);
+        pieces.push(piece);
+        rest = tail;
+        at = end;
+    }
+    pieces
+}
+
+/// The [`node_chunks`] of a `nodes`-node sweep, each with its piece of
+/// the pre-sized buffer `out`: chunk `r` owns `out[at(r.start)..at(r.end)]`,
+/// where `at` maps a node boundary to its buffer offset (ascending, with
+/// `at(0) == 0`). A worker fills its piece in place, so every element is
+/// written once.
+fn node_chunk_pieces<T>(
+    out: &mut [T],
+    nodes: usize,
+    at: impl Fn(usize) -> usize,
+) -> Vec<(Range<usize>, &mut [T])> {
+    let chunks = node_chunks(nodes);
+    let pieces = split_at_ends(out, chunks.iter().map(|r| at(r.end)));
+    chunks.into_iter().zip(pieces).collect()
+}
+
 /// The canonical mesh edge enumeration as an implicit, index-computable
 /// view: edge endpoints are derived from the shape on demand instead of
 /// being stored. Replaces materialized [`mesh_edge_list`] vectors in the
@@ -173,25 +206,18 @@ pub fn mesh_edge_list(mesh: &Mesh) -> Vec<(u32, u32)> {
 /// vector, fanning out over node-range chunks when the mesh is large.
 pub fn fill_node_map(shape: &Shape, f: impl Fn(&[usize]) -> u64 + Sync) -> Vec<u64> {
     let nodes = shape.nodes();
-    let chunks = node_chunks(nodes);
-    let fill = |range: Range<usize>| {
-        let mut part = Vec::with_capacity(range.len());
-        let mut coords = vec![0usize; shape.rank()];
-        shape.coords_into(range.start, &mut coords);
-        for _ in range {
-            part.push(f(&coords));
-            shape.advance_coords(&mut coords);
-        }
-        part
-    };
-    if chunks.len() == 1 {
-        return fill(0..nodes);
-    }
-    let parts: Vec<Vec<u64>> = chunks.into_par_iter().map(fill).collect();
-    let mut map = Vec::with_capacity(nodes);
-    for part in parts {
-        map.extend_from_slice(&part);
-    }
+    let mut map = vec![0u64; nodes];
+    node_chunk_pieces(&mut map, nodes, |node| node)
+        .into_par_iter()
+        .map(|(range, out)| {
+            let mut coords = vec![0usize; shape.rank()];
+            shape.coords_into(range.start, &mut coords);
+            for slot in out {
+                *slot = f(&coords);
+                shape.advance_coords(&mut coords);
+            }
+        })
+        .collect::<Vec<()>>();
     map
 }
 
@@ -240,34 +266,26 @@ fn gray_node_map(shape: &Shape, layout: &AxisLayout) -> Vec<u64> {
     }
     let last = shape.len(rank - 1);
     let shift = layout.bit_offset(rank - 1);
-    let fill = |range: Range<usize>| {
-        let mut part = vec![0u64; range.len()];
-        let mut coords = vec![0usize; rank];
-        // A chunk boundary may fall mid-run; re-derive coordinates per
-        // run start and emit the (possibly clipped) run in one call.
-        let mut pos = range.start;
-        let mut out = part.as_mut_slice();
-        while !out.is_empty() {
-            shape.coords_into(pos, &mut coords);
-            let x0 = coords[rank - 1];
-            let run = (last - x0).min(out.len());
-            let (head, rest) = out.split_at_mut(run);
-            let base = gray_mesh_address(layout, &coords[..rank - 1]);
-            gray_fill_run(head, x0 as u64, base, shift);
-            pos += run;
-            out = rest;
-        }
-        part
-    };
-    let chunks = node_chunks(nodes);
-    if chunks.len() == 1 {
-        return fill(0..nodes);
-    }
-    let parts: Vec<Vec<u64>> = chunks.into_par_iter().map(fill).collect();
-    let mut map = Vec::with_capacity(nodes);
-    for part in parts {
-        map.extend_from_slice(&part);
-    }
+    let mut map = vec![0u64; nodes];
+    node_chunk_pieces(&mut map, nodes, |node| node)
+        .into_par_iter()
+        .map(|(range, mut out)| {
+            let mut coords = vec![0usize; rank];
+            // A chunk boundary may fall mid-run; re-derive coordinates per
+            // run start and emit the (possibly clipped) run in one call.
+            let mut pos = range.start;
+            while !out.is_empty() {
+                shape.coords_into(pos, &mut coords);
+                let x0 = coords[rank - 1];
+                let run = (last - x0).min(out.len());
+                let (head, rest) = out.split_at_mut(run);
+                let base = gray_mesh_address(layout, &coords[..rank - 1]);
+                gray_fill_run(head, x0 as u64, base, shift);
+                pos += run;
+                out = rest;
+            }
+        })
+        .collect::<Vec<()>>();
     map
 }
 
@@ -284,28 +302,22 @@ pub fn gray_mesh_embedding(shape: &Shape) -> Embedding {
     let map = gray_node_map(shape, &layout);
     let view = MeshEdgeView::new(shape);
 
-    // Every Gray route is the two-node path between adjacent addresses.
-    let build = |range: Range<usize>| {
-        let lo = view.edges_before_node(range.start);
-        let hi = view.edges_before_node(range.end);
-        let mut part = RouteSet::with_capacity(hi - lo, (hi - lo) * 2);
-        for (u, v) in view.iter_nodes(range) {
-            part.push_pair(map[u as usize], map[v as usize]);
+    // Every Gray route is the two-node path between adjacent addresses:
+    // route `i` is `lanes[2i..2i + 2]`, so a node chunk owns the lanes of
+    // the edges its nodes start.
+    let mut lanes = vec![0u64; 2 * view.edge_count()];
+    node_chunk_pieces(&mut lanes, shape.nodes(), |node| {
+        2 * view.edges_before_node(node)
+    })
+    .into_par_iter()
+    .map(|(range, out)| {
+        for ((u, v), lane) in view.iter_nodes(range).zip(out.chunks_exact_mut(2)) {
+            lane[0] = map[u as usize];
+            lane[1] = map[v as usize];
         }
-        part
-    };
-    let chunks = node_chunks(shape.nodes());
-    let routes = if chunks.len() == 1 {
-        build(0..shape.nodes())
-    } else {
-        let parts: Vec<RouteSet> = chunks.into_par_iter().map(build).collect();
-        let mut routes = RouteSet::with_capacity(view.edge_count(), view.edge_count() * 2);
-        for part in &parts {
-            routes.append(part);
-        }
-        routes
-    };
-    Embedding::new_mesh(shape, host, map, routes)
+    })
+    .collect::<Vec<()>>();
+    Embedding::new_mesh(shape, host, map, RouteSet::from_pairs(lanes))
 }
 
 #[cfg(test)]

@@ -378,7 +378,7 @@ mod tests {
         let mut routes = RouteSet::new();
         let map: Vec<u64> = (0..6).collect();
         for &(u, v) in &explicit {
-            routes.push_pair(map[u as usize], map[v as usize]);
+            routes.push(&[map[u as usize], map[v as usize]]);
         }
         let e = Embedding::new_mesh(&shape, Hypercube::new(3), map, routes);
         assert_eq!(e.edge_count(), explicit.len());

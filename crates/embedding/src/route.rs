@@ -51,6 +51,47 @@ impl RouteSet {
         }
     }
 
+    /// An all-pairs route set from its `(u, v)` lanes: route `i` is
+    /// `lanes[2i..2i + 2]`. This is how a builder whose every route is one
+    /// cube edge hands over the lanes it filled in place.
+    ///
+    /// # Panics
+    /// Panics if `lanes` has odd length.
+    pub(crate) fn from_pairs(lanes: Vec<u64>) -> Self {
+        assert!(lanes.len().is_multiple_of(2), "odd number of pair lanes");
+        RouteSet {
+            offsets: (0..=lanes.len() / 2).map(|i| (2 * i) as u32).collect(),
+            nodes: lanes,
+            pairs_only: true,
+        }
+    }
+
+    /// A route set from a filled arena: route `i` is
+    /// `nodes[offsets[i]..offsets[i + 1]]`. This is how parallel
+    /// builders that sized each chunk up front hand over the buffers they
+    /// wrote in place.
+    ///
+    /// # Panics
+    /// Panics unless `offsets` starts at 0, rises strictly (no empty
+    /// route) and ends at `nodes.len()`.
+    pub fn from_parts(offsets: Vec<u32>, nodes: Vec<u64>) -> Self {
+        let mut rising = offsets.first() == Some(&0);
+        let mut pairs_only = true;
+        for w in offsets.windows(2) {
+            rising &= w[0] < w[1];
+            pairs_only &= w[1].wrapping_sub(w[0]) == 2;
+        }
+        assert!(
+            rising && offsets.last().map(|&o| o as usize) == Some(nodes.len()),
+            "offsets do not partition the route arena"
+        );
+        RouteSet {
+            offsets,
+            nodes,
+            pairs_only,
+        }
+    }
+
     /// Append a route (full node path, endpoints included). Returns its
     /// index.
     ///
@@ -63,27 +104,6 @@ impl RouteSet {
         self.nodes.extend_from_slice(path);
         self.offsets.push(self.nodes.len() as u32);
         self.offsets.len() - 2
-    }
-
-    /// Append a two-node route (the dilation-1 case every Gray-code edge
-    /// hits); cheaper than going through a slice.
-    #[inline]
-    pub fn push_pair(&mut self, a: u64, b: u64) -> usize {
-        self.nodes.push(a);
-        self.nodes.push(b);
-        self.offsets.push(self.nodes.len() as u32);
-        self.offsets.len() - 2
-    }
-
-    /// Splice another route set onto the end of this one, preserving
-    /// route order — the merge step for route arenas filled by parallel
-    /// workers over contiguous edge chunks.
-    pub fn append(&mut self, other: &RouteSet) {
-        let base = self.nodes.len() as u32;
-        self.pairs_only &= other.pairs_only || other.is_empty();
-        self.nodes.extend_from_slice(&other.nodes);
-        self.offsets
-            .extend(other.offsets[1..].iter().map(|&o| base + o));
     }
 
     /// Append a route given as an iterator.
@@ -208,49 +228,65 @@ mod tests {
     fn pairs_only_tracks_route_shapes() {
         let mut rs = RouteSet::new();
         assert!(rs.all_pairs());
-        rs.push_pair(0, 1);
+        rs.push(&[0, 1]);
         rs.push(&[2, 3]);
         rs.push_iter([4u64, 5]);
         assert!(rs.all_pairs());
         assert_eq!(rs.pair_lanes(), &[0, 1, 2, 3, 4, 5]);
-        let mut other = RouteSet::new();
-        other.push_pair(8, 9);
-        rs.append(&other);
-        assert!(rs.all_pairs());
         // A 3-node route plus a 1-node route keeps nodes.len() == 2·len()
         // but must clear the flag.
         rs.push(&[6, 7, 7]);
         rs.push(&[9]);
         assert!(!rs.all_pairs());
-        // And appending a non-pair set clears it on the target.
-        let mut c = RouteSet::new();
-        c.push_pair(1, 2);
-        c.append(&rs);
-        assert!(!c.all_pairs());
-        // Appending an empty set never clears the flag.
-        let mut d = RouteSet::new();
-        d.push_pair(3, 4);
-        d.append(&RouteSet::new());
-        assert!(d.all_pairs());
     }
 
     #[test]
-    fn append_splices_in_order() {
-        let mut a = RouteSet::new();
-        a.push(&[0, 1]);
-        a.push(&[4, 5, 7]);
-        let mut b = RouteSet::new();
-        b.push_pair(2, 3);
-        b.push(&[9]);
-        a.append(&b);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.route(0), &[0, 1]);
-        assert_eq!(a.route(1), &[4, 5, 7]);
-        assert_eq!(a.route(2), &[2, 3]);
-        assert_eq!(a.route(3), &[9]);
-        assert_eq!(a.total_length(), 4);
-        // Appending an empty set is a no-op.
-        a.append(&RouteSet::new());
-        assert_eq!(a.len(), 4);
+    fn from_pairs_reads_lanes_as_routes() {
+        let rs = RouteSet::from_pairs(vec![0, 1, 2, 3, 8, 9]);
+        assert!(rs.all_pairs());
+        assert_eq!(rs.len(), 3);
+        assert_eq!(rs.route(0), &[0, 1]);
+        assert_eq!(rs.route(2), &[8, 9]);
+        assert_eq!(rs.pair_lanes(), &[0, 1, 2, 3, 8, 9]);
+        assert_eq!(rs.total_length(), 3);
+        let empty = RouteSet::from_pairs(Vec::new());
+        assert!(empty.is_empty() && empty.all_pairs());
+    }
+
+    #[test]
+    fn from_parts_matches_pushing_in_order() {
+        let paths: [&[u64]; 4] = [&[0, 1], &[4, 5, 7], &[2, 3], &[9]];
+        let mut pushed = RouteSet::new();
+        let mut offsets = vec![0u32];
+        let mut nodes = Vec::new();
+        for p in paths {
+            pushed.push(p);
+            nodes.extend_from_slice(p);
+            offsets.push(nodes.len() as u32);
+        }
+        let built = RouteSet::from_parts(offsets, nodes);
+        assert_eq!(built.len(), 4);
+        assert_eq!(
+            built.iter().collect::<Vec<_>>(),
+            pushed.iter().collect::<Vec<_>>()
+        );
+        assert_eq!(built.total_length(), 4);
+        assert!(!built.all_pairs());
+        // The flag is recomputed from the offsets.
+        let pairs = RouteSet::from_parts(vec![0, 2, 4], vec![2, 3, 3, 7]);
+        assert!(pairs.all_pairs());
+        assert!(RouteSet::from_parts(vec![0], Vec::new()).all_pairs());
+    }
+
+    #[test]
+    #[should_panic]
+    fn from_parts_rejects_an_empty_route() {
+        RouteSet::from_parts(vec![0, 2, 2], vec![0, 1]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn from_parts_rejects_a_short_arena() {
+        RouteSet::from_parts(vec![0, 2, 4], vec![0, 1, 3]);
     }
 }

@@ -72,6 +72,7 @@ fn permutations(bits: &[u32]) -> Vec<Vec<u32>> {
                 rest.remove(i);
                 for mut tail in permutations(&rest) {
                     let mut perm = vec![b];
+                    // audit:allow(CM-A013): Vec::append, which returns no Result
                     perm.append(&mut tail);
                     out.push(perm);
                 }

@@ -10,6 +10,11 @@
 //! parallel path returns *exactly* the error the sequential scan would —
 //! [`verify_many_to_one_par`] and [`verify_many_to_one_seq`] are
 //! property-tested for agreement on both passing and failing embeddings.
+//!
+//! Injectivity is one pass over a host-address bitmap whenever the bitmap
+//! is no bigger than the map; a failing pass, or a host too sparse for a
+//! bitmap, falls back to sorting `(address, node)` pairs, which builds the
+//! error. Either way the reported error is the sort's.
 
 use crate::builders::PAR_MIN_NODES;
 use crate::map::Embedding;
@@ -118,25 +123,73 @@ impl std::error::Error for VerifyError {}
 /// Route checks shard across rayon threads for large edge sets; the result
 /// (including which error is reported) is identical to a sequential scan.
 pub fn verify_embedding(e: &Embedding) -> Result<(), VerifyError> {
-    check_injective(e)?;
-    verify_many_to_one(e)
+    let addresses_checked = check_injective(e)?;
+    if shard_routes(e) {
+        check_routes_par(e, addresses_checked)
+    } else {
+        check_routes_seq(e, addresses_checked)
+    }
 }
 
 /// Single-threaded [`verify_embedding`].
 pub fn verify_embedding_seq(e: &Embedding) -> Result<(), VerifyError> {
-    check_injective(e)?;
-    verify_many_to_one_seq(e)
+    let addresses_checked = check_injective(e)?;
+    check_routes_seq(e, addresses_checked)
 }
 
 /// Force-sharded [`verify_embedding`]; agrees exactly with
 /// [`verify_embedding_seq`].
 pub fn verify_embedding_par(e: &Embedding) -> Result<(), VerifyError> {
-    check_injective(e)?;
-    verify_many_to_one_par(e)
+    let addresses_checked = check_injective(e)?;
+    check_routes_par(e, addresses_checked)
 }
 
-/// Injectivity, by sorting (address, node) pairs.
-fn check_injective(e: &Embedding) -> Result<(), VerifyError> {
+/// Injectivity. Returns `true` when the check also proved every address
+/// in range, so [`check_addresses`] can be skipped.
+///
+/// When a bitmap over the host is no bigger than the map itself (host
+/// ≤ 64 × guest nodes) one pass marks each address. Any duplicate or
+/// out-of-range address, and any sparser host, goes through the sort,
+/// which reports the same `NotInjective` as always; an out-of-range
+/// address on an injective map is then reported by [`check_addresses`],
+/// so `NotInjective` still wins over `AddressOutOfRange`.
+fn check_injective(e: &Embedding) -> Result<bool, VerifyError> {
+    if bitmap_fits(e) && bitmap_is_clean(e) {
+        return Ok(true);
+    }
+    check_injective_sorted(e)?;
+    Ok(false)
+}
+
+/// Is a host-address bitmap (`host / 8` bytes) no bigger than the map
+/// (8 bytes per guest node)?
+fn bitmap_fits(e: &Embedding) -> bool {
+    e.host().nodes() / 64 <= e.guest_nodes() as u64
+}
+
+/// One pass over a host-address bitmap: `true` iff every address is in
+/// range and none repeats.
+fn bitmap_is_clean(e: &Embedding) -> bool {
+    let host = e.host().nodes();
+    let mut seen = vec![0u64; host.div_ceil(64) as usize];
+    for &addr in e.map() {
+        if addr >= host {
+            return false;
+        }
+        let word = &mut seen[(addr >> 6) as usize];
+        // audit:allow(CM-A009): the shift is addr & 63, below 64
+        let bit = 1u64 << (addr & 63);
+        if *word & bit != 0 {
+            return false;
+        }
+        *word |= bit;
+    }
+    true
+}
+
+/// Injectivity by sorting (address, node) pairs: the first repeated
+/// address in sorted order, with its two lowest nodes.
+fn check_injective_sorted(e: &Embedding) -> Result<(), VerifyError> {
     let mut pairs: Vec<(u64, usize)> = e.map().iter().enumerate().map(|(v, &a)| (a, v)).collect();
     pairs.sort_unstable();
     for w in pairs.windows(2) {
@@ -155,7 +208,7 @@ fn check_injective(e: &Embedding) -> Result<(), VerifyError> {
 /// address ranges and route well-formedness only. A route for an edge
 /// whose endpoints share an address is the single-node path.
 pub fn verify_many_to_one(e: &Embedding) -> Result<(), VerifyError> {
-    if rayon::current_num_threads() > 1 && e.edge_count() >= PAR_MIN_NODES {
+    if shard_routes(e) {
         verify_many_to_one_par(e)
     } else {
         verify_many_to_one_seq(e)
@@ -164,17 +217,36 @@ pub fn verify_many_to_one(e: &Embedding) -> Result<(), VerifyError> {
 
 /// Single-threaded [`verify_many_to_one`].
 pub fn verify_many_to_one_seq(e: &Embedding) -> Result<(), VerifyError> {
-    let _span = obs::span!("verify.seq");
-    check_addresses(e)?;
-    check_route_range(e, 0, e.edges_iter())
+    check_routes_seq(e, false)
 }
 
 /// Force-sharded [`verify_many_to_one`] (at least two chunks, so the merge
 /// logic runs even on one core); agrees exactly with
 /// [`verify_many_to_one_seq`], including which error is reported.
 pub fn verify_many_to_one_par(e: &Embedding) -> Result<(), VerifyError> {
+    check_routes_par(e, false)
+}
+
+/// Whether the route checks are worth sharding over the pool.
+fn shard_routes(e: &Embedding) -> bool {
+    rayon::current_num_threads() > 1 && e.edge_count() >= PAR_MIN_NODES
+}
+
+/// Address ranges (unless already proven) and every route, in one scan.
+fn check_routes_seq(e: &Embedding, addresses_checked: bool) -> Result<(), VerifyError> {
+    let _span = obs::span!("verify.seq");
+    if !addresses_checked {
+        check_addresses(e)?;
+    }
+    check_route_range(e, 0, e.edges_iter())
+}
+
+/// [`check_routes_seq`] over contiguous edge-id shards.
+fn check_routes_par(e: &Embedding, addresses_checked: bool) -> Result<(), VerifyError> {
     let _span = obs::span!("verify.par");
-    check_addresses(e)?;
+    if !addresses_checked {
+        check_addresses(e)?;
+    }
     let parts = rayon::current_num_threads().max(2);
     obs::trace::gauge("verify.shards", parts as u64);
     let chunks = e.edges().chunks(parts);
@@ -274,12 +346,13 @@ fn check_route_range(
 /// [`check_route_range`] specialized for an all-pairs route arena (the
 /// shape every Gray construction produces): routes are read straight from
 /// the `(u, v)` lanes, skipping the offsets indirection and the
-/// `seen`-scratch machinery. Exactness: [`check_addresses`] has already
-/// validated every mapped address, so a pair route whose endpoints match
-/// the map and are cube-adjacent cannot fail the range or simple-path
-/// checks — and when a check fails, the error precedence below is the
-/// same one the generic scan applies (edge bounds, then start, then end,
-/// then step-0 adjacency).
+/// `seen`-scratch machinery. Exactness: every mapped address is already
+/// known to be in range (the bitmap pass or [`check_addresses`] proved
+/// it), so a pair route whose endpoints match the map and are
+/// cube-adjacent cannot fail the range or simple-path checks — and when
+/// a check fails, the error precedence below is the same one the generic
+/// scan applies (edge bounds, then start, then end, then step-0
+/// adjacency).
 fn check_pair_route_range(
     e: &Embedding,
     first_edge: usize,
@@ -425,6 +498,107 @@ mod tests {
             verify_embedding_seq(&a),
             Err(VerifyError::RouteEndMismatch { edge: 1, .. })
         ));
+    }
+
+    /// The pre-bitmap check order: sort for injectivity, then ranges,
+    /// then routes.
+    fn sorted_reference(e: &Embedding) -> Result<(), VerifyError> {
+        check_injective_sorted(e)?;
+        check_addresses(e)?;
+        check_route_range(e, 0, e.edges_iter())
+    }
+
+    /// Nodes only, in a host of dimension `dim`.
+    fn map_only(map: Vec<u64>, dim: u32) -> Embedding {
+        Embedding::new(map.len(), vec![], Hypercube::new(dim), map, RouteSet::new())
+    }
+
+    fn matches_reference(e: &Embedding) -> Result<(), VerifyError> {
+        let (seq, _) = both(e);
+        assert_eq!(seq, sorted_reference(e));
+        seq
+    }
+
+    #[test]
+    fn duplicate_at_address_zero() {
+        let e = map_only(vec![5, 0, 3, 0, 1], 3);
+        assert!(bitmap_fits(&e));
+        assert_eq!(
+            matches_reference(&e),
+            Err(VerifyError::NotInjective {
+                node_a: 1,
+                node_b: 3,
+                address: 0
+            })
+        );
+    }
+
+    #[test]
+    fn duplicate_at_the_last_host_address() {
+        let e = map_only(vec![7, 2, 6, 4, 7], 3);
+        assert!(bitmap_fits(&e));
+        assert_eq!(
+            matches_reference(&e),
+            Err(VerifyError::NotInjective {
+                node_a: 0,
+                node_b: 4,
+                address: 7
+            })
+        );
+    }
+
+    #[test]
+    fn address_past_the_host_is_out_of_range() {
+        let e = map_only(vec![1, 0, 8, 3], 3);
+        assert!(bitmap_fits(&e));
+        assert_eq!(
+            matches_reference(&e),
+            Err(VerifyError::AddressOutOfRange {
+                node: 2,
+                address: 8
+            })
+        );
+        // A duplicate anywhere still wins over an earlier range error.
+        let e = map_only(vec![9, 4, 2, 4], 3);
+        assert_eq!(
+            matches_reference(&e),
+            Err(VerifyError::NotInjective {
+                node_a: 1,
+                node_b: 3,
+                address: 4
+            })
+        );
+    }
+
+    #[test]
+    fn sparse_host_takes_the_sort() {
+        // Q_9 has 512 nodes, more than 64 × 4: no bitmap.
+        let e = map_only(vec![0, 511, 17, 300], 9);
+        assert!(!bitmap_fits(&e));
+        assert_eq!(check_injective(&e), Ok(false));
+        assert_eq!(matches_reference(&e), Ok(()));
+        let e = map_only(vec![0, 511, 17, 511], 9);
+        assert_eq!(
+            matches_reference(&e),
+            Err(VerifyError::NotInjective {
+                node_a: 1,
+                node_b: 3,
+                address: 511
+            })
+        );
+        let e = map_only(vec![0, 512, 17, 300], 9);
+        assert_eq!(
+            matches_reference(&e),
+            Err(VerifyError::AddressOutOfRange {
+                node: 1,
+                address: 512
+            })
+        );
+        // At exactly 64 × guest the bitmap is used, and a clean pass
+        // proves the ranges.
+        let e = map_only((0..8).map(|v| v * 64).collect(), 9);
+        assert!(bitmap_fits(&e));
+        assert_eq!(check_injective(&e), Ok(true));
     }
 
     #[test]

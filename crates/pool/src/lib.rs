@@ -203,6 +203,7 @@ impl Region {
             let task = grabbed.pop_front();
             if !grabbed.is_empty() {
                 let mut own = lock(&self.queues[me]);
+                // audit:allow(CM-A013): VecDeque::append, which returns no Result
                 own.append(&mut grabbed);
             }
             if task.is_some() {

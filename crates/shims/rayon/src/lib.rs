@@ -67,6 +67,17 @@ pub fn backend() -> &'static str {
     cubemesh_pool::backend_name()
 }
 
+/// Workers for an input of `len` elements. A single element runs inline
+/// without asking the pool, whose width query reads the environment and
+/// the host's CPU limits each time.
+fn width_for(len: usize) -> usize {
+    if len <= 1 {
+        1
+    } else {
+        cubemesh_pool::effective_threads().min(len)
+    }
+}
+
 /// How many contiguous blocks to cut `len` elements into for `threads`
 /// workers: oversplit so stealing can rebalance ragged blocks.
 fn split_count(len: usize, threads: usize) -> usize {
@@ -275,7 +286,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let threads = cubemesh_pool::effective_threads().min(n);
+    let threads = width_for(n);
     if threads == 1 {
         return vec![finish(&mut items.into_iter().map(f))];
     }
@@ -304,7 +315,7 @@ where
     if len == 0 {
         return Vec::new();
     }
-    let threads = cubemesh_pool::effective_threads().min(len);
+    let threads = width_for(len);
     if threads == 1 {
         return vec![finish(&mut (0..len).map(|i| f(make(i))))];
     }
@@ -327,7 +338,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let threads = cubemesh_pool::effective_threads().min(n);
+    let threads = width_for(n);
     if threads == 1 {
         return items.into_iter().map(f).collect();
     }
@@ -350,7 +361,7 @@ where
     if len == 0 {
         return Vec::new();
     }
-    let threads = cubemesh_pool::effective_threads().min(len);
+    let threads = width_for(len);
     if threads == 1 {
         return (0..len).map(|i| f(make(i))).collect();
     }

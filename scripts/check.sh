@@ -32,6 +32,13 @@ cargo build --release
 CUBEMESH_THREADS=1 cargo test -q
 cargo test -q
 
+echo "== perfbench: the benchmark still builds against the library APIs =="
+# perfbench is its own workspace and builds the library crates by path,
+# so only this step (not the tier-1 build) catches a change that breaks
+# the API the benchmark uses. It only builds; nothing under perfbench/
+# changes.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== crate test suites (every workspace member but the root package) =="
 # At a workspace root with a root package, `cargo test -q` tests only the
 # root package, so the crates' own unit and integration tests (plandb,

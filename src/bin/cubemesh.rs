@@ -29,8 +29,8 @@
 //! at FILE.jsonl.
 
 use cubemesh::core::{classify3, construct, embed_mesh, Planner};
+use cubemesh::embedding::gray_mesh_embedding;
 use cubemesh::embedding::portable::{read_embedding, write_embedding};
-use cubemesh::embedding::{gray_mesh_embedding, RouteStrategy};
 use cubemesh::netsim::{simulate_with, stencil_exchange, Switching};
 use cubemesh::obs;
 use cubemesh::reshape::snake_embedding;
@@ -147,18 +147,6 @@ fn embed(args: &[String]) -> ExitCode {
             e
         );
         return ExitCode::from(1);
-    }
-    if obs::enabled() {
-        // The construction carries its own routes; also drive the
-        // congestion-aware router over the final node map so the snapshot
-        // reports router behavior (passes, congestion histogram) for this
-        // embedding.
-        let _ = cubemesh::embedding::router::route_all(
-            emb.map(),
-            &emb.edges_vec(),
-            emb.host(),
-            RouteStrategy::default(),
-        );
     }
     let m = emb.metrics();
     println!(

@@ -13,27 +13,54 @@ use cubemesh::embedding::verify::{
 };
 use cubemesh::embedding::{
     gray_mesh_embedding, mesh_embedding_with_router, Embedding, MeshEdgeView, RouteSet,
-    RouteStrategy,
+    RouteStrategy, VerifyError,
 };
 use cubemesh::manytoone::fold_to_dim;
 use cubemesh::topology::{Hypercube, Mesh, Shape};
 use proptest::prelude::*;
 
 fn random_embedding(dims: &[usize], seed: u64, balanced: bool) -> Embedding {
-    use rand::prelude::*;
-    use rand::rngs::StdRng;
     let shape = Shape::new(dims);
     let host = Hypercube::new(shape.minimal_cube_dim() + 1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut addrs: Vec<u64> = (0..host.nodes()).collect();
-    addrs.shuffle(&mut rng);
-    let map = addrs[..shape.nodes()].to_vec();
     let strategy = if balanced {
         RouteStrategy::Balanced { passes: 2 }
     } else {
         RouteStrategy::Canonical
     };
-    mesh_embedding_with_router(&shape, host, map, strategy)
+    embedding_in(&shape, host, seed, strategy)
+}
+
+/// A random injective map of `shape` into `host`, routed by `strategy`.
+fn embedding_in(shape: &Shape, host: Hypercube, seed: u64, strategy: RouteStrategy) -> Embedding {
+    use rand::prelude::*;
+    use rand::rngs::StdRng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut addrs: Vec<u64> = (0..host.nodes()).collect();
+    addrs.shuffle(&mut rng);
+    let map = addrs[..shape.nodes()].to_vec();
+    mesh_embedding_with_router(shape, host, map, strategy)
+}
+
+/// The map checks by sorting `(address, node)` pairs: the lowest repeated
+/// address with its two lowest nodes, else the first node outside the
+/// host, else `Ok`.
+fn sorted_map_check(e: &Embedding) -> Result<(), VerifyError> {
+    let mut pairs: Vec<(u64, usize)> = e.map().iter().enumerate().map(|(v, &a)| (a, v)).collect();
+    pairs.sort();
+    if let Some(w) = pairs.windows(2).find(|w| w[0].0 == w[1].0) {
+        return Err(VerifyError::NotInjective {
+            node_a: w[0].1,
+            node_b: w[1].1,
+            address: w[0].0,
+        });
+    }
+    match e.map().iter().position(|&a| !e.host().contains(a)) {
+        Some(node) => Err(VerifyError::AddressOutOfRange {
+            node,
+            address: e.map()[node],
+        }),
+        None => Ok(()),
+    }
 }
 
 proptest! {
@@ -88,6 +115,42 @@ proptest! {
         let seq = verify_embedding_seq(&emb);
         prop_assert!(seq.is_err());
         prop_assert_eq!(seq, verify_embedding_par(&emb));
+    }
+
+    /// Inject one map fault into a valid embedding — a duplicate, an
+    /// out-of-range address, or both — on a minimal host (the bitmap
+    /// path) and on a host over 64 times the guest (the sort path). Both
+    /// engines must report exactly the sort-based reference's error.
+    #[test]
+    fn verify_map_errors_match_sorted_reference(
+        l1 in 2usize..6,
+        l2 in 2usize..7,
+        sparse in any::<bool>(),
+        seed in any::<u64>(),
+        fault in 0u8..3,
+        victim in any::<u64>(),
+        other in any::<u64>(),
+    ) {
+        let shape = Shape::new(&[l1, l2]);
+        let extra = if sparse { 7 } else { 0 };
+        let host = Hypercube::new(shape.minimal_cube_dim() + extra);
+        let emb = embedding_in(&shape, host, seed, RouteStrategy::Canonical);
+        let (nodes, edges, host, mut map, routes) = emb.into_parts();
+        let v = (victim % nodes as u64) as usize;
+        let w = (v + 1 + (other % (nodes as u64 - 1)) as usize) % nodes;
+        match fault {
+            0 => map[v] = map[w],
+            1 => map[v] = host.nodes() + (other % 5),
+            _ => {
+                map[v] = host.nodes() - 1 + (other % 3);
+                map[w] = map[(w + 1) % nodes];
+            }
+        }
+        let emb = Embedding::from_guest(nodes, edges, host, map, routes);
+        let expected = sorted_map_check(&emb);
+        prop_assert!(expected.is_err());
+        prop_assert_eq!(verify_embedding_seq(&emb), expected.clone());
+        prop_assert_eq!(verify_embedding_par(&emb), expected);
     }
 
     /// Folding collapses some routes to single-node (dilation-0) paths and
