@@ -256,78 +256,6 @@ impl Finding {
     }
 }
 
-/// Fan-out API sets: which names start a parallel region.
-///
-/// Defaults cover std (`spawn`, `scope`) and the rayon surface; the
-/// rayon shim *declares* its own entry points with analyzer-visible
-/// annotations (`// audit: fanout-source(into_par_iter)` /
-/// `fanout-entry(map)`), which are merged in by [`load_root`] so the
-/// shim and the analyzer cannot drift apart silently.
-#[derive(Clone, Debug)]
-pub struct FanoutApis {
-    /// Receiver-chain markers that make a method chain parallel
-    /// (`into_par_iter`, `par_iter`, …).
-    pub sources: Vec<String>,
-    /// Closure-taking combinators on a parallel chain (`map`,
-    /// `for_each`, `reduce`, …).
-    pub entries: Vec<String>,
-    /// Free/method calls whose closure argument runs on another thread
-    /// regardless of receiver (`spawn`, `scope`).
-    pub direct: Vec<String>,
-}
-
-impl Default for FanoutApis {
-    fn default() -> Self {
-        let v = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect();
-        FanoutApis {
-            sources: v(&["into_par_iter", "par_iter", "par_iter_mut", "par_chunks"]),
-            entries: v(&[
-                "map",
-                "for_each",
-                "reduce",
-                "fold",
-                "filter",
-                "filter_map",
-                "flat_map",
-                "inspect",
-            ]),
-            direct: v(&["spawn", "scope"]),
-        }
-    }
-}
-
-impl FanoutApis {
-    /// Merge `audit: fanout-…(name)` annotations found in `text`
-    /// (typically a shim source file) into the sets.
-    pub fn merge_annotations(&mut self, text: &str) {
-        for (marker, bucket) in [
-            ("audit: fanout-source(", 0usize),
-            ("audit: fanout-entry(", 1),
-            ("audit: fanout-direct(", 2),
-        ] {
-            for (pos, _) in text.match_indices(marker) {
-                let rest = &text[pos + marker.len()..];
-                if let Some(end) = rest.find(')') {
-                    let name = rest[..end].trim().to_string();
-                    if name.is_empty()
-                        || !name.chars().all(|c| c == '_' || c.is_ascii_alphanumeric())
-                    {
-                        continue;
-                    }
-                    let set = match bucket {
-                        0 => &mut self.sources,
-                        1 => &mut self.entries,
-                        _ => &mut self.direct,
-                    };
-                    if !set.contains(&name) {
-                        set.push(name);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Inline suppressions: `// audit:allow(CODE): reason`.
 #[derive(Debug, Default)]
 pub struct Suppressions {
@@ -425,24 +353,18 @@ pub fn walk_lib_sources(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
     Ok(files)
 }
 
-/// Parse the library sources under `root` (the repo checkout), with the
-/// fan-out sets extended by the rayon shim's annotations.
-pub fn load_root(root: &Path) -> io::Result<(Workspace, FanoutApis)> {
+/// Parse the library sources under `root` (the repo checkout).
+pub fn load_root(root: &Path) -> io::Result<Workspace> {
     let mut ws = Workspace::default();
     for (rel, path) in walk_lib_sources(root)? {
         ws.add_file(&rel, fs::read_to_string(path)?);
     }
-    let mut apis = FanoutApis::default();
-    if let Ok(text) = fs::read_to_string(root.join("crates/shims/rayon/src/lib.rs")) {
-        apis.merge_annotations(&text);
-    }
-    Ok((ws, apis))
+    Ok(ws)
 }
 
 /// What a pass sees: the parsed workspace and what is derived from it.
 struct Context<'a> {
     ws: &'a Workspace,
-    apis: &'a FanoutApis,
     cg: CallGraph,
     regions: Vec<Region>,
 }
@@ -456,7 +378,7 @@ const PASSES: [(&str, PassFn); 8] = [
         capture::check(cx.ws, &cx.cg, &cx.regions, out)
     }),
     ("reduction", |cx, out| {
-        reduction::check(cx.ws, &cx.cg, &cx.regions, cx.apis, out)
+        reduction::check(cx.ws, &cx.cg, &cx.regions, out)
     }),
     ("ordering", |cx, out| ordering::check(cx.ws, &cx.cg, out)),
     ("spans", |cx, out| spans::check(cx.ws, out)),
@@ -496,33 +418,24 @@ impl Analysis {
     /// every pass.
     pub fn run_root(root: &Path) -> io::Result<Analysis> {
         let started = Instant::now();
-        let (ws, apis) = load_root(root)?;
-        let mut analysis = Analysis::run(&ws, &apis);
+        let ws = load_root(root)?;
+        let mut analysis = Analysis::run(&ws);
         analysis.elapsed_ms = started.elapsed().as_millis();
         Ok(analysis)
     }
 
     /// Analyze an already-parsed workspace with every pass.
-    pub fn run(ws: &Workspace, apis: &FanoutApis) -> Analysis {
-        Analysis::run_passes(ws, apis, |_| true)
+    pub fn run(ws: &Workspace) -> Analysis {
+        Analysis::run_passes(ws, |_| true)
     }
 
     /// Analyze with the passes whose names `select` accepts (see
     /// [`SOURCE_RULE_PASSES`]).
-    pub fn run_passes(
-        ws: &Workspace,
-        apis: &FanoutApis,
-        select: impl Fn(&str) -> bool,
-    ) -> Analysis {
+    pub fn run_passes(ws: &Workspace, select: impl Fn(&str) -> bool) -> Analysis {
         let started = Instant::now();
         let cg = CallGraph::build(ws);
-        let regions = regions::find_regions(ws, &cg, apis);
-        let cx = Context {
-            ws,
-            apis,
-            cg,
-            regions,
-        };
+        let regions = regions::find_regions(ws, &cg);
+        let cx = Context { ws, cg, regions };
         let mut suppress = Suppressions::default();
         for f in &ws.files {
             suppress.collect(f);
@@ -622,7 +535,7 @@ impl Analysis {
 pub(crate) fn analyze_str(src: &str) -> Vec<Finding> {
     let mut ws = Workspace::default();
     ws.add_file("lib.rs", src.to_owned());
-    Analysis::run(&ws, &FanoutApis::default()).findings
+    Analysis::run(&ws).findings
 }
 
 #[cfg(test)]
@@ -643,22 +556,6 @@ mod tests {
         assert!(s.covers("lib.rs", 2, "CM-A006"), "line-above rule");
         assert!(!s.covers("lib.rs", 2, "CM-A001"), "reason-less is void");
         assert!(!s.covers("other.rs", 1, "CM-A006"));
-    }
-
-    #[test]
-    fn fanout_annotations_merge() {
-        let mut apis = FanoutApis::default();
-        apis.merge_annotations(
-            "/// Runs f on workers. audit: fanout-entry(with_chunks)\n\
-             /// audit: fanout-source(into_par_windows)\nfn x() {}\n",
-        );
-        assert!(apis.entries.iter().any(|e| e == "with_chunks"));
-        assert!(apis.sources.iter().any(|e| e == "into_par_windows"));
-        // Defaults still present; no duplicates on re-merge.
-        let before = apis.entries.len();
-        apis.merge_annotations("audit: fanout-entry(with_chunks)");
-        assert_eq!(apis.entries.len(), before);
-        assert!(apis.entries.iter().any(|e| e == "map"));
     }
 
     #[test]

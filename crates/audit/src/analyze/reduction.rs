@@ -17,8 +17,8 @@
 //! `collect()` into `Vec` is not flagged: indexed collection preserves
 //! input order regardless of execution order.
 
-use super::regions::{worker_seeds, Region};
-use super::{Code, FanoutApis, Finding};
+use super::regions::{worker_seeds, Region, ENTRIES};
+use super::{Code, Finding};
 use crate::ast::{bound_idents, param_idents, File, Workspace};
 use crate::callgraph::CallGraph;
 use crate::lexer::{Delim, LitKind, TokKind};
@@ -40,20 +40,14 @@ const MERGE_METHODS: [&str; 7] = [
 ];
 
 /// Run the reduction passes over all regions.
-pub fn check(
-    ws: &Workspace,
-    cg: &CallGraph,
-    regions: &[Region],
-    apis: &FanoutApis,
-    findings: &mut Vec<Finding>,
-) {
+pub fn check(ws: &Workspace, cg: &CallGraph, regions: &[Region], findings: &mut Vec<Finding>) {
     for region in regions {
         let head = region.describe(ws);
         let file = &ws.files[region.file];
 
         // A004 — float accumulation through a reducing terminal of this
         // chain (entry-method regions only; spawn/scope have no chain).
-        if apis.entries.contains(&region.api) {
+        if ENTRIES.contains(&region.api.as_str()) {
             let stmt = statement_range(file, region.tok);
             if has_reducer(file, &stmt) {
                 let mut floaty = has_float(file, &stmt);

@@ -1,23 +1,44 @@
 //! Parallel-region discovery: find every fan-out site in the workspace
 //! and the worker code it hands off.
 //!
-//! A *region* is one fan-out call site — `chunks.into_par_iter().map(f)`,
-//! `thread::scope(|s| …)`, `s.spawn(move || …)` — together with the
-//! worker code it runs: closure literals passed in argument position and
-//! named function/closure references (`.map(fill_routes)`). The passes
-//! then reason over the region's *reachable set* (worker roots plus
-//! everything the call graph reaches from them).
+//! A *region* is one fan-out call site — `run_tasks(n, |i| …)`,
+//! `run_each(pieces, fill)`, `thread::scope(|s| …)`,
+//! `s.spawn(move || …)`, or a data-parallel chain such as
+//! `chunks.into_par_iter().map(f)` — together with the worker code it
+//! runs: closure literals passed in argument position and named
+//! function/closure references (`run_each(pieces, fill_routes)`). The
+//! passes then reason over the region's *reachable set* (worker roots
+//! plus everything the call graph reaches from them).
 //!
 //! A method entry like `.map(…)` only counts as a fan-out when its
 //! receiver chain (scanned backwards to the statement boundary) contains
 //! a parallel source marker (`into_par_iter`, `par_iter`, …) — a plain
 //! `vec.iter().map(…)` never forms a region.
 
-use super::FanoutApis;
 use crate::ast::{closure_at, Closure, File, Workspace};
 use crate::callgraph::CallGraph;
 use crate::lexer::{Delim, TokKind};
 use std::ops::Range;
+
+/// Receiver-chain markers that make a method chain parallel.
+pub(crate) const SOURCES: [&str; 4] = ["into_par_iter", "par_iter", "par_iter_mut", "par_chunks"];
+
+/// Closure-taking combinators that fan out when they sit on a parallel
+/// chain.
+pub(crate) const ENTRIES: [&str; 8] = [
+    "map",
+    "for_each",
+    "reduce",
+    "fold",
+    "filter",
+    "filter_map",
+    "flat_map",
+    "inspect",
+];
+
+/// Calls whose closure argument runs on another thread regardless of
+/// receiver: std's thread API and the `cubemesh-pool` entry points.
+pub(crate) const DIRECT: [&str; 4] = ["spawn", "scope", "run_tasks", "run_each"];
 
 /// One fan-out site and its worker code.
 #[derive(Clone, Debug)]
@@ -50,7 +71,7 @@ impl Region {
 }
 
 /// Find every parallel region in non-test workspace code.
-pub fn find_regions(ws: &Workspace, cg: &CallGraph, apis: &FanoutApis) -> Vec<Region> {
+pub fn find_regions(ws: &Workspace, cg: &CallGraph) -> Vec<Region> {
     let mut out: Vec<Region> = Vec::new();
     for (fi, f) in ws.lib_fns() {
         let file = &ws.files[f.file];
@@ -59,13 +80,12 @@ pub fn find_regions(ws: &Workspace, cg: &CallGraph, apis: &FanoutApis) -> Vec<Re
             let t = &file.tokens[i];
             if t.is_code() && t.kind == TokKind::Ident && !file.in_macro_def(t.span.start) {
                 let name = file.text(i);
-                let is_direct = apis.direct.iter().any(|d| d == name);
-                let is_entry = apis.entries.iter().any(|d| d == name);
+                let is_direct = DIRECT.contains(&name);
+                let is_entry = ENTRIES.contains(&name);
                 if is_direct || is_entry {
                     if let Some(open) = call_open_paren(file, i) {
                         let qualifies = is_direct
-                            || (is_method_call(file, i)
-                                && chain_has_source(file, f.body.start, i, apis));
+                            || (is_method_call(file, i) && chain_has_source(file, f.body.start, i));
                         if qualifies {
                             let close = file.matching(open);
                             let (closures, roots) =
@@ -111,7 +131,7 @@ fn is_method_call(file: &File, i: usize) -> bool {
 /// source marker? Scans backwards to the statement/argument boundary:
 /// a `;`/`{`/`}`/`=` at relative depth 0, or the opening delimiter of an
 /// enclosing group (relative depth < 0).
-fn chain_has_source(file: &File, body_start: usize, i: usize, apis: &FanoutApis) -> bool {
+fn chain_has_source(file: &File, body_start: usize, i: usize) -> bool {
     let mut depth = 0i32;
     let mut j = i;
     while j > body_start {
@@ -128,7 +148,7 @@ fn chain_has_source(file: &File, body_start: usize, i: usize, apis: &FanoutApis)
                     return false;
                 }
             }
-            TokKind::Ident if apis.sources.iter().any(|s| s == file.text(j)) => {
+            TokKind::Ident if SOURCES.contains(&file.text(j)) => {
                 return true;
             }
             TokKind::Punct if depth == 0 && (file.is(j, ";") || file.is(j, "=")) => {
@@ -257,8 +277,7 @@ mod tests {
         let mut ws = Workspace::default();
         ws.add_file("lib.rs", src.to_owned());
         let cg = CallGraph::build(&ws);
-        let apis = FanoutApis::default();
-        let r = find_regions(&ws, &cg, &apis);
+        let r = find_regions(&ws, &cg);
         (ws, cg, r)
     }
 
@@ -296,6 +315,21 @@ mod tests {
         let (_, _, r) = regions_of("fn f() {\n    spawn(move || { work(); });\n}\nfn work() {}\n");
         assert_eq!(r.len(), 1, "{r:?}");
         assert_eq!(r[0].api, "spawn");
+    }
+
+    #[test]
+    fn pool_calls_are_direct_regions() {
+        let (ws, _, r) = regions_of(
+            "fn f(pieces: Vec<&mut [u64]>, n: usize) {\n    \
+             let fill = |p: &mut [u64]| p.fill(1);\n    \
+             cubemesh_pool::run_each(pieces, fill);\n    \
+             let _ = cubemesh_pool::run_tasks(n, |i| i + 1);\n}\n",
+        );
+        let apis: Vec<&str> = r.iter().map(|x| x.api.as_str()).collect();
+        assert_eq!(apis, ["run_each", "run_tasks"], "{r:?}");
+        assert_eq!(r[0].roots.len(), 1, "named worker of run_each");
+        assert!(ws.fns[r[0].roots[0]].is_closure);
+        assert_eq!(r[1].closures.len(), 1, "closure literal of run_tasks");
     }
 
     #[test]

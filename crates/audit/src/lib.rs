@@ -53,7 +53,7 @@ pub mod manytoone;
 pub mod sarif;
 pub mod torus;
 
-pub use analyze::{baseline_keys, Analysis, Code, FanoutApis, Finding};
+pub use analyze::{baseline_keys, Analysis, Code, Finding};
 pub use bounds::{manytoone_floors, mesh_floors, torus_floors, Floors};
 pub use certificate::{certify, check_plan, dilation_floor, AuditError, Certificate};
 pub use crosscheck::{

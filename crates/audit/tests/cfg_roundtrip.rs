@@ -25,7 +25,7 @@ use std::path::Path;
 /// Load every library source the real analyzer run reads.
 fn workspace() -> Workspace {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let (ws, _) = cubemesh_audit::analyze::load_root(&root).expect("load workspace");
+    let ws = cubemesh_audit::analyze::load_root(&root).expect("load workspace");
     assert!(
         ws.files.len() > 50,
         "workspace walk found only {} files",

@@ -4,7 +4,7 @@
 //! self-test, so a pass that silently stops firing breaks the build
 //! even while the workspace itself is clean.
 
-use cubemesh_audit::analyze::{Analysis, FanoutApis};
+use cubemesh_audit::analyze::Analysis;
 use cubemesh_audit::ast::Workspace;
 use cubemesh_audit::Code;
 use std::fs;
@@ -48,7 +48,7 @@ fn analyze_fixture(name: &str) -> Analysis {
     let src = fs::read_to_string(dir.join(name)).unwrap_or_else(|e| panic!("fixture {name}: {e}"));
     let mut ws = Workspace::default();
     ws.add_file(name, src);
-    Analysis::run(&ws, &FanoutApis::default())
+    Analysis::run(&ws)
 }
 
 #[test]

@@ -246,10 +246,11 @@ fn to_json(rungs: &[Rung], threads: usize, kernels: &[KernelRung]) -> String {
         .map(|n| n.get())
         .unwrap_or(1);
     let _ = writeln!(out, "  \"host_cores\": {cores},");
-    // Honest-baseline marker: with the shim backend on one worker,
+    // Honest-baseline marker: with the pool on one worker,
     // `speedup_construct_metrics` < 1.0 is the forced two-shard merge
     // overhead on a sequential host, not a parallelism regression.
-    let _ = writeln!(out, "  \"parallel_backend\": \"{}\",", rayon::backend());
+    let backend = cubemesh_pool::backend_name();
+    let _ = writeln!(out, "  \"parallel_backend\": \"{backend}\",");
     out.push_str("  \"rungs\": [\n");
     for (i, r) in rungs.iter().enumerate() {
         out.push_str("    {");
@@ -653,7 +654,7 @@ fn main() -> ExitCode {
     if let Some(t) = flag_value(&args, "--threads") {
         std::env::set_var("CUBEMESH_THREADS", &t);
     }
-    let threads = rayon::current_num_threads();
+    let threads = cubemesh_pool::effective_threads();
     // Lead with the execution environment so a pasted bench line can't be
     // mistaken for numbers from a real work-stealing pool.
     println!(
@@ -661,7 +662,7 @@ fn main() -> ExitCode {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
-        rayon::backend()
+        cubemesh_pool::backend_name()
     );
     let par_only = args.iter().any(|a| a == "--par-only");
     let reps: usize = flag_value(&args, "--reps")
@@ -798,11 +799,11 @@ fn main() -> ExitCode {
         // not comparable, so a backend mismatch is a hard error, not a
         // warning — regenerate the baseline on the current backend.
         if let Some(backend) = &baseline.parallel_backend {
-            if backend != rayon::backend() {
+            if backend != cubemesh_pool::backend_name() {
                 eprintln!(
                     "cubemesh-bench: baseline backend '{backend}' != current '{}' — \
                      refusing to compare different executors; regenerate {base_path}",
-                    rayon::backend()
+                    cubemesh_pool::backend_name()
                 );
                 return ExitCode::FAILURE;
             }

@@ -5,7 +5,7 @@
 //! for classifying 10⁸. This module re-states the planner's *existence*
 //! logic as (a) a precomputed 2-D bitmap ([`Cover2`]) and (b) a memoized
 //! 3-D recursion over an immutable context ([`Cover3`]), so censuses can
-//! shard across rayon workers (each worker owns a small 3-D memo; the 2-D
+//! shard across pool workers (each worker owns a small 3-D memo; the 2-D
 //! bitmap is shared read-only). A dedicated test cross-checks both against
 //! the real planner.
 //!

@@ -10,7 +10,6 @@ use cubemesh_obs::Progress;
 use cubemesh_topology::cube_dim;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use rayon::prelude::*;
 
 /// Closed form `f_k(½)` (Theorem 2).
 pub fn gray_fraction_closed_form(k: u32) -> f64 {
@@ -52,35 +51,36 @@ pub fn gray_fraction_exact(k: u32, n: u32) -> Option<f64> {
     let limit = 1u64 << n;
     match k {
         1 => Some(1.0), // one axis is always minimal
+        // One task per first axis `a = i + 1`.
         2 => {
-            let hits: u64 = (1..=limit)
-                .into_par_iter()
-                .map(|a| {
-                    (1..=limit)
-                        .filter(|&b| cube_dim(a) + cube_dim(b) == cube_dim(a * b))
-                        .count() as u64
-                })
-                .sum();
+            let hits: u64 = cubemesh_pool::run_tasks(limit as usize, |i| {
+                let a = i as u64 + 1;
+                (1..=limit)
+                    .filter(|&b| cube_dim(a) + cube_dim(b) == cube_dim(a * b))
+                    .count() as u64
+            })
+            .into_iter()
+            .sum();
             Some(hits as f64 / (limit * limit) as f64)
         }
         3 => {
             let progress = Progress::new("gray-fraction", limit);
-            let hits: u64 = (1..=limit)
-                .into_par_iter()
-                .map(|a| {
-                    let mut h = 0u64;
-                    for b in 1..=limit {
-                        let ab = cube_dim(a) + cube_dim(b);
-                        for c in 1..=limit {
-                            if ab + cube_dim(c) == cube_dim(a * b * c) {
-                                h += 1;
-                            }
+            let hits: u64 = cubemesh_pool::run_tasks(limit as usize, |i| {
+                let a = i as u64 + 1;
+                let mut h = 0u64;
+                for b in 1..=limit {
+                    let ab = cube_dim(a) + cube_dim(b);
+                    for c in 1..=limit {
+                        if ab + cube_dim(c) == cube_dim(a * b * c) {
+                            h += 1;
                         }
                     }
-                    progress.tick(1);
-                    h
-                })
-                .sum();
+                }
+                progress.tick(1);
+                h
+            })
+            .into_iter()
+            .sum();
             progress.finish();
             Some(hits as f64 / (limit * limit * limit) as f64)
         }

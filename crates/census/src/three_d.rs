@@ -5,7 +5,6 @@ use crate::cover::{workspace_catalog, Cover2, Cover3};
 use cubemesh_core::classify::{method1, method2, method3, method4};
 use cubemesh_obs as obs;
 use cubemesh_obs::Progress;
-use rayon::prelude::*;
 
 /// Census results for one `n`.
 #[derive(Clone, Debug)]
@@ -78,53 +77,53 @@ pub fn census_3d(n: u32) -> ThreeDCensus {
     let uncovered_ctr = obs::counter_named("census.uncovered");
     let constructive_ctr = obs::counter_named("census.constructive");
 
-    let (by_method, uncovered, constructive) = (1..=limit)
-        .into_par_iter()
-        .map(|a| {
-            let mut c3 = Cover3::new(&c2, &three);
-            let mut by = [0u64; 4];
-            let mut unc = 0u64;
-            let mut cons = 0u64;
-            let mut visited = 0u64;
-            for b in a..=limit {
-                for c in b..=limit {
-                    visited += 1;
-                    let w = multiplicity(a, b, c);
-                    let (x, y, z) = (a as u64, b as u64, c as u64);
-                    if method1(x, y, z) {
-                        by[0] += w;
-                    } else if method2(x, y, z) {
-                        by[1] += w;
-                    } else if method3(x, y, z) {
-                        by[2] += w;
-                    } else if method4(x, y, z) {
-                        by[3] += w;
-                    } else {
-                        unc += w;
-                    }
-                    if c3.covered(a, b, c) {
-                        cons += w;
-                    }
+    // One task per smallest axis `a`; the slices are summed in `a` order.
+    let slices = cubemesh_pool::run_tasks(limit, |i| {
+        let a = i + 1;
+        let mut c3 = Cover3::new(&c2, &three);
+        let mut by = [0u64; 4];
+        let mut unc = 0u64;
+        let mut cons = 0u64;
+        let mut visited = 0u64;
+        for b in a..=limit {
+            for c in b..=limit {
+                visited += 1;
+                let w = multiplicity(a, b, c);
+                let (x, y, z) = (a as u64, b as u64, c as u64);
+                if method1(x, y, z) {
+                    by[0] += w;
+                } else if method2(x, y, z) {
+                    by[1] += w;
+                } else if method3(x, y, z) {
+                    by[2] += w;
+                } else if method4(x, y, z) {
+                    by[3] += w;
+                } else {
+                    unc += w;
+                }
+                if c3.covered(a, b, c) {
+                    cons += w;
                 }
             }
-            // One atomic batch per slice keeps the inner loop metric-free.
-            for (ctr, &n) in method_ctrs.iter().zip(&by) {
-                ctr.add(n);
-            }
-            uncovered_ctr.add(unc);
-            constructive_ctr.add(cons);
-            progress.tick(visited);
-            (by, unc, cons)
-        })
-        .reduce(
-            || ([0u64; 4], 0u64, 0u64),
-            |(mut b1, u1, c1), (b2, u2, c2)| {
-                for i in 0..4 {
-                    b1[i] += b2[i];
-                }
-                (b1, u1 + u2, c1 + c2)
-            },
-        );
+        }
+        // One atomic batch per slice keeps the inner loop metric-free.
+        for (ctr, &n) in method_ctrs.iter().zip(&by) {
+            ctr.add(n);
+        }
+        uncovered_ctr.add(unc);
+        constructive_ctr.add(cons);
+        progress.tick(visited);
+        (by, unc, cons)
+    });
+    let mut by_method = [0u64; 4];
+    let (mut uncovered, mut constructive) = (0u64, 0u64);
+    for (by, unc, cons) in slices {
+        for (total, n) in by_method.iter_mut().zip(by) {
+            *total += n;
+        }
+        uncovered += unc;
+        constructive += cons;
+    }
 
     progress.finish();
     let total = (limit as u64).pow(3);

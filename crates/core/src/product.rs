@@ -20,8 +20,8 @@
 use cubemesh_embedding::builders::{node_chunks, split_at_ends, MeshEdgeView};
 use cubemesh_embedding::{Embedding, RouteSet};
 use cubemesh_obs as obs;
+use cubemesh_pool::{run_each, run_tasks};
 use cubemesh_topology::{Hypercube, Shape};
-use rayon::prelude::*;
 use std::ops::Range;
 
 /// Edge-id lookup for the canonical mesh edge enumeration: `id(node, axis)`
@@ -176,11 +176,7 @@ pub fn mesh_product_embedding(
     let chunks = node_chunks(nodes);
     let arena_ends: Vec<usize> = {
         let _span = obs::span!("product.count");
-        let sizes: Vec<usize> = chunks
-            .clone()
-            .into_par_iter()
-            .map(|range| lowering.route_nodes(range))
-            .collect();
+        let sizes = run_tasks(chunks.len(), |i| lowering.route_nodes(chunks[i].clone()));
         sizes
             .iter()
             .scan(0, |end, &size| {
@@ -214,10 +210,7 @@ pub fn mesh_product_embedding(
                 arena,
             })
             .collect();
-        pieces
-            .into_par_iter()
-            .map(|piece| lowering.fill(piece))
-            .collect::<Vec<()>>();
+        run_each(pieces, |piece| lowering.fill(piece));
     }
     Embedding::new_mesh(shape, host, map, RouteSet::from_parts(offsets, arena))
 }

@@ -13,8 +13,8 @@ use crate::map::Embedding;
 use crate::route::RouteSet;
 use crate::router::{route_all, RouteStrategy};
 use cubemesh_gray::{gray_fill_run, gray_mesh_address, AxisLayout};
+use cubemesh_pool::run_each;
 use cubemesh_topology::{Hypercube, Mesh, Shape};
-use rayon::prelude::*;
 use std::ops::Range;
 
 /// Below this many guest nodes a mesh sweep stays sequential: thread
@@ -22,11 +22,11 @@ use std::ops::Range;
 /// of such small shapes in a tight loop.
 pub const PAR_MIN_NODES: usize = 1 << 15;
 
-/// Contiguous node ranges for a parallel mesh sweep: one per rayon
+/// Contiguous node ranges for a parallel mesh sweep: one per pool
 /// worker, or a single whole-range chunk when the sweep is too small (or
 /// the worker pool has one thread) to be worth fanning out.
 pub fn node_chunks(nodes: usize) -> Vec<Range<usize>> {
-    let threads = rayon::current_num_threads();
+    let threads = cubemesh_pool::effective_threads();
     if threads <= 1 || nodes < PAR_MIN_NODES {
         return std::iter::once(0..nodes).collect();
     }
@@ -207,17 +207,15 @@ pub fn mesh_edge_list(mesh: &Mesh) -> Vec<(u32, u32)> {
 pub fn fill_node_map(shape: &Shape, f: impl Fn(&[usize]) -> u64 + Sync) -> Vec<u64> {
     let nodes = shape.nodes();
     let mut map = vec![0u64; nodes];
-    node_chunk_pieces(&mut map, nodes, |node| node)
-        .into_par_iter()
-        .map(|(range, out)| {
-            let mut coords = vec![0usize; shape.rank()];
-            shape.coords_into(range.start, &mut coords);
-            for slot in out {
-                *slot = f(&coords);
-                shape.advance_coords(&mut coords);
-            }
-        })
-        .collect::<Vec<()>>();
+    let pieces = node_chunk_pieces(&mut map, nodes, |node| node);
+    run_each(pieces, |(range, out)| {
+        let mut coords = vec![0usize; shape.rank()];
+        shape.coords_into(range.start, &mut coords);
+        for slot in out {
+            *slot = f(&coords);
+            shape.advance_coords(&mut coords);
+        }
+    });
     map
 }
 
@@ -267,25 +265,23 @@ fn gray_node_map(shape: &Shape, layout: &AxisLayout) -> Vec<u64> {
     let last = shape.len(rank - 1);
     let shift = layout.bit_offset(rank - 1);
     let mut map = vec![0u64; nodes];
-    node_chunk_pieces(&mut map, nodes, |node| node)
-        .into_par_iter()
-        .map(|(range, mut out)| {
-            let mut coords = vec![0usize; rank];
-            // A chunk boundary may fall mid-run; re-derive coordinates per
-            // run start and emit the (possibly clipped) run in one call.
-            let mut pos = range.start;
-            while !out.is_empty() {
-                shape.coords_into(pos, &mut coords);
-                let x0 = coords[rank - 1];
-                let run = (last - x0).min(out.len());
-                let (head, rest) = out.split_at_mut(run);
-                let base = gray_mesh_address(layout, &coords[..rank - 1]);
-                gray_fill_run(head, x0 as u64, base, shift);
-                pos += run;
-                out = rest;
-            }
-        })
-        .collect::<Vec<()>>();
+    let pieces = node_chunk_pieces(&mut map, nodes, |node| node);
+    run_each(pieces, |(range, mut out)| {
+        let mut coords = vec![0usize; rank];
+        // A chunk boundary may fall mid-run; re-derive coordinates per
+        // run start and emit the (possibly clipped) run in one call.
+        let mut pos = range.start;
+        while !out.is_empty() {
+            shape.coords_into(pos, &mut coords);
+            let x0 = coords[rank - 1];
+            let run = (last - x0).min(out.len());
+            let (head, rest) = out.split_at_mut(run);
+            let base = gray_mesh_address(layout, &coords[..rank - 1]);
+            gray_fill_run(head, x0 as u64, base, shift);
+            pos += run;
+            out = rest;
+        }
+    });
     map
 }
 
@@ -306,17 +302,15 @@ pub fn gray_mesh_embedding(shape: &Shape) -> Embedding {
     // route `i` is `lanes[2i..2i + 2]`, so a node chunk owns the lanes of
     // the edges its nodes start.
     let mut lanes = vec![0u64; 2 * view.edge_count()];
-    node_chunk_pieces(&mut lanes, shape.nodes(), |node| {
+    let pieces = node_chunk_pieces(&mut lanes, shape.nodes(), |node| {
         2 * view.edges_before_node(node)
-    })
-    .into_par_iter()
-    .map(|(range, out)| {
+    });
+    run_each(pieces, |(range, out)| {
         for ((u, v), lane) in view.iter_nodes(range).zip(out.chunks_exact_mut(2)) {
             lane[0] = map[u as usize];
             lane[1] = map[v as usize];
         }
-    })
-    .collect::<Vec<()>>();
+    });
     Embedding::new_mesh(shape, host, map, RouteSet::from_pairs(lanes))
 }
 

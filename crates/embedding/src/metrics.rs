@@ -22,8 +22,8 @@
 use crate::builders::PAR_MIN_NODES;
 use crate::map::Embedding;
 use cubemesh_obs as obs;
+use cubemesh_pool::{effective_threads, run_tasks};
 use cubemesh_topology::Hypercube;
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -57,11 +57,11 @@ impl Metrics {
 }
 
 /// Compute all metrics of an embedding. Dispatches to the sharded path when
-/// more than one rayon thread is available and the route arena is large
+/// more than one pool thread is available and the route arena is large
 /// enough to amortize the worker hand-off; both paths return identical
 /// values.
 pub fn metrics(e: &Embedding) -> Metrics {
-    if rayon::current_num_threads() > 1 && e.routes().total_length() >= PAR_MIN_NODES as u64 {
+    if effective_threads() > 1 && e.routes().total_length() >= PAR_MIN_NODES as u64 {
         metrics_par(e)
     } else {
         metrics_seq(e)
@@ -81,7 +81,7 @@ pub fn metrics_seq(e: &Embedding) -> Metrics {
 /// exactly with [`metrics_seq`].
 pub fn metrics_par(e: &Embedding) -> Metrics {
     let _span = obs::span!("metrics.par");
-    let parts = rayon::current_num_threads().max(2);
+    let parts = effective_threads().max(2);
     obs::trace::gauge("metrics.shards", parts as u64);
     dil_cong_dispatch(e, parts)
 }
@@ -246,10 +246,10 @@ fn dil_cong_bucketed(e: &Embedding, parts: usize) -> (u32, u32) {
             .step_by(chunk)
             .map(|lo| (lo, (lo + chunk).min(n)))
             .collect();
-        bounds
-            .into_par_iter()
-            .map(|(lo, hi)| gather_shard(e, lo, hi, nbuckets))
-            .collect()
+        run_tasks(bounds.len(), |i| {
+            let (lo, hi) = bounds[i];
+            gather_shard(e, lo, hi, nbuckets)
+        })
     };
     let dil = shards.iter().map(|s| s.dil).max().unwrap_or(0);
     let shards = &shards;
@@ -263,10 +263,12 @@ fn dil_cong_bucketed(e: &Embedding, parts: usize) -> (u32, u32) {
             .step_by(group)
             .map(|blo| (blo, (blo + group).min(nbuckets)))
             .collect();
-        groups
-            .into_par_iter()
-            .map(|(blo, bhi)| bucket_group_max(shards, blo, bhi, space))
-            .reduce(|| 0u32, u32::max)
+        run_tasks(groups.len(), |g| {
+            let (blo, bhi) = groups[g];
+            bucket_group_max(shards, blo, bhi, space)
+        })
+        .into_iter()
+        .fold(0, u32::max)
     };
     (dil, congestion)
 }
@@ -330,10 +332,10 @@ where
         .step_by(chunk)
         .map(|lo| (lo, (lo + chunk).min(n)))
         .collect();
-    let shards: Vec<(u32, Vec<T>)> = bounds
-        .into_par_iter()
-        .map(|(lo, hi)| gather(lo, hi))
-        .collect();
+    let shards: Vec<(u32, Vec<T>)> = run_tasks(bounds.len(), |i| {
+        let (lo, hi) = bounds[i];
+        gather(lo, hi)
+    });
     let dil = shards.iter().map(|s| s.0).max().unwrap_or(0);
     let lists: Vec<Vec<T>> = shards.into_iter().map(|s| s.1).collect();
     (dil, max_run_merged(&lists))

@@ -5,7 +5,7 @@
 //! tests, so a bug in any builder surfaces as a precise [`VerifyError`].
 //!
 //! Route checks shard over contiguous edge-id chunks when more than one
-//! rayon thread is available. Chunks are scanned in order within a worker
+//! pool thread is available. Chunks are scanned in order within a worker
 //! and the error from the earliest failing chunk is reported, so the
 //! parallel path returns *exactly* the error the sequential scan would —
 //! [`verify_many_to_one_par`] and [`verify_many_to_one_seq`] are
@@ -19,8 +19,8 @@
 use crate::builders::PAR_MIN_NODES;
 use crate::map::Embedding;
 use cubemesh_obs as obs;
+use cubemesh_pool::{effective_threads, run_each};
 use cubemesh_topology::hamming;
-use rayon::prelude::*;
 use std::fmt;
 
 /// Why an embedding failed validation.
@@ -120,7 +120,7 @@ impl fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 /// Validate an embedding end to end. See [`VerifyError`] for the checks.
-/// Route checks shard across rayon threads for large edge sets; the result
+/// Route checks shard across pool threads for large edge sets; the result
 /// (including which error is reported) is identical to a sequential scan.
 pub fn verify_embedding(e: &Embedding) -> Result<(), VerifyError> {
     let addresses_checked = check_injective(e)?;
@@ -229,7 +229,7 @@ pub fn verify_many_to_one_par(e: &Embedding) -> Result<(), VerifyError> {
 
 /// Whether the route checks are worth sharding over the pool.
 fn shard_routes(e: &Embedding) -> bool {
-    rayon::current_num_threads() > 1 && e.edge_count() >= PAR_MIN_NODES
+    effective_threads() > 1 && e.edge_count() >= PAR_MIN_NODES
 }
 
 /// Address ranges (unless already proven) and every route, in one scan.
@@ -247,13 +247,11 @@ fn check_routes_par(e: &Embedding, addresses_checked: bool) -> Result<(), Verify
     if !addresses_checked {
         check_addresses(e)?;
     }
-    let parts = rayon::current_num_threads().max(2);
+    let parts = effective_threads().max(2);
     obs::trace::gauge("verify.shards", parts as u64);
-    let chunks = e.edges().chunks(parts);
-    let results: Vec<Result<(), VerifyError>> = chunks
-        .into_par_iter()
-        .map(|(first_edge, edges)| check_route_range(e, first_edge, edges))
-        .collect();
+    let results = run_each(e.edges().chunks(parts), |(first_edge, edges)| {
+        check_route_range(e, first_edge, edges)
+    });
     // Chunks cover ascending edge-id ranges, and within a chunk the scan is
     // sequential — so the first Err in chunk order is the globally first.
     for r in results {

@@ -11,14 +11,14 @@
 //! # Model
 //!
 //! * [`Counter`] — a sharded monotonic `u64` (8 cache-padded shards,
-//!   thread-indexed) so rayon workers don't contend on one cache line.
+//!   thread-indexed) so pool workers don't contend on one cache line.
 //! * [`Histogram`] — log2-bucketed value/latency distribution with
 //!   exact count, sum, min and max.
 //! * [`SpanTimer`] — RAII wall-clock timer; nested spans build a
 //!   `parent/child` path via a thread-local span stack and record
 //!   nanoseconds into a histogram per path.
 //! * [`Progress`] — rate-limited `\r`-style progress line with ETA,
-//!   safe to tick from rayon workers.
+//!   safe to tick from pool workers.
 //! * a process-global named-metric registry behind the [`counter!`],
 //!   [`histogram!`] and [`span!`] macros, snapshot-able at any point as
 //!   human text or JSON ([`snapshot`], [`Snapshot`]).

@@ -6,7 +6,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Number of counter shards. Power of two so the thread index wraps with
-/// a mask; 8 is enough to keep a handful of rayon workers off each
+/// a mask; 8 is enough to keep a handful of pool workers off each
 /// other's cache lines without bloating every counter.
 const SHARDS: usize = 8;
 
@@ -23,7 +23,7 @@ thread_local! {
 }
 
 /// A monotonic event counter, sharded across cache lines so concurrent
-/// rayon workers increment mostly-disjoint atomics. Reads merge shards.
+/// pool workers increment mostly-disjoint atomics. Reads merge shards.
 pub struct Counter {
     shards: [Shard; SHARDS],
 }

@@ -3,7 +3,7 @@
 //! audit: relaxed-domain(progress ticks): approximate tick counts for a
 //! human-facing rate-limited display; no cross-thread invariants.
 //!
-//! [`Progress`] is safe to tick concurrently from rayon workers: ticks
+//! [`Progress`] is safe to tick concurrently from pool workers: ticks
 //! are a relaxed `fetch_add`, and only the worker that wins a
 //! compare-exchange on the "next print due" timestamp formats and writes
 //! the line (at most ~5 lines/second to stderr).

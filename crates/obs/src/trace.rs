@@ -21,9 +21,9 @@
 //!   layer.
 //! * Events append to a **per-thread** buffer: no locks and no shared
 //!   cache lines on the hot path. A thread's buffer moves into the
-//!   global store when the thread exits (covers the scoped workers the
-//!   rayon shim spawns per parallel region) or when it exceeds a chunk
-//!   cap.
+//!   global store when the thread exits or when it exceeds a chunk cap.
+//!   Pool workers live as long as the process, so their events reach
+//!   the store through the cap only.
 //! * [`drain`] merges the store with the calling thread's buffer into a
 //!   [`TraceLog`]. Call it after parallel regions have joined — events
 //!   still buffered on other *live* threads are not visible.
@@ -152,7 +152,7 @@ fn store() -> &'static Mutex<Store> {
 
 /// This thread's event buffer. The `Drop` impl moves any remaining
 /// events into the global store when the thread exits, which is what
-/// makes scoped worker threads visible to a later [`drain`].
+/// makes an exited thread's events visible to a later [`drain`].
 struct Local {
     tid: u32,
     events: Vec<TraceEvent>,

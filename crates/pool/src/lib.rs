@@ -1,23 +1,27 @@
 //! # cubemesh-pool — persistent work-stealing executor
 //!
-//! The execution engine behind the `rayon` shim (DESIGN.md §10). A fixed
-//! set of worker threads is spawned lazily on the first parallel region
-//! and persists for the life of the process; each region distributes its
-//! task indices across per-participant deques, participants pop locally
-//! and steal half a victim's deque when their own runs dry, and the
-//! submitting caller always participates itself so a region makes
-//! progress even when every worker is busy elsewhere (which also makes
-//! nested regions deadlock-free).
+//! The workspace's one parallel API (DESIGN.md §10): every fan-out calls
+//! [`run_tasks`] (task `i` computes from index `i`) or [`run_each`] (task
+//! `i` takes item `i` by value). A fixed set of worker threads is
+//! spawned lazily on the first parallel region and persists for the
+//! life of the process; each region distributes its task indices across
+//! per-participant deques, participants pop locally and steal half a
+//! victim's deque when their own runs dry, and the submitting caller
+//! always participates itself so a region makes progress even when
+//! every worker is busy elsewhere (which also makes nested regions
+//! deadlock-free).
 //!
-//! Determinism: the pool never merges anything. `run_tasks` returns task
-//! results in task-index order regardless of which participant executed
-//! which task; callers own all reduction/merge semantics, so stealing is
-//! invisible to output bytes.
+//! Determinism: the pool never merges anything. Both entry points return
+//! task results in task-index order regardless of which participant
+//! executed which task; callers own all reduction/merge semantics, so
+//! stealing is invisible to output bytes.
 //!
-//! Sizing: `CUBEMESH_THREADS` > `available_parallelism()`, re-read at
-//! every region so benches can toggle a sequential rerun mid-process.
-//! Tests use the scoped [`with_threads`] override instead of mutating
-//! the (process-global) environment.
+//! Sizing: [`with_threads`] override > `CUBEMESH_THREADS` >
+//! `available_parallelism()`. The override and the variable are re-read
+//! at every region so benches can toggle a sequential rerun mid-process;
+//! the host's CPU count is read once. Tests use the scoped
+//! [`with_threads`] override instead of mutating the (process-global)
+//! environment.
 //!
 //! Panics: the first worker panic is captured, remaining tasks are
 //! abandoned (counted but not run), and the original payload is resumed
@@ -31,11 +35,6 @@ use std::thread;
 use std::time::Instant;
 
 use cubemesh_obs as obs;
-
-/// Regions are split into roughly `threads * OVERSPLIT` chunks by the
-/// shim so stealing can rebalance ragged workloads; exposed so callers
-/// and docs agree on the policy.
-pub const OVERSPLIT: usize = 4;
 
 /// Acquire a mutex, recovering the guard from a poisoned lock (a worker
 /// panic mid-region must not cascade into every later region).
@@ -60,8 +59,10 @@ fn env_threads(var: &str) -> Option<usize> {
 
 /// Effective parallelism for a region started on this thread right now:
 /// scoped [`with_threads`] override, else `CUBEMESH_THREADS`, else
-/// `available_parallelism()`.
+/// `available_parallelism()`. The last is read once per process: it
+/// reads the cgroup files, which costs tens of microseconds a call.
 pub fn effective_threads() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
     let forced = OVERRIDE.with(|o| o.load(SeqCst));
     if forced > 0 {
         return forced;
@@ -69,9 +70,11 @@ pub fn effective_threads() -> usize {
     if let Some(n) = env_threads("CUBEMESH_THREADS") {
         return n;
     }
-    thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    *HOST.get_or_init(|| {
+        thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Run `f` with the effective thread count pinned to `n` on this thread
@@ -381,6 +384,24 @@ where
     run_steal(tasks, threads.min(tasks), &run)
 }
 
+/// Execute `run(item)` for every item as its own task (item `i` moves
+/// into task `i`, exactly once) and return the results in item order.
+/// This is [`run_tasks`] for work handed out by value: owned `&mut`
+/// pieces of one buffer, or iterators over disjoint ranges.
+pub fn run_each<T, R, F>(items: Vec<T>, run: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    let cells: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    run_tasks(cells.len(), |i| {
+        let item = lock(&cells[i]).take();
+        // audit:allow(CM-L001): run_tasks runs task i once, so cell i is still full
+        run(item.expect("run_each item taken twice"))
+    })
+}
+
 fn run_steal<R, F>(tasks: usize, slots: usize, run: &F) -> Vec<R>
 where
     R: Send,
@@ -564,5 +585,64 @@ mod tests {
     fn zero_tasks_is_empty() {
         let got: Vec<u8> = with_threads(4, || run_tasks(0, |_| 0u8));
         assert!(got.is_empty());
+        let none: Vec<u8> = with_threads(4, || run_each(Vec::<u8>::new(), |x| x));
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn run_each_preserves_item_order() {
+        let items: Vec<String> = (0..103).map(|i| format!("item{i}")).collect();
+        for threads in [1, 2, 8] {
+            let got = with_threads(threads, || run_each(items.clone(), |s| s + "!"));
+            let want: Vec<String> = items.iter().map(|s| format!("{s}!")).collect();
+            assert_eq!(got, want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn run_each_moves_every_item_exactly_once() {
+        for threads in [1, 2, 8] {
+            let mut buf = vec![0u32; 1000];
+            let pieces: Vec<&mut [u32]> = buf.chunks_mut(37).collect();
+            let runs = AtomicUsize::new(0);
+            let lens = with_threads(threads, || {
+                run_each(pieces, |piece| {
+                    runs.fetch_add(1, SeqCst);
+                    for slot in piece.iter_mut() {
+                        *slot += 1;
+                    }
+                    piece.len()
+                })
+            });
+            assert_eq!(
+                runs.load(SeqCst),
+                1000usize.div_ceil(37),
+                "threads={threads}"
+            );
+            assert_eq!(lens.iter().sum::<usize>(), 1000, "threads={threads}");
+            assert!(buf.iter().all(|&x| x == 1), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn run_each_worker_panic_payload_resumes_on_caller() {
+        let caught = std::panic::catch_unwind(|| {
+            with_threads(4, || {
+                run_each((0..64u32).collect(), |x| {
+                    if x == 29 {
+                        panic!("each boom 29");
+                    }
+                    x
+                })
+            })
+        });
+        let payload = match caught {
+            Err(p) => p,
+            Ok(_) => panic!("expected the region to panic"),
+        };
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("each boom 29")
+        );
     }
 }

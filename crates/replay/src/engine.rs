@@ -480,17 +480,15 @@ pub fn rate_sweep(
     seed: u64,
     switching: Switching,
 ) -> Result<Vec<SweepPoint>, ReplayError> {
-    use rayon::prelude::*;
     let _span = obs::span!("replay.sweep");
     // Each rate's replay is independent and seeded identically whether it
-    // runs on the caller or a pool worker; the order-preserving collect
-    // plus first-error-in-rate-order reporting keeps the parallel sweep
+    // runs on the caller or a pool worker; the order-preserving results
+    // plus first-error-in-rate-order reporting keep the parallel sweep
     // byte-identical to the sequential loop.
-    let results: Vec<Result<SweepPoint, ReplayError>> = rates
-        .to_vec()
-        .into_par_iter()
-        .map(|(num, den)| sweep_point(emb, num, den, flits, horizon, seed, switching))
-        .collect();
+    let results = cubemesh_pool::run_tasks(rates.len(), |i| {
+        let (num, den) = rates[i];
+        sweep_point(emb, num, den, flits, horizon, seed, switching)
+    });
     results.into_iter().collect()
 }
 

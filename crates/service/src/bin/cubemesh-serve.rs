@@ -14,7 +14,7 @@
 //! certificate and a fingerprint, and prints a one-line JSON summary.
 
 use cubemesh_obs::{parse_json, JsonValue};
-use cubemesh_plandb::{build, BuildConfig};
+use cubemesh_plandb::{build, BuildConfig, MAX_BUILD_AXIS};
 use cubemesh_service::{serve, EngineConfig, QueryEngine, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -193,9 +193,16 @@ fn run_query(args: &Args) -> Result<(), String> {
         None => Vec::new(),
     };
     if let Some(census_max) = args.get("census-max") {
+        // The batch cycles through every census key up to the bound, so
+        // the bound is the build's: an empty universe has no key to
+        // cycle, and a wider one would not fit in memory.
         let max_axis: usize = census_max
             .parse()
-            .map_err(|_| format!("--census-max: bad number {census_max:?}"))?;
+            .ok()
+            .filter(|n| (1..=MAX_BUILD_AXIS).contains(n))
+            .ok_or_else(|| {
+                format!("--census-max: {census_max:?} is not a number in 1..={MAX_BUILD_AXIS}")
+            })?;
         let count = args.usize_or("count", 1024)?;
         shapes.extend(census_batch(max_axis, count));
     }

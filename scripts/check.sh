@@ -35,8 +35,10 @@ cargo test -q
 echo "== perfbench: the benchmark still builds against the library APIs =="
 # perfbench is its own workspace and builds the library crates by path,
 # so only this step (not the tier-1 build) catches a change that breaks
-# the API the benchmark uses. It only builds; nothing under perfbench/
-# changes.
+# the API the benchmark uses. It only builds. When a library crate's
+# dependencies change, cargo rewrites the tracked perfbench/Cargo.lock;
+# that rewrite is not committed (the benchmark builds without --locked,
+# so the committed lock still builds offline).
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== crate test suites (every workspace member but the root package) =="

@@ -12,9 +12,9 @@ use std::path::Path;
 
 #[test]
 fn workspace_passes_the_source_rules() {
-    let (ws, apis) = load_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("read workspace");
+    let ws = load_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("read workspace");
     assert!(ws.files.len() > 50, "found only {} files", ws.files.len());
-    let analysis = Analysis::run_passes(&ws, &apis, |p| SOURCE_RULE_PASSES.contains(&p));
+    let analysis = Analysis::run_passes(&ws, |p| SOURCE_RULE_PASSES.contains(&p));
     let ran: Vec<&str> = analysis.pass_ms.iter().map(|(name, _)| *name).collect();
     assert_eq!(ran, SOURCE_RULE_PASSES);
     assert!(

@@ -5,10 +5,13 @@
 //! * the census database bytes at max axis 24;
 //! * the canonical plan of every sorted rank-4 shape with extents ≤ 8
 //!   (the k-D bipartition path);
-//! * two rank-9 shapes, wider than any inline memo key.
+//! * two rank-9 shapes, wider than any inline memo key;
+//! * the Figure 1 and Figure 2 census counts at pool widths 1 and 8.
 
 use cubemesh::audit::fnv1a;
+use cubemesh::census::{census_3d, gray_fraction_exact};
 use cubemesh::core::Planner;
+use cubemesh::pool::with_threads;
 use cubemesh::topology::Shape;
 use cubemesh_plandb::{build, BuildConfig};
 
@@ -66,5 +69,31 @@ fn rank9_plans() {
     ] {
         let plan = planner.plan(&Shape::new(&dims)).expect("rank-9 plan");
         assert_eq!(plan.to_canonical_string(), want, "{dims:?}");
+    }
+}
+
+#[test]
+fn census_counts_at_pool_widths_1_and_8() {
+    for threads in [1, 8] {
+        let c = with_threads(threads, || census_3d(6));
+        assert_eq!(c.total, 262_144, "threads={threads}");
+        assert_eq!(
+            c.by_method,
+            [99_219, 125_054, 6_773, 13_225],
+            "threads={threads}"
+        );
+        assert_eq!(c.uncovered, 17_873, "threads={threads}");
+        assert_eq!(c.constructive, 238_690, "threads={threads}");
+        let fraction = |k, n| with_threads(threads, || gray_fraction_exact(k, n).map(f64::to_bits));
+        assert_eq!(
+            fraction(2, 8),
+            Some(0x3fe4_a340_0000_0000),
+            "threads={threads}"
+        );
+        assert_eq!(
+            fraction(3, 6),
+            Some(0x3fd8_3930_0000_0000),
+            "threads={threads}"
+        );
     }
 }
