@@ -22,8 +22,8 @@
 //!     the certified-minus-floor gaps and a plan fingerprint; --json
 //!     emits the records as a JSON array (the check.sh artifact).
 //! cubemesh-audit selfcheck [--max-axis N] [--construct-cap N] [--quick]
-//!     Certify every planner output — mesh, torus, fold and
-//!     contraction — for all canonical shapes within N^3 (default 32)
+//!     Certify every plan the strategy ladder picks — mesh, torus, fold
+//!     and contraction — for all canonical shapes within N^3 (default 32)
 //!     and cross-check constructed embeddings up to the node cap
 //!     (default 32768) against their certificates. --quick shrinks to
 //!     an 8^3 smoke pass.
@@ -38,7 +38,7 @@ use cubemesh_audit::{
     certify_fold, certify_torus, manytoone_floors, mesh_floors, sweep, sweep_contract, sweep_fold,
     sweep_torus, torus_floors, Certificate, CrosscheckError, Finding, Floors,
 };
-use cubemesh_core::Planner;
+use cubemesh_core::{plan_shape, Planner};
 use cubemesh_manytoone::plan_corollary5;
 use cubemesh_obs as obs;
 use cubemesh_topology::{cube_dim, Shape};
@@ -255,13 +255,14 @@ impl Record {
 }
 
 /// Certify one shape through every covered decomposition family: the
-/// one-to-one mesh planner, the torus driver's combination space, and
-/// the Corollary 5 fold into one dimension below the minimal cube.
+/// one-to-one mesh plan [`plan_shape`] picks, the torus driver's
+/// combination space, and the Corollary 5 fold into one dimension below
+/// the minimal cube.
 fn certify_records(planner: &mut Planner, shape: &Shape) -> Result<Vec<Record>, String> {
     let mut out = Vec::new();
     let host = cube_dim(shape.nodes() as u64);
 
-    let (cert, fp) = match planner.plan(shape) {
+    let (cert, fp) = match plan_shape(planner, shape).map(|hit| hit.plan) {
         None => (None, 0),
         Some(plan) => {
             let cert = cubemesh_audit::check_plan(shape, &plan)

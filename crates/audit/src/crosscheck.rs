@@ -11,7 +11,7 @@ use crate::bounds::{manytoone_floors, mesh_floors, torus_floors, Floors};
 use crate::certificate::{check_plan, AuditError, Certificate};
 use crate::manytoone::{certify_contract, certify_fold};
 use crate::torus::certify_torus;
-use cubemesh_core::{construct, Planner};
+use cubemesh_core::{construct, plan_shape, Planner};
 use cubemesh_embedding::{load_factor, verify_many_to_one, VerifyError};
 use cubemesh_manytoone::{build_corollary5, contract, plan_corollary5};
 use cubemesh_obs as obs;
@@ -183,8 +183,30 @@ pub struct SweepReport {
     pub unplanned: usize,
 }
 
-/// Certify one shape's planner output and, if `construct_it`, build the
-/// embedding and compare measured metrics against the certificate.
+impl SweepReport {
+    /// Count one checked case: certified (and, if `constructed`, built
+    /// and measured) when it yields a certificate, open when it yields
+    /// none. A failed check is passed on.
+    fn tally(
+        &mut self,
+        case: Result<Option<Certificate>, CrosscheckError>,
+        constructed: bool,
+    ) -> Result<(), CrosscheckError> {
+        let cert = case?;
+        self.shapes += 1;
+        if cert.is_some() {
+            self.certified += 1;
+            self.constructed += usize::from(constructed);
+        } else {
+            self.unplanned += 1;
+        }
+        Ok(())
+    }
+}
+
+/// Certify the plan [`plan_shape`] picks for one shape and, if
+/// `construct_it`, build the embedding and compare measured metrics
+/// against the certificate.
 ///
 /// Returns `Ok(None)` when the planner has no plan for the shape.
 pub fn crosscheck_shape(
@@ -192,7 +214,7 @@ pub fn crosscheck_shape(
     shape: &Shape,
     construct_it: bool,
 ) -> Result<Option<Certificate>, CrosscheckError> {
-    let Some(plan) = planner.plan(shape) else {
+    let Some(plan) = plan_shape(planner, shape).map(|hit| hit.plan) else {
         return Ok(None);
     };
     let cert = check_plan(shape, &plan).map_err(|error| CrosscheckError::Audit {
@@ -353,7 +375,7 @@ pub fn crosscheck_fold_shape(
     Ok(Some(cert))
 }
 
-/// Certify a Lemma 5 contraction of the planner's embedding of
+/// Certify a Lemma 5 contraction of the [`plan_shape`] embedding of
 /// `base_shape` by `factors` and compare against the constructed
 /// contraction. Returns `Ok(None)` when the base shape has no plan.
 pub fn crosscheck_contract_shape(
@@ -361,7 +383,7 @@ pub fn crosscheck_contract_shape(
     base_shape: &Shape,
     factors: &[usize],
 ) -> Result<Option<Certificate>, CrosscheckError> {
-    let Some(plan) = planner.plan(base_shape) else {
+    let Some(plan) = plan_shape(planner, base_shape).map(|hit| hit.plan) else {
         return Ok(None);
     };
     let base_cert = check_plan(base_shape, &plan).map_err(|error| CrosscheckError::Audit {
@@ -390,41 +412,50 @@ pub fn crosscheck_contract_shape(
     Ok(Some(cert))
 }
 
-/// Sweep every canonical 3-D shape `a ≤ b ≤ c ≤ max_axis` (rank-1/2 cases
-/// arise through length-1 axes), statically certifying each planner
-/// output; shapes with at most `construct_cap` nodes are additionally
-/// constructed and measured against their certificate. The whole sweep is
-/// timed under the `audit.crosscheck` span and tallied in
-/// `audit.crosscheck.*` counters.
-pub fn sweep(max_axis: usize, construct_cap: usize) -> Result<SweepReport, CrosscheckError> {
-    let _span = obs::span!("audit.crosscheck");
-    let mut planner = Planner::new();
+/// Walk every canonical shape `a ≤ b ≤ c ≤ max_axis` under the span
+/// `name`, letting `check` tally each one into the report, and publish
+/// the tallies as the `<name>.shapes` / `.certified` / `.constructed` /
+/// `.unplanned` counters. The first failing check ends the walk.
+fn walk(
+    name: &'static str,
+    max_axis: usize,
+    mut check: impl FnMut(&Shape, &mut SweepReport) -> Result<(), CrosscheckError>,
+) -> Result<SweepReport, CrosscheckError> {
+    let _span = obs::span!(name);
     let mut report = SweepReport::default();
     for a in 1..=max_axis {
         for b in a..=max_axis {
             for c in b..=max_axis {
-                let shape = Shape::new(&[a, b, c]);
-                report.shapes += 1;
-                let construct_it = shape.nodes() <= construct_cap;
-                match crosscheck_shape(&mut planner, &shape, construct_it)? {
-                    Some(_) => {
-                        report.certified += 1;
-                        if construct_it {
-                            report.constructed += 1;
-                        }
-                    }
-                    None => report.unplanned += 1,
-                }
+                check(&Shape::new(&[a, b, c]), &mut report)?;
             }
         }
     }
     if obs::enabled() {
-        obs::counter!("audit.crosscheck.shapes").add(report.shapes as u64);
-        obs::counter!("audit.crosscheck.certified").add(report.certified as u64);
-        obs::counter!("audit.crosscheck.constructed").add(report.constructed as u64);
-        obs::counter!("audit.crosscheck.unplanned").add(report.unplanned as u64);
+        for (field, n) in [
+            ("shapes", report.shapes),
+            ("certified", report.certified),
+            ("constructed", report.constructed),
+            ("unplanned", report.unplanned),
+        ] {
+            obs::counter_named(&format!("{name}.{field}")).add(n as u64);
+        }
     }
     Ok(report)
+}
+
+/// Sweep every canonical 3-D shape `a ≤ b ≤ c ≤ max_axis` (rank-1/2 cases
+/// arise through length-1 axes), statically certifying each
+/// [`plan_shape`] answer; shapes with at most `construct_cap` nodes are
+/// additionally constructed and measured against their certificate. The
+/// whole sweep is timed under the `audit.crosscheck` span and tallied in
+/// `audit.crosscheck.*` counters.
+pub fn sweep(max_axis: usize, construct_cap: usize) -> Result<SweepReport, CrosscheckError> {
+    let mut planner = Planner::new();
+    walk("audit.crosscheck", max_axis, |shape, report| {
+        let construct_it = shape.nodes() <= construct_cap;
+        let case = crosscheck_shape(&mut planner, shape, construct_it);
+        report.tally(case, construct_it)
+    })
 }
 
 /// Sweep every canonical wraparound shape `a ≤ b ≤ c ≤ max_axis`,
@@ -432,34 +463,12 @@ pub fn sweep(max_axis: usize, construct_cap: usize) -> Result<SweepReport, Cross
 /// at most `construct_cap` nodes are also constructed and measured.
 /// Counters land under `audit.crosscheck.torus.*`.
 pub fn sweep_torus(max_axis: usize, construct_cap: usize) -> Result<SweepReport, CrosscheckError> {
-    let _span = obs::span!("audit.crosscheck.torus");
     let mut planner = Planner::new();
-    let mut report = SweepReport::default();
-    for a in 1..=max_axis {
-        for b in a..=max_axis {
-            for c in b..=max_axis {
-                let shape = Shape::new(&[a, b, c]);
-                report.shapes += 1;
-                let construct_it = shape.nodes() <= construct_cap;
-                match crosscheck_torus_shape(&mut planner, &shape, construct_it)? {
-                    Some(_) => {
-                        report.certified += 1;
-                        if construct_it {
-                            report.constructed += 1;
-                        }
-                    }
-                    None => report.unplanned += 1,
-                }
-            }
-        }
-    }
-    if obs::enabled() {
-        obs::counter!("audit.crosscheck.torus.shapes").add(report.shapes as u64);
-        obs::counter!("audit.crosscheck.torus.certified").add(report.certified as u64);
-        obs::counter!("audit.crosscheck.torus.constructed").add(report.constructed as u64);
-        obs::counter!("audit.crosscheck.torus.unplanned").add(report.unplanned as u64);
-    }
-    Ok(report)
+    walk("audit.crosscheck.torus", max_axis, |shape, report| {
+        let construct_it = shape.nodes() <= construct_cap;
+        let case = crosscheck_torus_shape(&mut planner, shape, construct_it);
+        report.tally(case, construct_it)
+    })
 }
 
 /// Sweep every canonical shape `a ≤ b ≤ c ≤ max_axis`, folding each into
@@ -468,39 +477,14 @@ pub fn sweep_torus(max_axis: usize, construct_cap: usize) -> Result<SweepReport,
 /// most `construct_cap` nodes are also constructed and measured.
 /// Counters land under `audit.crosscheck.fold.*`.
 pub fn sweep_fold(max_axis: usize, construct_cap: usize) -> Result<SweepReport, CrosscheckError> {
-    let _span = obs::span!("audit.crosscheck.fold");
-    let mut report = SweepReport::default();
-    for a in 1..=max_axis {
-        for b in a..=max_axis {
-            for c in b..=max_axis {
-                let shape = Shape::new(&[a, b, c]);
-                let minimal = cube_dim(shape.nodes() as u64);
-                for drop in 1..=2u32 {
-                    let Some(n) = minimal.checked_sub(drop).filter(|&n| n >= 1) else {
-                        continue;
-                    };
-                    report.shapes += 1;
-                    let construct_it = shape.nodes() <= construct_cap;
-                    match crosscheck_fold_shape(&shape, n, construct_it)? {
-                        Some(_) => {
-                            report.certified += 1;
-                            if construct_it {
-                                report.constructed += 1;
-                            }
-                        }
-                        None => report.unplanned += 1,
-                    }
-                }
-            }
+    walk("audit.crosscheck.fold", max_axis, |shape, report| {
+        let construct_it = shape.nodes() <= construct_cap;
+        let minimal = cube_dim(shape.nodes() as u64);
+        for n in (1..=2u32).filter_map(|drop| minimal.checked_sub(drop).filter(|&n| n >= 1)) {
+            report.tally(crosscheck_fold_shape(shape, n, construct_it), construct_it)?;
         }
-    }
-    if obs::enabled() {
-        obs::counter!("audit.crosscheck.fold.shapes").add(report.shapes as u64);
-        obs::counter!("audit.crosscheck.fold.certified").add(report.certified as u64);
-        obs::counter!("audit.crosscheck.fold.constructed").add(report.constructed as u64);
-        obs::counter!("audit.crosscheck.fold.unplanned").add(report.unplanned as u64);
-    }
-    Ok(report)
+        Ok(())
+    })
 }
 
 /// Sweep Lemma 5 contractions: every canonical base shape
@@ -513,35 +497,18 @@ pub fn sweep_contract(
     construct_cap: usize,
 ) -> Result<SweepReport, CrosscheckError> {
     const FACTORS: [[usize; 3]; 3] = [[2, 1, 1], [2, 2, 1], [3, 2, 2]];
-    let _span = obs::span!("audit.crosscheck.contract");
     let mut planner = Planner::new();
-    let mut report = SweepReport::default();
-    for a in 1..=max_axis {
-        for b in a..=max_axis {
-            for c in b..=max_axis {
-                let shape = Shape::new(&[a, b, c]);
-                if shape.nodes() > construct_cap {
-                    continue;
-                }
-                for factors in &FACTORS {
-                    report.shapes += 1;
-                    match crosscheck_contract_shape(&mut planner, &shape, factors)? {
-                        Some(_) => {
-                            report.certified += 1;
-                            report.constructed += 1;
-                        }
-                        None => report.unplanned += 1,
-                    }
-                }
+    walk("audit.crosscheck.contract", max_axis, |shape, report| {
+        if shape.nodes() <= construct_cap {
+            for factors in &FACTORS {
+                report.tally(
+                    crosscheck_contract_shape(&mut planner, shape, factors),
+                    true,
+                )?;
             }
         }
-    }
-    if obs::enabled() {
-        obs::counter!("audit.crosscheck.contract.shapes").add(report.shapes as u64);
-        obs::counter!("audit.crosscheck.contract.certified").add(report.certified as u64);
-        obs::counter!("audit.crosscheck.contract.unplanned").add(report.unplanned as u64);
-    }
-    Ok(report)
+        Ok(())
+    })
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! `cargo bench -p cubemesh-bench --bench obs_overhead` fails if the
 //! trace guard stops being cheap.
 
-use cubemesh_core::{construct, Planner};
+use cubemesh_core::{construct, plan_shape, Planner};
 use cubemesh_obs as obs;
 use cubemesh_topology::Shape;
 use std::hint::black_box;
@@ -26,7 +26,9 @@ fn median_secs<O>(samples: usize, mut f: impl FnMut() -> O) -> f64 {
 
 fn main() {
     let shape = Shape::new(&[64, 64, 64]);
-    let plan = Planner::new().plan(&shape).expect("64^3 is plannable");
+    let plan = plan_shape(&mut Planner::new(), &shape)
+        .expect("64^3 is plannable")
+        .plan;
     let samples = 9;
 
     obs::set_enabled(false);

@@ -3,8 +3,8 @@
 //! Times the full hot pipeline — plan, construct, metrics, verify — on a
 //! fixed ladder of paper-scale shapes and writes the results as JSON
 //! (`BENCH_3.json` at the repo root by default). Every rung is also run
-//! with `CUBEMESH_THREADS=1` to record the sequential wall time and the
-//! parallel speedup, and the bench *asserts* that the parallel and
+//! with the pool pinned to one worker to record the sequential wall time
+//! and the parallel speedup, and the bench *asserts* that the parallel and
 //! sequential pipelines produce identical metrics, so the smoke run in
 //! `scripts/check.sh` doubles as a correctness gate.
 //!
@@ -66,7 +66,7 @@
 //! shared/noisy host a single-shot timing can be off by an order of
 //! magnitude, and the minimum is the best estimate of the code's cost.
 
-use cubemesh_core::{construct, Planner};
+use cubemesh_core::{construct, plan_shape, Plan, Planner};
 use cubemesh_embedding::Embedding;
 use cubemesh_obs as obs;
 use cubemesh_topology::Shape;
@@ -137,12 +137,11 @@ fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// Run plan → construct → metrics → verify, timed. Construct, metrics,
 /// and verify are repeated `reps` times and the minimum wall time per
 /// stage is kept (planning is memoized, so it is timed once).
-fn run_pipeline(dims: &[usize], reps: usize) -> Option<(Rung, Embedding)> {
+fn run_pipeline(dims: &[usize], reps: usize) -> Option<(Rung, Plan, Embedding)> {
     let shape = Shape::new(dims);
-    let mut planner = Planner::new();
-    let (plan, plan_s) = time(|| planner.plan(&shape));
-    let plan = match plan {
-        Some(p) => p,
+    let (hit, plan_s) = time(|| plan_shape(&mut Planner::new(), &shape));
+    let plan = match hit {
+        Some(hit) => hit.plan,
         None => {
             eprintln!("cubemesh-bench: no plan for {shape}, skipping");
             return None;
@@ -183,7 +182,7 @@ fn run_pipeline(dims: &[usize], reps: usize) -> Option<(Rung, Embedding)> {
         peak_rss_kb: peak_rss_kb(),
         ..Rung::default()
     };
-    Some((rung, emb))
+    Some((rung, plan, emb))
 }
 
 /// One kernel micro-bench rung: name and elements-per-second throughput.
@@ -686,35 +685,37 @@ fn main() -> ExitCode {
 
     let mut rungs = Vec::new();
     for dims in &ladder {
-        let Some((mut rung, emb)) = run_pipeline(dims, reps) else {
+        let Some((mut rung, plan, emb)) = run_pipeline(dims, reps) else {
             continue;
         };
         let m_par = emb.metrics();
         drop(emb);
 
         if !par_only {
-            // Sequential re-run: same pipeline with one worker. The env
-            // var is re-read per parallel region, so toggling it here
-            // switches every stage onto the sequential path.
-            std::env::set_var("CUBEMESH_THREADS", "1");
+            // Sequential re-run: the same plan lowered with the pool
+            // pinned to one worker, so every stage takes the sequential
+            // path.
             let shape = Shape::new(dims);
-            let mut planner = Planner::new();
-            let plan = planner.plan(&shape).expect("planned above");
-            let (mut seq_construct_s, mut seq_metrics_s) = (f64::MAX, f64::MAX);
-            let mut m_seq = m_par;
-            for _ in 0..reps.max(1) {
-                let (emb_seq, c) =
-                    time(|| construct(&shape, &plan).expect("planner-produced plan lowers"));
-                seq_construct_s = seq_construct_s.min(c);
-                let (m, ms) = time(|| emb_seq.metrics());
-                seq_metrics_s = seq_metrics_s.min(ms);
-                m_seq = m;
-                if let Err(e) = emb_seq.verify() {
+            let seq = cubemesh_pool::with_threads(1, || {
+                let (mut construct_s, mut metrics_s, mut m_seq) = (f64::MAX, f64::MAX, m_par);
+                for _ in 0..reps.max(1) {
+                    let (emb_seq, c) =
+                        time(|| construct(&shape, &plan).expect("planner-produced plan lowers"));
+                    construct_s = construct_s.min(c);
+                    let (m, ms) = time(|| emb_seq.metrics());
+                    metrics_s = metrics_s.min(ms);
+                    m_seq = m;
+                    emb_seq.verify()?;
+                }
+                Ok::<_, cubemesh_embedding::VerifyError>((construct_s, metrics_s, m_seq))
+            });
+            let (seq_construct_s, seq_metrics_s, m_seq) = match seq {
+                Ok(seq) => seq,
+                Err(e) => {
                     eprintln!("cubemesh-bench: {shape} sequential verify failed: {e}");
                     return ExitCode::FAILURE;
                 }
-            }
-            std::env::set_var("CUBEMESH_THREADS", threads.to_string());
+            };
             if m_seq != m_par {
                 eprintln!(
                     "cubemesh-bench: {shape}: parallel metrics {m_par:?} != sequential {m_seq:?}"

@@ -13,7 +13,7 @@ use cubemesh_census::{
     census_2d, census_3d, constructive_exceptions_up_to, exceptions_up_to,
     gray_fraction_closed_form, gray_fraction_exact, gray_fraction_monte_carlo,
 };
-use cubemesh_core::{classify3, construct, embed_mesh, Planner};
+use cubemesh_core::{classify3, construct, embed_mesh, plan_shape, Planner};
 use cubemesh_embedding::{gray_mesh_embedding, load_factor, verify_many_to_one};
 use cubemesh_manytoone::{contract, corollary5, optimal_load_factor};
 use cubemesh_netsim::{simulate, stencil_exchange};
@@ -185,9 +185,9 @@ fn examples() {
         vec![9, 9, 9],
     ] {
         let shape = Shape::new(&dims);
-        match planner.plan(&shape) {
-            Some(plan) => {
-                let emb = construct(&shape, &plan).expect("planner-produced plan lowers");
+        match plan_shape(&mut planner, &shape) {
+            Some(hit) => {
+                let emb = construct(&shape, &hit.plan).expect("planner-produced plan lowers");
                 emb.verify().expect("constructed embedding must verify");
                 let m = emb.metrics();
                 println!(
@@ -198,7 +198,7 @@ fn examples() {
                     m.dilation,
                     m.congestion,
                     m.avg_dilation,
-                    plan
+                    hit.plan
                 );
             }
             None => println!("{:>10}: no plan", shape.to_string()),

@@ -34,9 +34,9 @@ impl std::error::Error for ConstructError {}
 ///
 /// The plan must have been produced for this shape (or one with the same
 /// reduced dims). The result's host cube is `Q_{plan.host_dim()}` and its
-/// dilation/congestion obey the plan's Theorem 3 bounds —
-/// property-checked in the crate tests rather than here (construction is
-/// hot in censuses).
+/// dilation/congestion obey the Theorem 3 bounds `cubemesh_audit::check_plan`
+/// certifies — property-checked in the tests rather than here
+/// (construction is hot in censuses).
 pub fn construct(shape: &Shape, plan: &Plan) -> Result<Embedding, ConstructError> {
     // One span per top-level lowering; the product recursion shows up as
     // nested `product.count` / `product.fill` children in a trace.
@@ -118,20 +118,8 @@ mod tests {
         emb.verify().unwrap_or_else(|e| panic!("{:?}: {}", dims, e));
         let m = emb.metrics();
         assert!(m.is_minimal_expansion(), "{:?} not minimal", dims);
-        assert!(
-            m.dilation <= plan.dilation_bound(),
-            "{:?} dilation {} > bound {}",
-            dims,
-            m.dilation,
-            plan.dilation_bound()
-        );
-        assert!(
-            m.congestion <= plan.congestion_bound(),
-            "{:?} congestion {} > bound {}",
-            dims,
-            m.congestion,
-            plan.congestion_bound()
-        );
+        assert!(m.dilation <= 2, "{:?} dilation {}", dims, m.dilation);
+        assert!(m.congestion <= 2, "{:?} congestion {}", dims, m.congestion);
         m
     }
 

@@ -56,33 +56,6 @@ impl Plan {
             Plan::Product { f1, p1, f2, p2 } => p1.host_dim(f1) + p2.host_dim(f2),
         }
     }
-
-    /// Worst-case dilation bound of the plan (Theorem 3: the max over the
-    /// decomposition tree; Gray = 1, Direct = 2).
-    pub fn dilation_bound(&self) -> u32 {
-        match self {
-            Plan::Gray => 1,
-            Plan::Direct => 2,
-            Plan::Product { p1, p2, .. } => p1.dilation_bound().max(p2.dilation_bound()),
-        }
-    }
-
-    /// Worst-case congestion bound of the plan (Theorem 3).
-    pub fn congestion_bound(&self) -> u32 {
-        match self {
-            Plan::Gray => 1,
-            Plan::Direct => 2,
-            Plan::Product { p1, p2, .. } => p1.congestion_bound().max(p2.congestion_bound()),
-        }
-    }
-
-    /// Number of leaves (Gray/Direct pieces) in the plan tree.
-    pub fn leaf_count(&self) -> usize {
-        match self {
-            Plan::Gray | Plan::Direct => 1,
-            Plan::Product { p1, p2, .. } => p1.leaf_count() + p2.leaf_count(),
-        }
-    }
 }
 
 impl fmt::Display for Plan {
@@ -371,8 +344,6 @@ mod tests {
     fn gray_plan_dims() {
         let shape = Shape::new(&[5, 6, 7]);
         assert_eq!(Plan::Gray.host_dim(&shape), 9);
-        assert_eq!(Plan::Gray.dilation_bound(), 1);
-        assert_eq!(Plan::Gray.congestion_bound(), 1);
     }
 
     #[test]
@@ -446,9 +417,6 @@ mod tests {
         };
         let shape = Shape::new(&[12, 20]);
         assert_eq!(plan.host_dim(&shape), 4 + 4);
-        assert_eq!(plan.dilation_bound(), 2);
-        assert_eq!(plan.congestion_bound(), 2);
-        assert_eq!(plan.leaf_count(), 2);
         assert_eq!(shape.minimal_cube_dim(), 8);
     }
 }

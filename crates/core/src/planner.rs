@@ -32,39 +32,34 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Bit-set selecting which planner rules a pass may apply — the
-/// mechanism behind the pluggable [`crate::strategy`] layer. Each
-/// constant enables one rule family; recursion inside a masked pass
-/// stays inside the mask, so `plan_masked(s, DIRECT_SET)` proves "s is
-/// coverable by methods 1 + direct lookup alone", not merely "the first
-/// rule that fired was a lookup".
+/// mechanism behind the [`crate::strategy`] ladder. Each constant
+/// enables one rule family; recursion inside a masked pass stays inside
+/// the mask, so `plan_masked(s, DIRECT_SET)` proves "s is coverable by
+/// methods 1 + direct lookup alone", not merely "the first rule that
+/// fired was a lookup".
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct RuleMask(u16);
+pub(crate) struct RuleMask(u16);
 
 impl RuleMask {
     /// Method 1: whole-mesh Gray code.
-    pub const GRAY: RuleMask = RuleMask(1 << rule::GRAY);
+    pub(crate) const GRAY: RuleMask = RuleMask(1 << rule::GRAY);
     /// Exact direct-catalog hit.
-    pub const DIRECT: RuleMask = RuleMask(1 << rule::DIRECT);
+    pub(crate) const DIRECT: RuleMask = RuleMask(1 << rule::DIRECT);
     /// Catalog hit by axis extension inside the same cube.
-    pub const DIRECT_EXT: RuleMask = RuleMask(1 << rule::DIRECT_EXT);
+    pub(crate) const DIRECT_EXT: RuleMask = RuleMask(1 << rule::DIRECT_EXT);
     /// §4.2 step 1: peel the power-of-two factors off every axis.
-    pub const PEEL_POW2: RuleMask = RuleMask(1 << rule::PEEL_POW2);
+    pub(crate) const PEEL_POW2: RuleMask = RuleMask(1 << rule::PEEL_POW2);
     /// Method 3 generalized: catalog entry ⊙ planned factor.
-    pub const CATALOG_PRODUCT: RuleMask = RuleMask(1 << rule::CATALOG_PRODUCT);
+    pub(crate) const CATALOG_PRODUCT: RuleMask = RuleMask(1 << rule::CATALOG_PRODUCT);
     /// Method 2: pair two axes, Gray the third.
-    pub const PAIR_GRAY: RuleMask = RuleMask(1 << rule::PAIR_GRAY);
-    /// Method 4: split an axis `ℓⱼ → ℓ′·ℓ″ ≥ ℓⱼ`.
-    pub const AXIS_SPLIT: RuleMask = RuleMask(1 << rule::AXIS_SPLIT);
-    /// Rank ≥ 4 bipartitions of the axis set.
-    pub const BIPARTITION: RuleMask = RuleMask(1 << rule::BIPARTITION);
-    /// Every rule — the behavior of [`Planner::plan`].
-    pub const ALL: RuleMask = RuleMask((1 << rule::NAMES.len()) - 1);
-    /// No rules; useful as a fold identity.
-    pub const NONE: RuleMask = RuleMask(0);
+    pub(crate) const PAIR_GRAY: RuleMask = RuleMask(1 << rule::PAIR_GRAY);
+    /// Every rule, axis splits and bipartitions included — the behavior
+    /// of [`Planner::plan`].
+    pub(crate) const ALL: RuleMask = RuleMask((1 << rule::NAMES.len()) - 1);
 
     /// Union of two masks.
     #[must_use]
-    pub const fn union(self, other: RuleMask) -> RuleMask {
+    pub(crate) const fn union(self, other: RuleMask) -> RuleMask {
         RuleMask(self.0 | other.0)
     }
 
@@ -255,7 +250,10 @@ impl Planner {
         Planner::default()
     }
 
-    /// Plan a minimal-expansion, dilation-≤2 embedding for `shape`.
+    /// Plan a minimal-expansion, dilation-≤2 embedding for `shape` with
+    /// every rule enabled: the rule engine under the strategy ladder's
+    /// widest rung. To choose the plan for a shape, ask
+    /// [`crate::plan_shape`], which tries the narrower rungs first.
     pub fn plan(&mut self, shape: &Shape) -> Option<Plan> {
         self.plan_masked(shape, RuleMask::ALL)
     }
@@ -263,7 +261,7 @@ impl Planner {
     /// [`plan`](Planner::plan) restricted to the rules in `mask`; the
     /// restriction applies recursively, so the result is a plan the
     /// masked rule set can justify on its own.
-    pub fn plan_masked(&mut self, shape: &Shape, mask: RuleMask) -> Option<Plan> {
+    pub(crate) fn plan_masked(&mut self, shape: &Shape, mask: RuleMask) -> Option<Plan> {
         // Rules recurse through `replan`; only the outermost call
         // opens a trace span, so a query shows up as one `planner.plan`
         // with rule-hit instants nested inside it.
@@ -791,8 +789,10 @@ mod tests {
                 dims,
                 plan
             );
-            assert!(plan.dilation_bound() <= 2);
-            assert!(plan.congestion_bound() <= 2);
+            let m = crate::construct(&shape, &plan)
+                .expect("plan lowers")
+                .metrics();
+            assert!(m.dilation <= 2 && m.congestion <= 2, "{dims:?}: {m:?}");
         }
     }
 

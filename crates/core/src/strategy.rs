@@ -1,27 +1,34 @@
-//! Pluggable decomposition strategies ranked by confidence.
+//! The confidence-ranked strategy ladder: the one answer to "which plan
+//! for this shape".
 //!
-//! The census-sweep builder and the query service both want more than
-//! "a plan": they want to know *which* family of machinery justified it
-//! and how much to trust that family, so the plan database can rank
-//! candidate plans and a future k-D planner can slot in beside the 3-D
-//! rules. A [`PlanStrategy`] is one such family — a named, confidence-
-//! weighted view onto the [`Planner`]'s rule space, restricted through
-//! [`RuleMask`] so a strategy's claim ("methods 1–3 cover this shape")
-//! is justified by exactly the rules it names, recursion included.
+//! The census-sweep builder and the query service want more than "a
+//! plan": they want to know *which* family of machinery justified it
+//! and how much to trust that family, so the plan database records
+//! that provenance beside each plan. A [`PlanStrategy`] is one such
+//! family — a named, confidence-weighted view onto the [`Planner`]'s
+//! rule space, restricted by a rule mask so a strategy's claim
+//! ("methods 1–3 cover this shape") is justified by exactly the rules
+//! it names, recursion included.
 //!
-//! Strategies mirror the paper's method sets S₁ ⊂ S₂ ⊂ S₃ ⊂ S₄: each
-//! widens the previous one, so trying them in descending confidence
-//! order and keeping the first hit records the *weakest* machinery that
-//! covers a shape — the same reading as the paper's cumulative census
-//! columns. Construction (route resolution) stays deferred: a strategy
-//! produces a [`Plan`], and callers decide if and when to lower it.
+//! The built-in strategies mirror the paper's method sets
+//! S₁ ⊂ S₂ ⊂ S₃ ⊂ S₄: each widens the previous one, so trying them in
+//! descending confidence order and keeping the first hit records the
+//! *weakest* machinery that covers a shape — the same reading as the
+//! paper's cumulative census columns. The plan database stores the
+//! ladder's answer for every shape, and [`plan_shape`] gives the same
+//! answer to every other surface that picks a plan (embed, certify, the
+//! crosscheck sweeps, the torus driver, replay slack), so they all build
+//! the embedding the database serves. Construction (route resolution)
+//! stays deferred: a strategy produces a [`Plan`], and callers decide if
+//! and when to lower it.
 
 use crate::plan::Plan;
 use crate::planner::{Planner, RuleMask};
 use cubemesh_topology::Shape;
+use std::sync::OnceLock;
 
-/// One pluggable decomposition family: a named, confidence-ranked
-/// proposal engine over shapes.
+/// One decomposition family: a named, confidence-ranked proposal
+/// engine over shapes.
 pub trait PlanStrategy {
     /// Stable machine-readable name, persisted in plan-database records.
     fn name(&self) -> &'static str;
@@ -39,10 +46,10 @@ pub trait PlanStrategy {
     fn propose(&self, planner: &mut Planner, shape: &Shape) -> Option<Plan>;
 }
 
-/// A [`PlanStrategy`] defined by a rule mask — every built-in strategy
-/// is one of these; external crates can implement the trait directly.
+/// A [`PlanStrategy`] defined by a rule mask; every rung of the
+/// built-in ladder is one.
 #[derive(Clone, Copy, Debug)]
-pub struct MaskedStrategy {
+struct MaskedStrategy {
     name: &'static str,
     confidence: u16,
     mask: RuleMask,
@@ -62,57 +69,68 @@ impl PlanStrategy for MaskedStrategy {
     }
 }
 
-/// Method 1 alone: whole-mesh binary-reflected Gray code. Dilation 1
-/// and congestion 1, exactly — the only strategy whose plans beat the
-/// dilation-2 family, hence the top confidence.
-pub const GRAY_WHOLE: MaskedStrategy = MaskedStrategy {
-    name: "gray",
-    confidence: 1000,
-    mask: RuleMask::GRAY,
-};
-
-/// Methods 1 + direct lookup: Gray, exact catalog hits, and catalog
-/// hits by axis extension inside the same cube. Plans are baked,
-/// hand-verified embeddings composed with nothing else.
-pub const DIRECT_CATALOG: MaskedStrategy = MaskedStrategy {
-    name: "direct",
-    confidence: 950,
-    mask: RuleMask::GRAY
-        .union(RuleMask::DIRECT)
-        .union(RuleMask::DIRECT_EXT),
-};
-
-/// Methods 1–3: the above plus power-of-two peeling, catalog ⊙ factor
-/// products and pair + Gray decompositions (§4.2 steps 1–3).
-pub const PRODUCT_DECOMPOSITION: MaskedStrategy = MaskedStrategy {
-    name: "product",
-    confidence: 850,
-    mask: RuleMask::GRAY
-        .union(RuleMask::DIRECT)
-        .union(RuleMask::DIRECT_EXT)
-        .union(RuleMask::PEEL_POW2)
-        .union(RuleMask::CATALOG_PRODUCT)
-        .union(RuleMask::PAIR_GRAY),
-};
-
-/// Methods 1–4 plus the rank ≥ 4 bipartition search: the full rule
-/// space, including the axis-split search `ℓⱼ → ℓ′·ℓ″ ≥ ℓⱼ`. Widest
-/// coverage, deepest recursion, most slack in the factor products.
-pub const AXIS_SPLIT_SEARCH: MaskedStrategy = MaskedStrategy {
-    name: "axis-split",
-    confidence: 750,
-    mask: RuleMask::ALL,
-};
+/// The built-in ladder, descending by confidence: the paper's method
+/// sets S₁ ⊂ S₂ ⊂ S₃ ⊂ S₄, each rung widening the one before.
+const LADDER: [MaskedStrategy; 4] = [
+    // Method 1 alone: whole-mesh binary-reflected Gray code. Dilation 1
+    // and congestion 1, exactly — the only strategy whose plans beat
+    // the dilation-2 family, hence the top confidence.
+    MaskedStrategy {
+        name: "gray",
+        confidence: 1000,
+        mask: RuleMask::GRAY,
+    },
+    // Methods 1 + direct lookup: Gray, exact catalog hits, and catalog
+    // hits by axis extension inside the same cube. Plans are baked,
+    // hand-verified embeddings composed with nothing else.
+    MaskedStrategy {
+        name: "direct",
+        confidence: 950,
+        mask: RuleMask::GRAY
+            .union(RuleMask::DIRECT)
+            .union(RuleMask::DIRECT_EXT),
+    },
+    // Methods 1–3: the above plus power-of-two peeling, catalog ⊙
+    // factor products and pair + Gray decompositions (§4.2 steps 1–3).
+    MaskedStrategy {
+        name: "product",
+        confidence: 850,
+        mask: RuleMask::GRAY
+            .union(RuleMask::DIRECT)
+            .union(RuleMask::DIRECT_EXT)
+            .union(RuleMask::PEEL_POW2)
+            .union(RuleMask::CATALOG_PRODUCT)
+            .union(RuleMask::PAIR_GRAY),
+    },
+    // Methods 1–4 plus the rank ≥ 4 bipartition search: the full rule
+    // space of `Planner::plan`, including the axis-split search
+    // `ℓⱼ → ℓ′·ℓ″ ≥ ℓⱼ`. Widest coverage, deepest recursion, most slack
+    // in the factor products.
+    MaskedStrategy {
+        name: "axis-split",
+        confidence: 750,
+        mask: RuleMask::ALL,
+    },
+];
 
 /// The built-in strategy ladder, descending by confidence — the order
 /// the plan-database builder and the service's cold-miss path try them.
 pub fn default_strategies() -> Vec<Box<dyn PlanStrategy + Send + Sync>> {
-    vec![
-        Box::new(GRAY_WHOLE),
-        Box::new(DIRECT_CATALOG),
-        Box::new(PRODUCT_DECOMPOSITION),
-        Box::new(AXIS_SPLIT_SEARCH),
-    ]
+    LADDER
+        .iter()
+        .map(|&s| Box::new(s) as Box<dyn PlanStrategy + Send + Sync>)
+        .collect()
+}
+
+/// The plan for `shape`: the first proposal of the built-in ladder,
+/// tagged with its provenance — the plan the database stores for a
+/// sorted shape. Every surface that chooses a plan asks this function;
+/// [`Planner::plan`] is the rule engine under its widest rung and
+/// covers exactly the same shapes. `None` means no rung covers the
+/// shape (the census exception set).
+pub fn plan_shape(planner: &mut Planner, shape: &Shape) -> Option<StrategyPlan> {
+    static BOXED: OnceLock<Vec<Box<dyn PlanStrategy + Send + Sync>>> = OnceLock::new();
+    plan_with_strategies(planner, shape, BOXED.get_or_init(default_strategies))
 }
 
 /// A strategy's successful proposal: the winning plan plus the
@@ -149,13 +167,9 @@ pub fn plan_with_strategies(
 mod tests {
     use super::*;
 
-    fn ladder() -> Vec<Box<dyn PlanStrategy + Send + Sync>> {
-        default_strategies()
-    }
-
     #[test]
     fn ladder_is_ranked_descending() {
-        let s = ladder();
+        let s = default_strategies();
         assert!(s.windows(2).all(|w| w[0].confidence() > w[1].confidence()));
         assert_eq!(s[0].name(), "gray");
         assert_eq!(s.last().map(|s| s.name()), Some("axis-split"));
@@ -164,20 +178,20 @@ mod tests {
     #[test]
     fn weakest_covering_strategy_wins() {
         let mut planner = Planner::new();
-        let s = ladder();
+        let mut strategy = |dims: &[usize]| {
+            plan_shape(&mut planner, &Shape::new(dims)).map(|h| (h.strategy, h.confidence))
+        };
         // 4x8x16: Gray is minimal — method 1 takes it.
-        let hit = plan_with_strategies(&mut planner, &Shape::new(&[4, 8, 16]), &s);
-        assert_eq!(hit.map(|h| h.strategy), Some("gray"));
+        assert_eq!(strategy(&[4, 8, 16]), Some(("gray", 1000)));
         // 3x3x3: a direct catalog shape, not Gray-minimal.
-        let hit = plan_with_strategies(&mut planner, &Shape::new(&[3, 3, 3]), &s);
-        assert_eq!(hit.map(|h| h.strategy), Some("direct"));
+        assert_eq!(strategy(&[3, 3, 3]), Some(("direct", 950)));
         // 5x6x7: needs a product decomposition.
-        let hit = plan_with_strategies(&mut planner, &Shape::new(&[5, 6, 7]), &s)
-            .expect("5x6x7 is covered");
-        assert_eq!(hit.strategy, "product");
-        assert_eq!(hit.confidence, 850);
+        assert_eq!(strategy(&[5, 6, 7]), Some(("product", 850)));
+        // 2x5x22: the product rung answers before the rule engine's
+        // peel-then-split plan is reached.
+        assert_eq!(strategy(&[2, 5, 22]), Some(("product", 850)));
         // 5x5x5: the paper's open case — no strategy covers it.
-        assert!(plan_with_strategies(&mut planner, &Shape::new(&[5, 5, 5]), &s).is_none());
+        assert_eq!(strategy(&[5, 5, 5]), None);
     }
 
     #[test]
@@ -188,11 +202,7 @@ mod tests {
         let mut b = Planner::new();
         for dims in [[3usize, 5, 17], [6, 11, 7], [9, 9, 9], [5, 7, 7]] {
             let shape = Shape::new(&dims);
-            assert_eq!(
-                AXIS_SPLIT_SEARCH.propose(&mut a, &shape),
-                b.plan(&shape),
-                "{shape}"
-            );
+            assert_eq!(LADDER[3].propose(&mut a, &shape), b.plan(&shape), "{shape}");
         }
     }
 
@@ -202,9 +212,7 @@ mod tests {
         // not find a plan for it even though the full planner does.
         let mut planner = Planner::new();
         let shape = Shape::new(&[2, 5, 11]);
-        assert!(PRODUCT_DECOMPOSITION
-            .propose(&mut planner, &shape)
-            .is_none());
-        assert!(AXIS_SPLIT_SEARCH.propose(&mut planner, &shape).is_some());
+        assert!(LADDER[2].propose(&mut planner, &shape).is_none());
+        assert!(LADDER[3].propose(&mut planner, &shape).is_some());
     }
 }

@@ -18,10 +18,9 @@
 //!
 //! Sizing: [`with_threads`] override > `CUBEMESH_THREADS` >
 //! `available_parallelism()`. The override and the variable are re-read
-//! at every region so benches can toggle a sequential rerun mid-process;
-//! the host's CPU count is read once. Tests use the scoped
-//! [`with_threads`] override instead of mutating the (process-global)
-//! environment.
+//! at every region; the host's CPU count is read once. Tests and the
+//! bench's sequential rerun use the scoped [`with_threads`] override
+//! instead of mutating the (process-global) environment.
 //!
 //! Panics: the first worker panic is captured, remaining tasks are
 //! abandoned (counted but not run), and the original payload is resumed

@@ -19,7 +19,7 @@
 use crate::engine::{replay, ReplayConfig, ReplayError};
 use crate::synth::stencil_trace;
 use cubemesh_audit::{check_plan, AuditError, Certificate};
-use cubemesh_core::{construct, ConstructError, Planner};
+use cubemesh_core::{construct, plan_shape, ConstructError, Planner};
 use cubemesh_netsim::Switching;
 use cubemesh_obs as obs;
 use cubemesh_topology::Shape;
@@ -178,10 +178,11 @@ pub fn certificate_slack(
     switching: Switching,
 ) -> Result<SlackEntry, SlackError> {
     let _span = obs::span!("replay.slack");
-    let mut planner = Planner::new();
-    let plan = planner.plan(shape).ok_or_else(|| SlackError::NoPlan {
-        shape: shape.clone(),
-    })?;
+    let plan = plan_shape(&mut Planner::new(), shape)
+        .ok_or_else(|| SlackError::NoPlan {
+            shape: shape.clone(),
+        })?
+        .plan;
     let cert = check_plan(shape, &plan)?;
     let emb = construct(shape, &plan).map_err(SlackError::Construct)?;
     let period = (4 * cert.dilation_bound as u64 * flits as u64).max(1);

@@ -14,8 +14,8 @@
 //! certificate and a fingerprint, and prints a one-line JSON summary.
 
 use cubemesh_obs::{parse_json, JsonValue};
-use cubemesh_plandb::{build, BuildConfig, MAX_BUILD_AXIS};
-use cubemesh_service::{serve, EngineConfig, QueryEngine, ServerConfig};
+use cubemesh_plandb::{build, validate_key, BuildConfig, MAX_BUILD_AXIS};
+use cubemesh_service::{serve, EngineConfig, QueryEngine, ServerConfig, MAX_BATCH};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -180,11 +180,16 @@ fn parse_shapes_flag(spec: &str) -> Result<Vec<Vec<usize>>, String> {
     Ok(shapes)
 }
 
-/// All canonical census triples up to `max_axis`, cycled to exactly
-/// `count` shapes.
-fn census_batch(max_axis: usize, count: usize) -> Vec<Vec<usize>> {
-    let keys = cubemesh_plandb::enumerate_keys(max_axis);
-    (0..count).map(|i| keys[i % keys.len()].clone()).collect()
+/// The census keys up to `max_axis` in build order (sorted triples,
+/// canonicalized as [`cubemesh_plandb::enumerate_keys`] lists them),
+/// walked lazily and cycled to exactly `count` shapes: only the batch is
+/// held in memory, never the key universe.
+fn census_batch(max_axis: usize, count: usize) -> Result<Vec<Vec<usize>>, String> {
+    let triples = (1..=max_axis).flat_map(move |a| {
+        (a..=max_axis).flat_map(move |b| (b..=max_axis).map(move |c| [a, b, c]))
+    });
+    let keys = triples.cycle().take(count).map(|t| validate_key(&t));
+    keys.collect::<Result<_, _>>().map_err(|e| e.to_string())
 }
 
 fn run_query(args: &Args) -> Result<(), String> {
@@ -192,20 +197,32 @@ fn run_query(args: &Args) -> Result<(), String> {
         Some(spec) => parse_shapes_flag(spec)?,
         None => Vec::new(),
     };
-    if let Some(census_max) = args.get("census-max") {
-        // The batch cycles through every census key up to the bound, so
+    let (census_max, count) = match args.get("census-max") {
+        // The batch cycles through the census keys up to the bound, so
         // the bound is the build's: an empty universe has no key to
-        // cycle, and a wider one would not fit in memory.
-        let max_axis: usize = census_max
-            .parse()
-            .ok()
-            .filter(|n| (1..=MAX_BUILD_AXIS).contains(n))
-            .ok_or_else(|| {
-                format!("--census-max: {census_max:?} is not a number in 1..={MAX_BUILD_AXIS}")
-            })?;
-        let count = args.usize_or("count", 1024)?;
-        shapes.extend(census_batch(max_axis, count));
+        // cycle, and a wider one has no database to answer from.
+        Some(census_max) => (
+            census_max
+                .parse()
+                .ok()
+                .filter(|n| (1..=MAX_BUILD_AXIS).contains(n))
+                .ok_or_else(|| {
+                    format!("--census-max: {census_max:?} is not a number in 1..={MAX_BUILD_AXIS}")
+                })?,
+            args.usize_or("count", 1024)?,
+        ),
+        None => (0, 0),
+    };
+    // The server refuses a batch over MAX_BATCH; refuse it here, before
+    // the batch is built.
+    let total = shapes.len().saturating_add(count);
+    if total > MAX_BATCH {
+        return Err(format!(
+            "a batch of {total} shapes (--shapes plus --count) exceeds the server's limit of \
+             {MAX_BATCH}"
+        ));
     }
+    shapes.extend(census_batch(census_max, count)?);
     if shapes.is_empty() {
         return Err("query needs --shapes and/or --census-max".to_owned());
     }
@@ -300,4 +317,14 @@ fn run_query(args: &Args) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn census_batch_cycles_the_build_order() {
+        let keys = cubemesh_plandb::enumerate_keys(7);
+        let batch = super::census_batch(7, 2 * keys.len() + 3).expect("valid keys");
+        assert_eq!(batch, [&keys[..], &keys[..], &keys[..3]].concat());
+    }
 }

@@ -3,6 +3,7 @@
 //! allocation.
 
 use cubemesh_plandb::MAX_BUILD_AXIS;
+use cubemesh_service::MAX_BATCH;
 use std::process::Command;
 
 #[test]
@@ -20,5 +21,36 @@ fn query_census_max_outside_the_build_range_is_refused() {
             "--census-max {bad}: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "--census-max {bad}: {stderr}");
+    }
+}
+
+#[test]
+fn query_batch_over_the_server_limit_is_refused() {
+    // Refused before any connection: the address is never dialled.
+    let over = (MAX_BATCH + 1).to_string();
+    for extra in [&[][..], &["--shapes", "3x5x17"][..]] {
+        let count = if extra.is_empty() {
+            over.clone()
+        } else {
+            MAX_BATCH.to_string()
+        };
+        let out = Command::new(env!("CARGO_BIN_EXE_cubemesh-serve"))
+            .args(["query", "--addr", "127.0.0.1:9", "--census-max", "16"])
+            .args(["--count", &count])
+            .args(extra)
+            .output()
+            .expect("run cubemesh-serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "--count {count} {extra:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains(&over) && stderr.contains(&MAX_BATCH.to_string()),
+            "--count {count} {extra:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(!stderr.contains("connect"), "{stderr}");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper applies one rule (halve or quarter) to every axis; the driver
 //! generalizes slightly by choosing per axis, then plans the inner mesh
-//! with the §4.2 strategy and keeps only combinations whose total host
+//! with [`plan_shape`] and keeps only combinations whose total host
 //! dimension is minimal. For each feasible combination it *constructs*
 //! the inner embedding, measures the fiber-max Hamming cost of every
 //! short inner hop, and places the removal bridges adaptively
@@ -11,7 +11,7 @@
 
 use crate::axis::{axis_half_adaptive, axis_quarter_adaptive, AxisCode};
 use crate::build::build_torus_embedding;
-use cubemesh_core::{construct, Plan, Planner};
+use cubemesh_core::{construct, plan_shape, Plan, Planner};
 use cubemesh_embedding::Embedding;
 use cubemesh_topology::{cube_dim, hamming, Shape};
 
@@ -88,7 +88,7 @@ pub struct TorusCombo {
     pub rule: Vec<u8>,
     /// The inner mesh `⌈ℓᵢ/2rᵢ⌉ × …` the ring codes factor through.
     pub inner_shape: Shape,
-    /// The §4.2 plan for the inner mesh.
+    /// The inner mesh's plan, as [`plan_shape`] picks it.
     pub inner_plan: Plan,
     /// Submesh code bits `Σ rᵢ` spent on ring copies.
     pub cbits: u32,
@@ -118,7 +118,7 @@ pub fn feasible_combos(shape: &Shape, planner: &mut Planner) -> Vec<TorusCombo> 
         if inner_min + cbits != total {
             continue;
         }
-        let Some(inner_plan) = planner.plan(&inner_shape) else {
+        let Some(inner_plan) = plan_shape(planner, &inner_shape).map(|hit| hit.plan) else {
             continue;
         };
         combos.push(TorusCombo {

@@ -7,7 +7,7 @@
 //! ```
 
 use cubemesh::census::census_3d;
-use cubemesh::core::{classify3, Planner};
+use cubemesh::core::{classify3, plan_shape, Planner};
 use cubemesh::topology::Shape;
 
 fn main() {
@@ -42,8 +42,8 @@ fn main() {
                 None => println!("  paper classification: OPEN (fails methods 1-4)"),
             }
             let shape = Shape::new(&[a as usize, b as usize, c as usize]);
-            match Planner::new().plan(&shape) {
-                Some(plan) => println!("  constructive plan:    {}", plan),
+            match plan_shape(&mut Planner::new(), &shape) {
+                Some(hit) => println!("  constructive plan:    {} ({})", hit.plan, hit.strategy),
                 None => println!("  constructive plan:    none"),
             }
         }

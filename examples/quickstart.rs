@@ -4,7 +4,7 @@
 //! cargo run --example quickstart -- 5 6 7
 //! ```
 
-use cubemesh::core::{construct, Planner};
+use cubemesh::core::{construct, plan_shape, Planner};
 use cubemesh::embedding::gray_mesh_embedding;
 use cubemesh::topology::Shape;
 
@@ -24,12 +24,15 @@ fn main() {
     );
 
     // Plan a minimal-expansion dilation-≤2 embedding by graph
-    // decomposition (Ho & Johnsson 1990, §4.2).
-    let mut planner = Planner::new();
-    match planner.plan(&shape) {
-        Some(plan) => {
-            println!("plan: {}", plan);
-            let emb = construct(&shape, &plan).expect("plan lowers");
+    // decomposition (Ho & Johnsson 1990, §4.2): the strategy ladder's
+    // first answer, the same plan the plan database serves.
+    match plan_shape(&mut Planner::new(), &shape) {
+        Some(hit) => {
+            println!(
+                "plan: {} (strategy {}, confidence {})",
+                hit.plan, hit.strategy, hit.confidence
+            );
+            let emb = construct(&shape, &hit.plan).expect("plan lowers");
             emb.verify().expect("constructed embeddings always verify");
             let m = emb.metrics();
             println!(

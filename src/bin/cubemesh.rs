@@ -28,7 +28,7 @@
 //! flamegraph stacks at FILE.folded, and a stable-schema JSONL event log
 //! at FILE.jsonl.
 
-use cubemesh::core::{classify3, construct, embed_mesh, Planner};
+use cubemesh::core::{classify3, construct, embed_mesh, plan_shape, Planner};
 use cubemesh::embedding::gray_mesh_embedding;
 use cubemesh::embedding::portable::{read_embedding, write_embedding};
 use cubemesh::netsim::{simulate_with, stencil_exchange, Switching};
@@ -196,13 +196,13 @@ fn classify(args: &[String]) -> ExitCode {
         ),
         None => println!("{}: open under the paper's methods 1-4", shape),
     }
-    match Planner::new().plan(&shape) {
-        Some(plan) => {
-            let emb = construct(&shape, &plan).expect("planner-produced plan lowers");
+    match plan_shape(&mut Planner::new(), &shape) {
+        Some(hit) => {
+            let emb = construct(&shape, &hit.plan).expect("planner-produced plan lowers");
             let met = emb.metrics();
             println!(
-                "constructive: {} — dilation {}, congestion {}",
-                plan, met.dilation, met.congestion
+                "constructive: {} — dilation {}, congestion {} (strategy {}, confidence {})",
+                hit.plan, met.dilation, met.congestion, hit.strategy, hit.confidence
             );
         }
         None => println!("constructive: no plan in this repo's catalog"),

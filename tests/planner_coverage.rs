@@ -1,8 +1,9 @@
 //! Planner/classification coherence: every plan constructs, verifies, and
-//! meets its bounds; constructive coverage never exceeds the paper's
+//! meets its certificate; constructive coverage never exceeds the paper's
 //! existence classification; the fast census mirror agrees with the real
 //! planner.
 
+use cubemesh::audit::check_plan;
 use cubemesh::census::cover::{workspace_catalog, Cover2, Cover3};
 use cubemesh::core::{classify3, construct, Planner};
 use cubemesh::topology::Shape;
@@ -16,23 +17,25 @@ fn all_plans_construct_and_verify_small_domain() {
             for c in b..=8usize {
                 let shape = Shape::new(&[a, b, c]);
                 if let Some(plan) = planner.plan(&shape) {
+                    let cert = check_plan(&shape, &plan)
+                        .unwrap_or_else(|e| panic!("{}: certify: {}", shape, e));
                     let emb = construct(&shape, &plan).expect("plan lowers");
                     emb.verify().unwrap_or_else(|e| panic!("{}: {}", shape, e));
                     let m = emb.metrics();
                     assert!(m.is_minimal_expansion(), "{}", shape);
                     assert!(
-                        m.dilation <= plan.dilation_bound(),
+                        m.dilation <= cert.dilation_bound,
                         "{}: {} > {}",
                         shape,
                         m.dilation,
-                        plan.dilation_bound()
+                        cert.dilation_bound
                     );
                     assert!(
-                        m.congestion <= plan.congestion_bound(),
+                        m.congestion <= cert.congestion_bound,
                         "{}: {} > {}",
                         shape,
                         m.congestion,
-                        plan.congestion_bound()
+                        cert.congestion_bound
                     );
                 }
             }
