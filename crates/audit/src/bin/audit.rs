@@ -47,6 +47,7 @@ use cubemesh_core::{plan_shape, Planner};
 use cubemesh_manytoone::plan_corollary5;
 use cubemesh_obs as obs;
 use cubemesh_topology::{cube_dim, Shape};
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -317,13 +318,14 @@ impl Record {
         )
     }
 
-    fn print_text(&self) {
+    fn write_text(&self, w: &mut impl Write) -> io::Result<()> {
         match &self.cert {
-            None => println!("{} {}: no plan (open case)", self.shape, self.kind),
+            None => writeln!(w, "{} {}: no plan (open case)", self.shape, self.kind),
             Some(c) => {
                 let gap_d = c.dilation_bound.saturating_sub(self.floors.dilation);
                 let gap_c = c.congestion_bound.saturating_sub(self.floors.congestion);
-                println!(
+                writeln!(
+                    w,
                     "{} {}: {} | floor d >= {}, c >= {}, load >= {} | gap d +{gap_d}, c +{gap_c} \
                      | plan {:016x}",
                     self.shape,
@@ -333,7 +335,7 @@ impl Record {
                     self.floors.congestion,
                     self.floors.load,
                     self.fingerprint
-                );
+                )
             }
         }
     }
@@ -407,52 +409,97 @@ fn cmd_certify(args: &[String]) -> Result<ExitCode, String> {
         .map(|a| parse_number("extent", a))
         .collect::<Result<Vec<usize>, String>>()?;
 
-    let mut shapes = Vec::new();
-    if let Some(max) = sweep_axis {
-        if !dims.is_empty() {
+    let shapes: Box<dyn Iterator<Item = Shape>> = match sweep_axis {
+        Some(_) if !dims.is_empty() => {
             return Err("give --sweep N or extents, not both".to_owned());
         }
-        if max > Shape::MAX_AXIS {
+        Some(max) if max > Shape::MAX_AXIS => {
             return Err(format!("--sweep must be at most {}", Shape::MAX_AXIS));
         }
-        for a in 1..=max {
-            for b in a..=max {
-                for c in b..=max {
-                    shapes.push(Shape::new(&[a, b, c]));
-                }
-            }
-        }
-    } else if !dims.is_empty() {
-        shapes.push(checked_shape(&dims)?);
-    } else {
-        return Err("certify needs --sweep N or extents".to_owned());
-    }
+        Some(max) => Box::new(sorted_triples(max)),
+        None if dims.is_empty() => return Err("certify needs --sweep N or extents".to_owned()),
+        None => Box::new(std::iter::once(checked_shape(&dims)?)),
+    };
 
-    let mut planner = Planner::new();
-    let mut records = Vec::new();
-    for shape in &shapes {
-        match certify_records(&mut planner, shape) {
-            Ok(rs) => records.extend(rs),
-            Err(e) => {
-                eprintln!("certification FAILED: {e}");
+    // Records are written as each shape is certified, so none is
+    // buffered and a sweep's first line appears at once; a reader that
+    // closes the pipe ends the run quietly. (The planner's memo still
+    // grows with each distinct reduced shape certified.)
+    let mut out = io::stdout().lock();
+    match write_records(&mut out, shapes, json) {
+        Ok(Written::Done { any_certified }) => {
+            // A single explicit open-case shape is a failure (the caller
+            // asked for a certificate); sweeps legitimately contain open
+            // cases.
+            if sweep_axis.is_none() && !any_certified {
                 return Ok(ExitCode::FAILURE);
             }
+            Ok(ExitCode::SUCCESS)
         }
+        Ok(Written::Failed(e)) => {
+            eprintln!("certification FAILED: {e}");
+            Ok(ExitCode::FAILURE)
+        }
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(ExitCode::SUCCESS),
+        Err(e) => {
+            eprintln!("cubemesh-audit: writing the records failed: {e}");
+            Ok(ExitCode::FAILURE)
+        }
+    }
+}
+
+/// Every sorted triple `a ≤ b ≤ c` with `c ≤ max`, in lexicographic
+/// order, generated lazily.
+fn sorted_triples(max: usize) -> impl Iterator<Item = Shape> {
+    (1..=max).flat_map(move |a| {
+        (a..=max).flat_map(move |b| (b..=max).map(move |c| Shape::new(&[a, b, c])))
+    })
+}
+
+/// How a certify stream ended, short of a write error.
+enum Written {
+    Done { any_certified: bool },
+    Failed(String),
+}
+
+/// Certify `shapes` in order, writing each shape's records as text lines
+/// or as the elements of one JSON array, flushed per shape. A failed
+/// certification stops the stream where it stands.
+fn write_records(
+    out: &mut impl Write,
+    shapes: impl Iterator<Item = Shape>,
+    json: bool,
+) -> io::Result<Written> {
+    let mut planner = Planner::new();
+    let mut first = true;
+    let mut any_certified = false;
+    if json {
+        out.write_all(b"[")?;
+    }
+    for shape in shapes {
+        let records = match certify_records(&mut planner, &shape) {
+            Ok(rs) => rs,
+            Err(e) => return Ok(Written::Failed(e)),
+        };
+        for r in &records {
+            any_certified |= r.cert.is_some();
+            if !json {
+                r.write_text(out)?;
+                continue;
+            }
+            if !first {
+                out.write_all(b",\n ")?;
+            }
+            first = false;
+            out.write_all(r.to_json().as_bytes())?;
+        }
+        out.flush()?;
     }
     if json {
-        let body: Vec<String> = records.iter().map(Record::to_json).collect();
-        println!("[{}]", body.join(",\n "));
-    } else {
-        for r in &records {
-            r.print_text();
-        }
+        out.write_all(b"]\n")?;
     }
-    // A single explicit open-case shape is a failure (the caller asked
-    // for a certificate); sweeps legitimately contain open cases.
-    if sweep_axis.is_none() && records.iter().all(|r| r.cert.is_none()) {
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(ExitCode::SUCCESS)
+    out.flush()?;
+    Ok(Written::Done { any_certified })
 }
 
 fn cmd_selfcheck(args: &[String]) -> Result<ExitCode, String> {

@@ -60,3 +60,79 @@ fn documented_flags_still_run() {
         "{stdout}"
     );
 }
+
+/// `certify --sweep 10` writes the bytes it wrote when it collected every
+/// record before printing (FNV-1a of stdout and its length).
+#[test]
+fn sweep_output_is_pinned() {
+    for (flags, hash, len) in [
+        (&["--sweep", "10"][..], 0xaa4f_72e3_bcc7_60d2_u64, 83_272),
+        (&["--sweep", "10", "--json"], 0x894f_6bba_bbfb_bca3, 137_531),
+    ] {
+        let out = audit(&[&["certify"][..], flags].concat());
+        assert_eq!(out.status.code(), Some(0), "{flags:?}");
+        assert_eq!(out.stdout.len(), len, "{flags:?}");
+        assert_eq!(
+            cubemesh_audit::fnv1a(&out.stdout),
+            hash,
+            "{flags:?}: got {:#018x}",
+            cubemesh_audit::fnv1a(&out.stdout)
+        );
+    }
+}
+
+/// A sweep streams: even at the accepted maximum (~5.9·10¹² shapes) the
+/// first record arrives at once.
+#[test]
+fn largest_sweep_prints_its_first_record_at_once() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cubemesh-audit"))
+        .args(["certify", "--sweep", "32768", "--json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn cubemesh-audit");
+    let stdout = child.stdout.take().expect("piped stdout");
+    let (tx, rx) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let mut line = String::new();
+        let read = BufReader::new(stdout).read_line(&mut line);
+        let _ = tx.send(read.map(|_| line));
+    });
+    let first = rx.recv_timeout(Duration::from_secs(30));
+    child.kill().expect("kill the sweep");
+    let _ = child.wait();
+    let _ = reader.join();
+    let line = first.expect("no record within 30 s").expect("read stdout");
+    assert!(
+        line.starts_with("[{\"kind\":\"mesh\",\"shape\":[1,1,1]"),
+        "{line}"
+    );
+}
+
+/// A reader that closes the pipe after one line ends the sweep quietly.
+#[test]
+fn closed_pipe_ends_the_sweep_without_a_panic() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cubemesh-audit"))
+        .args(["certify", "--sweep", "20"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cubemesh-audit");
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut line)
+        .expect("read one line");
+    assert!(line.starts_with("1x1x1 mesh"), "{line}");
+    // The reader (and with it the pipe) is gone; the sweep has far more
+    // than a pipe buffer left to write.
+    let out = child.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+}

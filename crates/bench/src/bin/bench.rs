@@ -117,20 +117,7 @@ struct Rung {
 /// 0 where unavailable). Process-wide high-water mark, so per-rung values
 /// are monotone — still useful as a ladder-level memory trajectory.
 fn peak_rss_kb() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            return rest
-                .trim()
-                .trim_end_matches(" kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-        }
-    }
-    0
+    obs::peak_rss_kib().unwrap_or(0)
 }
 
 fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {

@@ -39,7 +39,7 @@ impl std::error::Error for ConstructError {}
 /// (construction is hot in censuses).
 pub fn construct(shape: &Shape, plan: &Plan) -> Result<Embedding, ConstructError> {
     // One span per top-level lowering; the product recursion shows up as
-    // nested `product.count` / `product.fill` children in a trace.
+    // nested `product.fill` children in a trace.
     let _span = obs::span!("construct");
     let reduced = reduce(shape);
     let emb = construct_reduced(&reduced, plan)?;
@@ -75,8 +75,8 @@ pub fn lift(emb: Embedding, shape: &Shape) -> Embedding {
 
 /// Restrict a mesh embedding of `big` to the submesh `small`
 /// (`small ≤ big` axiswise): nodes with out-of-range coordinates are
-/// dropped, routes of surviving edges transfer verbatim. All metrics can
-/// only improve; the host cube is unchanged.
+/// dropped, routes of surviving edges transfer verbatim (as node paths).
+/// All metrics can only improve; the host cube is unchanged.
 pub fn restrict(emb: &Embedding, big: &Shape, small: &Shape) -> Embedding {
     assert!(small.fits_in(big), "{} does not fit in {}", small, big);
     assert_eq!(emb.guest_nodes(), big.nodes());
@@ -86,7 +86,7 @@ pub fn restrict(emb: &Embedding, big: &Shape, small: &Shape) -> Embedding {
     let rank = small.rank();
 
     let mut map = Vec::with_capacity(small.nodes());
-    let mut routes = cubemesh_embedding::RouteSet::with_capacity(edge_count, edge_count * 3);
+    let mut routes = cubemesh_embedding::PathRoutes::with_capacity(edge_count, edge_count * 3);
     let mut c = vec![0usize; rank];
     loop {
         let big_node = big.index(&c);
@@ -95,7 +95,7 @@ pub fn restrict(emb: &Embedding, big: &Shape, small: &Shape) -> Embedding {
             if coord + 1 >= small.len(axis) {
                 continue;
             }
-            routes.push(emb.routes().route(idx.id(big_node, axis)));
+            routes.push(&emb.route(idx.id(big_node, axis)));
         }
         if !small.advance_coords(&mut c) {
             break;

@@ -18,9 +18,10 @@
 //!   axis-extension trick (embed the slightly larger mesh, restrict).
 
 use cubemesh_embedding::builders::{node_chunks, split_at_ends, MeshEdgeView};
-use cubemesh_embedding::{Embedding, RouteSet};
+use cubemesh_embedding::route::HopWriter;
+use cubemesh_embedding::{Embedding, HopRoutes, PathRoutes};
 use cubemesh_obs as obs;
-use cubemesh_pool::{run_each, run_tasks};
+use cubemesh_pool::run_each;
 use cubemesh_topology::{Hypercube, Shape};
 use std::ops::Range;
 
@@ -91,25 +92,29 @@ pub fn product_embedding(e1: &Embedding, e2: &Embedding) -> Embedding {
     // audit:allow(CM-A009): each term is below the product edge count < 3·guest
     let edge_total = n1 * e2.edge_count() + n2 * e1.edge_count();
     let mut edges = Vec::with_capacity(edge_total);
-    let mut routes = RouteSet::with_capacity(edge_total, edge_total * 2);
+    let mut routes = PathRoutes::with_capacity(edge_total, edge_total * 2);
 
     // G₂-type edges: copy of G₂ for every node u of G₁.
     for u in 0..n1 {
         let hi = e1.image(u) << shift;
         // audit:allow(CM-A009): u < n1, so u·n2 < guest ≤ 2^48.
         let base = (u * n2) as u32;
-        for (i, (a, b)) in e2.edges_iter().enumerate() {
+        let mut paths = e2.route_paths();
+        for (a, b) in e2.edges_iter() {
             edges.push((base + a, base + b));
-            routes.push_iter(e2.routes().route(i).iter().map(|&r| hi | r));
+            let path = paths.next_path().unwrap_or_default();
+            routes.push_iter(path.iter().map(|&r| hi | r));
         }
     }
     // G₁-type edges: copy of G₁ for every node v of G₂.
     for v in 0..n2 {
         let lo = e2.image(v);
-        for (i, (a, b)) in e1.edges_iter().enumerate() {
+        let mut paths = e1.route_paths();
+        for (a, b) in e1.edges_iter() {
             // audit:allow(CM-A009): a,b < n1, so a·n2 + v < guest ≤ 2^48.
             edges.push(((a as usize * n2 + v) as u32, (b as usize * n2 + v) as u32));
-            routes.push_iter(e1.routes().route(i).iter().map(|&r| (r << shift) | lo));
+            let path = paths.next_path().unwrap_or_default();
+            routes.push_iter(path.iter().map(|&r| (r << shift) | lo));
         }
     }
 
@@ -152,88 +157,70 @@ pub fn mesh_product_embedding(
 
     let n1 = e1.host().dim();
     let host = Hypercube::new(n1 + e2.host().dim());
+    // The factors' routes as cube dimensions; a path-form factor (the
+    // catalog's pieces) is converted once. Every product route copies
+    // one factor route, so the wider factor fixes the product's width.
+    let (h1, h2) = (e1.hop_routes(), e2.hop_routes());
+    let width = h1.width().max(h2.width());
+    // One-hop factors give one-hop products: only the map is written, and
+    // no edge lookup is needed.
+    let idx = (width > 0).then(|| (MeshEdgeIndex::new(s1), MeshEdgeIndex::new(s2)));
     let lowering = Lowering {
         shape,
         s1,
         s2,
         e1,
         e2,
-        idx1: MeshEdgeIndex::new(s1),
-        idx2: MeshEdgeIndex::new(s2),
+        h1: &h1,
+        h2: &h2,
+        idx: idx.as_ref(),
         s1_strides: (0..k)
             .map(|a| s1.dims()[a + 1..].iter().product())
             .collect(),
         n1,
     };
 
-    // The map and the routes are written in place per contiguous node
-    // range. The canonical enumeration visits nodes in linear order and
-    // axes ascending within a node, so a node range owns a dense run of
-    // edge ids (`edges_before_node` places it in `offsets`); a counting
-    // pass over the same walk places its run of route nodes in the arena.
+    // The map and the route interiors are written in place per
+    // contiguous node range. The canonical enumeration visits nodes in
+    // linear order and axes ascending within a node, so a node range owns
+    // the dense run of edge ids that `edges_before_node` bounds.
     let nodes = shape.nodes();
     let view = MeshEdgeView::new(shape);
     let chunks = node_chunks(nodes);
-    let arena_ends: Vec<usize> = {
-        let _span = obs::span!("product.count");
-        let sizes = run_tasks(chunks.len(), |i| lowering.route_nodes(chunks[i].clone()));
-        sizes
-            .iter()
-            .scan(0, |end, &size| {
-                *end += size;
-                Some(*end)
-            })
-            .collect()
-    };
     let mut map = vec![0u64; nodes];
-    let mut offsets = vec![0u32; view.edge_count() + 1];
-    let mut arena = vec![0u64; arena_ends.last().copied().unwrap_or(0)];
+    let mut routes = HopRoutes::blank(view.edge_count(), width);
     {
         let _span = obs::span!("product.fill");
         let map_pieces = split_at_ends(&mut map, chunks.iter().map(|r| r.end));
-        let offset_pieces = split_at_ends(
-            &mut offsets[1..],
-            chunks.iter().map(|r| view.edges_before_node(r.end)),
-        );
-        let arena_pieces = split_at_ends(&mut arena, arena_ends.iter().copied());
-        let bases = std::iter::once(0).chain(arena_ends.iter().copied());
+        let writers = routes.writers(chunks.iter().map(|r| view.edges_before_node(r.end)));
         let pieces: Vec<Piece<'_>> = chunks
             .into_iter()
-            .zip(bases)
             .zip(map_pieces)
-            .zip(offset_pieces.into_iter().zip(arena_pieces))
-            .map(|(((nodes, base), map), (offsets, arena))| Piece {
-                nodes,
-                base,
-                map,
-                offsets,
-                arena,
-            })
+            .zip(writers)
+            .map(|((nodes, map), routes)| Piece { nodes, map, routes })
             .collect();
         run_each(pieces, |piece| lowering.fill(piece));
     }
-    Embedding::new_mesh(shape, host, map, RouteSet::from_parts(offsets, arena))
+    Embedding::new_mesh(shape, host, map, routes.narrowed())
 }
 
-/// One worker's share of a product lowering: its node range, and the
-/// pieces of the map, the route offsets and the route arena it writes.
-/// The arena piece starts `base` nodes into the arena.
+/// One worker's share of a product lowering: its node range, its piece
+/// of the map and the writer of its edges' routes.
 struct Piece<'a> {
     nodes: Range<usize>,
-    base: usize,
     map: &'a mut [u64],
-    offsets: &'a mut [u32],
-    arena: &'a mut [u64],
+    routes: HopWriter<'a>,
 }
 
 /// The factor route a product edge copies (Theorem 3): an `M₂` route
 /// with `φ₁(x′)` below it, or an `M₁` route with `φ₂(y)` above it,
-/// reversed in a reflected instance.
+/// reversed in a reflected instance (where the canonical `M₁` edge
+/// starts at node `from`, one below the cursor's `x′`).
 #[derive(Clone, Copy)]
 enum FactorRoute {
     Outer(usize),
     Inner(usize),
-    InnerReversed(usize),
+    InnerReversed { id: usize, from: usize },
 }
 
 /// Everything the Corollary 2 lowering reads, shared by its workers.
@@ -243,8 +230,11 @@ struct Lowering<'a> {
     s2: &'a Shape,
     e1: &'a Embedding,
     e2: &'a Embedding,
-    idx1: MeshEdgeIndex,
-    idx2: MeshEdgeIndex,
+    /// The factors' routes in hop form.
+    h1: &'a HopRoutes,
+    h2: &'a HopRoutes,
+    /// Edge lookups of `M₁` and `M₂`; only built when routes are stored.
+    idx: Option<&'a (MeshEdgeIndex, MeshEdgeIndex)>,
     /// Row-major strides of `M₁`.
     s1_strides: Vec<usize>,
     /// `φ₁`'s cube dimension: `φ₂` sits above it.
@@ -268,85 +258,73 @@ impl Lowering<'_> {
 
     /// The factor routes of the edges at the cursor's node, in canonical
     /// (axis) order.
-    fn edges<'s>(&'s self, c: &'s FactorCursor<'_>) -> impl Iterator<Item = FactorRoute> + 's {
+    fn edges<'s>(
+        &'s self,
+        c: &'s FactorCursor<'_>,
+        (idx1, idx2): &'s (MeshEdgeIndex, MeshEdgeIndex),
+    ) -> impl Iterator<Item = FactorRoute> + 's {
         (0..self.shape.rank()).filter_map(move |axis| {
             if c.z[axis] + 1 == self.shape.len(axis) {
                 return None;
             }
             Some(if c.x[axis] + 1 == self.s1.len(axis) {
                 // M₂-type edge: y -> y + e_axis; x' identical on both ends.
-                FactorRoute::Outer(self.idx2.id(c.outer, axis))
+                FactorRoute::Outer(idx2.id(c.outer, axis))
             } else if c.y[axis].is_multiple_of(2) {
                 // M₁-type edge, x' increasing: the stored route runs
                 // forward.
-                FactorRoute::Inner(self.idx1.id(c.inner, axis))
+                FactorRoute::Inner(idx1.id(c.inner, axis))
             } else {
                 // Reflected instance: x' decreases, so the canonical edge
                 // starts at x' - 1; reverse its route.
                 let from = c.inner - self.s1_strides[axis];
-                FactorRoute::InnerReversed(self.idx1.id(from, axis))
+                FactorRoute::InnerReversed {
+                    id: idx1.id(from, axis),
+                    from,
+                }
             })
         })
     }
 
-    /// Total route nodes of the edges whose lower endpoint lies in
-    /// `range`: the arena space [`Lowering::fill`] writes for it.
-    fn route_nodes(&self, range: Range<usize>) -> usize {
-        let mut total = 0;
-        self.walk(range, |c, _, _| {
-            for route in self.edges(c) {
-                total += self.factor_route(route).len();
-            }
-        });
-        total
-    }
-
-    /// The stored factor route a product edge copies.
-    fn factor_route(&self, route: FactorRoute) -> &[u64] {
-        match route {
-            FactorRoute::Outer(id) => self.e2.routes().route(id),
-            FactorRoute::Inner(id) | FactorRoute::InnerReversed(id) => self.e1.routes().route(id),
-        }
-    }
-
-    /// Write a piece's node map `φ₂(y) ‖ φ₁(x′)`, its routes, and each
-    /// route's end offset.
+    /// Write a piece's node map `φ₂(y) ‖ φ₁(x′)` and its routes'
+    /// interiors.
     fn fill(&self, piece: Piece<'_>) {
         let Piece {
             nodes,
-            base,
             map,
-            offsets,
-            arena,
+            mut routes,
         } = piece;
-        let n1 = self.n1;
-        let (mut node, mut edge, mut at) = (0, 0, 0);
+        let n1 = self.n1 as u8;
+        let mut node = 0;
         self.walk(nodes, |c, a1, a2| {
             map[node] = a2 | a1;
             node += 1;
-            for route in self.edges(c) {
-                let src = self.factor_route(route);
-                let dst = &mut arena[at..at + src.len()];
+            let Some(idx) = self.idx else { return };
+            for route in self.edges(c, idx) {
                 match route {
-                    FactorRoute::Outer(_) => {
-                        for (slot, &r) in dst.iter_mut().zip(src) {
-                            *slot = (r << n1) | a1;
-                        }
+                    FactorRoute::Outer(id) => {
+                        // φ₂ sits n₁ dimensions up.
+                        let src = self.h2.interior(id).unwrap_or_default();
+                        routes.push(src.iter().map(|&d| d.wrapping_add(n1)));
                     }
-                    FactorRoute::Inner(_) => {
-                        for (slot, &r) in dst.iter_mut().zip(src) {
-                            *slot = a2 | r;
-                        }
+                    FactorRoute::Inner(id) => {
+                        let src = self.h1.interior(id).unwrap_or_default();
+                        routes.push(src.iter().copied());
                     }
-                    FactorRoute::InnerReversed(_) => {
-                        for (slot, &r) in dst.iter_mut().zip(src.iter().rev()) {
-                            *slot = a2 | r;
-                        }
+                    FactorRoute::InnerReversed { id, from } => {
+                        // The forward route runs φ₁(from) → φ₁(x′) over
+                        // hops d₀..d_k, the last implied by its end; the
+                        // reversed one flips d_k, …, d₁ before its last
+                        // hop.
+                        let src = self.h1.interior(id).unwrap_or_default();
+                        let before_last = src.iter().fold(self.e1.image(from), |v, &d| {
+                            v ^ 1u64.wrapping_shl(u32::from(d))
+                        });
+                        let d_k = (before_last ^ a1).trailing_zeros() as u8;
+                        let rest = src.iter().skip(1).rev().copied();
+                        routes.push((!src.is_empty()).then_some(d_k).into_iter().chain(rest));
                     }
                 }
-                at += src.len();
-                offsets[edge] = (base + at) as u32;
-                edge += 1;
             }
         });
     }
@@ -433,7 +411,7 @@ impl<'a> FactorCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cubemesh_embedding::gray_mesh_embedding;
+    use cubemesh_embedding::{gray_mesh_embedding, RouteSet};
     use cubemesh_topology::Mesh;
 
     #[test]
@@ -503,6 +481,31 @@ mod tests {
         assert_eq!(m.dilation, 1);
         assert_eq!(m.congestion, 1);
         assert!((emb.expansion() - e1.expansion() * e2.expansion()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_restriction_that_drops_every_long_route_narrows_the_width() {
+        // A 3-node path in Q2 as 00, 01, 10: its second edge takes the
+        // two-hop route 01 -> 11 -> 10.
+        let s1 = Shape::new(&[3]);
+        let mut paths = PathRoutes::new();
+        paths.push(&[0b00, 0b01]);
+        paths.push(&[0b01, 0b11, 0b10]);
+        let e1 = Embedding::new_mesh(&s1, Hypercube::new(2), vec![0b00, 0b01, 0b10], paths);
+        let s2 = Shape::new(&[1]);
+        let e2 = gray_mesh_embedding(&s2);
+        let width = |emb: &Embedding| match emb.routes() {
+            RouteSet::Hops(hops) => Some(hops.width()),
+            RouteSet::Paths(_) => None,
+        };
+        let whole = mesh_product_embedding(&s1, &s1, &e1, &s2, &e2);
+        whole.verify().unwrap();
+        assert_eq!(width(&whole), Some(1));
+        // Cut back to the first two nodes, only the one-hop edge is left.
+        let cut = mesh_product_embedding(&Shape::new(&[2]), &s1, &e1, &s2, &e2);
+        cut.verify().unwrap();
+        assert_eq!(width(&cut), Some(0));
+        assert_eq!(cut.metrics().dilation, 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! node boundaries), and costs `O(rank)` memory.
 
 use crate::map::Embedding;
-use crate::route::RouteSet;
+use crate::route::HopRoutes;
 use crate::router::{route_all, RouteStrategy};
 use cubemesh_gray::{gray_fill_run, gray_mesh_address, AxisLayout};
 use cubemesh_pool::run_each;
@@ -138,6 +138,35 @@ impl MeshEdgeView {
         total
     }
 
+    /// The endpoints of edge `i`, `None` past the last edge: a binary
+    /// search over [`MeshEdgeView::edges_before_node`] finds its lower
+    /// endpoint, `O(rank · log nodes)`.
+    pub fn edge(&self, i: usize) -> Option<(u32, u32)> {
+        if i >= self.edges {
+            return None;
+        }
+        // The last node whose edges start at or before id `i`.
+        let (mut lo, mut hi) = (0, self.shape.nodes() - 1);
+        while lo < hi {
+            let mid = lo + (hi - lo).div_ceil(2);
+            if self.edges_before_node(mid) <= i {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        let mut rest = i - self.edges_before_node(lo);
+        for (a, &stride) in self.strides.iter().enumerate() {
+            if (lo / stride) % self.shape.len(a) + 1 < self.shape.len(a) {
+                if rest == 0 {
+                    return Some((lo as u32, (lo + stride) as u32));
+                }
+                rest -= 1;
+            }
+        }
+        None
+    }
+
     /// Iterate every edge as `(u, v)` linear-index endpoints, `u < v`,
     /// in canonical order.
     pub fn iter(&self) -> MeshEdgeIter<'_> {
@@ -147,46 +176,81 @@ impl MeshEdgeView {
     /// Iterate only the edges whose lower endpoint lies in `nodes`
     /// (edge ids `edges_before_node(start)..edges_before_node(end)`).
     pub fn iter_nodes(&self, nodes: Range<usize>) -> MeshEdgeIter<'_> {
-        let mut coords = vec![0usize; self.shape.rank()];
-        if nodes.start > 0 && nodes.start < self.shape.nodes() {
-            self.shape.coords_into(nodes.start, &mut coords);
-        }
-        MeshEdgeIter {
+        let mut it = MeshEdgeIter {
             view: self,
-            coords,
+            coords: vec![0; self.shape.rank()],
             node: nodes.start,
             end: nodes.end.min(self.shape.nodes()),
-            axis: 0,
+            outer: Vec::with_capacity(self.shape.rank()),
+            next_axis: 0,
+            row_last: 0,
+        };
+        if it.node < it.end {
+            self.shape.coords_into(it.node, &mut it.coords);
+            it.enter_row();
         }
+        it
     }
 }
 
-/// Iterator over (a node range of) a [`MeshEdgeView`].
+/// Iterator over (a node range of) a [`MeshEdgeView`], a row of the
+/// innermost axis at a time: along a row only the innermost coordinate
+/// moves, so which outer axes carry an edge is fixed per row, and
+/// coordinates are stepped once per row rather than per node.
+#[derive(Clone)]
 pub struct MeshEdgeIter<'a> {
     view: &'a MeshEdgeView,
+    /// Coordinates of the node the current row was entered at.
     coords: Vec<usize>,
     node: usize,
     end: usize,
-    axis: usize,
+    /// Strides of the outer axes that carry an edge along this row.
+    outer: Vec<usize>,
+    /// How many of `node`'s outer edges are already yielded.
+    next_axis: usize,
+    /// The row's last node, which has no edge along the innermost axis.
+    row_last: usize,
+}
+
+impl MeshEdgeIter<'_> {
+    /// Set up the row that `coords`, the coordinates of `node`, lie in.
+    fn enter_row(&mut self) {
+        let (shape, strides) = (&self.view.shape, &self.view.strides);
+        let last = shape.rank() - 1;
+        self.outer.clear();
+        self.outer.extend(
+            (0..last)
+                .filter(|&a| self.coords[a] + 1 < shape.len(a))
+                .map(|a| strides[a]),
+        );
+        self.row_last = self.node + (shape.len(last) - 1 - self.coords[last]);
+    }
 }
 
 impl Iterator for MeshEdgeIter<'_> {
     type Item = (u32, u32);
 
+    #[inline]
     fn next(&mut self) -> Option<(u32, u32)> {
-        let shape = &self.view.shape;
-        let rank = shape.rank();
         while self.node < self.end {
-            while self.axis < rank {
-                let a = self.axis;
-                self.axis += 1;
-                if self.coords[a] + 1 < shape.len(a) {
-                    return Some((self.node as u32, (self.node + self.view.strides[a]) as u32));
-                }
+            let u = self.node;
+            if let Some(&stride) = self.outer.get(self.next_axis) {
+                self.next_axis += 1;
+                return Some((u as u32, (u + stride) as u32));
             }
-            self.axis = 0;
+            self.next_axis = 0;
             self.node += 1;
-            shape.advance_coords(&mut self.coords);
+            if u < self.row_last {
+                return Some((u as u32, (u + 1) as u32));
+            }
+            if self.node < self.end {
+                // Into the next row, whose innermost coordinate is 0.
+                let shape = &self.view.shape;
+                let last = shape.rank() - 1;
+                self.coords[last] = shape.len(last) - 1;
+                shape.advance_coords(&mut self.coords);
+                self.enter_row();
+            }
         }
         None
     }
@@ -290,28 +354,15 @@ fn gray_node_map(shape: &Shape, layout: &AxisLayout) -> Vec<u64> {
 ///
 /// This is the paper's method 1; its expansion is minimal exactly when
 /// [`Shape::gray_is_minimal`] holds (Theorem 1 makes this the best any
-/// dilation-one embedding can do). The map and the route arena are both
-/// filled in parallel node-range chunks on large meshes.
+/// dilation-one embedding can do). Every route is the single cube edge
+/// between adjacent addresses, so the routes are a width-0 hop-form set
+/// and only the map is written, in parallel node-range chunks on large
+/// meshes.
 pub fn gray_mesh_embedding(shape: &Shape) -> Embedding {
     let layout = AxisLayout::from_shape(shape);
     let host = Hypercube::new(layout.total_dim());
     let map = gray_node_map(shape, &layout);
-    let view = MeshEdgeView::new(shape);
-
-    // Every Gray route is the two-node path between adjacent addresses:
-    // route `i` is `lanes[2i..2i + 2]`, so a node chunk owns the lanes of
-    // the edges its nodes start.
-    let mut lanes = vec![0u64; 2 * view.edge_count()];
-    let pieces = node_chunk_pieces(&mut lanes, shape.nodes(), |node| {
-        2 * view.edges_before_node(node)
-    });
-    run_each(pieces, |(range, out)| {
-        for ((u, v), lane) in view.iter_nodes(range).zip(out.chunks_exact_mut(2)) {
-            lane[0] = map[u as usize];
-            lane[1] = map[v as usize];
-        }
-    });
-    Embedding::new_mesh(shape, host, map, RouteSet::from_pairs(lanes))
+    Embedding::new_mesh(shape, host, map, HopRoutes::one_hop(shape.mesh_edges()))
 }
 
 #[cfg(test)]
@@ -420,18 +471,45 @@ mod tests {
     }
 
     #[test]
+    fn edge_lookup_matches_enumeration() {
+        for dims in [
+            vec![1usize],
+            vec![7],
+            vec![3, 4, 5],
+            vec![1, 6, 1, 2],
+            vec![2, 1],
+        ] {
+            let view = MeshEdgeView::new(&Shape::new(&dims));
+            let all: Vec<(u32, u32)> = view.iter().collect();
+            for (i, &e) in all.iter().enumerate() {
+                assert_eq!(view.edge(i), Some(e), "{dims:?} edge {i}");
+            }
+            assert_eq!(view.edge(all.len()), None);
+        }
+    }
+
+    #[test]
     fn iter_nodes_partitions_the_edge_space() {
-        let shape = Shape::new(&[4, 3, 5]);
-        let view = MeshEdgeView::new(&shape);
-        let all: Vec<(u32, u32)> = view.iter().collect();
-        for split in [1, 7, 29, 43, shape.nodes()] {
-            let mut joined: Vec<(u32, u32)> = view.iter_nodes(0..split).collect();
-            joined.extend(view.iter_nodes(split..shape.nodes()));
-            assert_eq!(joined, all, "split {}", split);
-            assert_eq!(
-                view.iter_nodes(0..split).count(),
-                view.edges_before_node(split)
-            );
+        for dims in [
+            vec![1usize],
+            vec![7],
+            vec![4, 3, 5],
+            vec![1, 6, 1, 2],
+            vec![2, 1],
+            vec![3, 1, 1],
+        ] {
+            let shape = Shape::new(&dims);
+            let view = MeshEdgeView::new(&shape);
+            let all: Vec<(u32, u32)> = view.iter().collect();
+            for split in 0..=shape.nodes() {
+                let mut joined: Vec<(u32, u32)> = view.iter_nodes(0..split).collect();
+                joined.extend(view.iter_nodes(split..shape.nodes()));
+                assert_eq!(joined, all, "{dims:?} split {split}");
+                assert_eq!(
+                    view.iter_nodes(0..split).count(),
+                    view.edges_before_node(split)
+                );
+            }
         }
     }
 }

@@ -31,8 +31,8 @@ pub mod verify;
 pub use builders::{
     gray_mesh_embedding, mesh_embedding_from_fn, mesh_embedding_with_router, MeshEdgeView,
 };
-pub use map::{Embedding, GuestEdges};
+pub use map::{Embedding, GuestEdges, RoutePaths};
 pub use metrics::{load_factor, Metrics};
-pub use route::RouteSet;
+pub use route::{HopRoutes, PathRoutes, RouteSet};
 pub use router::RouteStrategy;
 pub use verify::{verify_many_to_one, VerifyError};

@@ -1,9 +1,10 @@
 //! The [`Embedding`] type: a guest graph, a host cube, a node map, routes.
 
 use crate::builders::{MeshEdgeIter, MeshEdgeView};
-use crate::route::RouteSet;
+use crate::route::{self, HopRoutes, PathRoutes, RouteSet};
 use crate::verify::{self, VerifyError};
 use cubemesh_topology::{Hypercube, Shape};
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// The guest graph's edge set: either a materialized list (irregular
@@ -105,6 +106,7 @@ impl GuestEdges {
 }
 
 /// Iterator over a [`GuestEdges`] (or a chunk of one).
+#[derive(Clone)]
 pub enum GuestEdgeIter<'a> {
     /// Over a materialized slice.
     Explicit(std::slice::Iter<'a, (u32, u32)>),
@@ -131,7 +133,9 @@ impl Iterator for GuestEdgeIter<'_> {
 /// mesh guests carry their *shape* (edges computed on demand in the
 /// canonical [`cubemesh_topology::Mesh::edges`] order), irregular guests
 /// a materialized list. Route indices line up with edge ids across
-/// crates either way.
+/// crates either way. Routes of a mesh guest may be stored in hop form
+/// (see [`crate::route`]); every reader goes through [`Embedding::route`]
+/// or [`Embedding::route_paths`], which decode either form.
 #[derive(Clone, Debug)]
 pub struct Embedding {
     guest_nodes: usize,
@@ -142,9 +146,9 @@ pub struct Embedding {
 }
 
 impl Embedding {
-    /// Assemble an embedding from parts with a materialized edge list.
-    /// Cheap structural checks only (lengths agree); semantic validation
-    /// is [`Embedding::verify`].
+    /// Assemble an embedding from parts with a materialized edge list,
+    /// whose routes are node paths. Cheap structural checks only (lengths
+    /// agree); semantic validation is [`Embedding::verify`].
     ///
     /// # Panics
     /// Panics if `map.len() != guest_nodes` or `routes.len()` differs from
@@ -154,7 +158,7 @@ impl Embedding {
         guest_edges: Vec<(u32, u32)>,
         host: Hypercube,
         map: Vec<u64>,
-        routes: RouteSet,
+        routes: PathRoutes,
     ) -> Self {
         Embedding::from_guest(
             guest_nodes,
@@ -171,7 +175,12 @@ impl Embedding {
     /// # Panics
     /// Panics if `map.len() != shape.nodes()` or `routes.len()` differs
     /// from the mesh edge count.
-    pub fn new_mesh(shape: &Shape, host: Hypercube, map: Vec<u64>, routes: RouteSet) -> Self {
+    pub fn new_mesh(
+        shape: &Shape,
+        host: Hypercube,
+        map: Vec<u64>,
+        routes: impl Into<RouteSet>,
+    ) -> Self {
         Embedding::from_guest(
             shape.nodes(),
             GuestEdges::Mesh(MeshEdgeView::new(shape)),
@@ -184,21 +193,24 @@ impl Embedding {
     /// Assemble an embedding from parts with any guest representation.
     ///
     /// # Panics
-    /// Panics if `map.len() != guest_nodes` or `routes.len()` differs from
-    /// the edge count.
+    /// Panics if `map.len() != guest_nodes`, if `routes.len()` differs
+    /// from the edge count, or if hop-form routes come with an explicit
+    /// edge list (they decode against the mesh enumeration only).
     pub fn from_guest(
         guest_nodes: usize,
         guest_edges: GuestEdges,
         host: Hypercube,
         map: Vec<u64>,
-        routes: RouteSet,
+        routes: impl Into<RouteSet>,
     ) -> Self {
+        let routes = routes.into();
         assert_eq!(map.len(), guest_nodes, "map length != node count");
         assert_eq!(
             routes.len(),
             guest_edges.count(),
             "route count != edge count"
         );
+        assert_hop_guest(&guest_edges, &routes);
         Embedding {
             guest_nodes,
             guest_edges,
@@ -262,10 +274,67 @@ impl Embedding {
         self.map[v]
     }
 
-    /// The routes, parallel to the guest edge enumeration.
+    /// The stored routes, parallel to the guest edge enumeration. Read
+    /// individual routes through [`Embedding::route`]: a hop-form set
+    /// only decodes against the map.
     #[inline]
     pub fn routes(&self) -> &RouteSet {
         &self.routes
+    }
+
+    /// The endpoints of guest edge `i`, `None` past the last edge:
+    /// `O(rank · log nodes)` for a mesh guest.
+    fn edge(&self, i: usize) -> Option<(u32, u32)> {
+        match &self.guest_edges {
+            GuestEdges::Explicit(v) => v.get(i).copied(),
+            GuestEdges::Mesh(view) => view.edge(i),
+        }
+    }
+
+    /// Route `i` as an owned node path, endpoints included. A hop-form
+    /// route is decoded from its edge's images and its stored
+    /// dimensions.
+    ///
+    /// # Panics
+    /// Panics if `i` is not an edge id.
+    pub fn route(&self, i: usize) -> Vec<u64> {
+        assert!(i < self.edge_count(), "edge {i} out of range");
+        match &self.routes {
+            RouteSet::Paths(paths) => paths.path(i).unwrap_or_default().to_vec(),
+            RouteSet::Hops(hops) => {
+                let (u, v) = self.edge(i).unwrap_or_default();
+                let interior = hops.interior(i).unwrap_or_default();
+                let mut path = Vec::with_capacity(interior.len() + 2);
+                route::decode_into(
+                    self.map[u as usize],
+                    interior,
+                    self.map[v as usize],
+                    &mut path,
+                );
+                path
+            }
+        }
+    }
+
+    /// Every route in edge order, decoded into one reused buffer.
+    pub fn route_paths(&self) -> RoutePaths<'_> {
+        RoutePaths {
+            emb: self,
+            edges: self.guest_edges.iter(),
+            next: 0,
+            buf: Vec::new(),
+        }
+    }
+
+    /// The routes in hop form: borrowed when stored so, otherwise
+    /// converted from the stored paths ([`HopRoutes::from_paths`]), which
+    /// is exact for routes that run between their edge's images — what
+    /// the product constructions read it for.
+    pub fn hop_routes(&self) -> Cow<'_, HopRoutes> {
+        match &self.routes {
+            RouteSet::Hops(hops) => Cow::Borrowed(hops),
+            RouteSet::Paths(paths) => Cow::Owned(HopRoutes::from_paths(paths)),
+        }
     }
 
     /// Expansion `|V(H)| / |V(G)|` (Definition 1).
@@ -296,8 +365,10 @@ impl Embedding {
 
     /// Replace the routes (e.g. re-route with a different strategy). The new
     /// route set must have one route per guest edge.
-    pub fn set_routes(&mut self, routes: RouteSet) {
+    pub fn set_routes(&mut self, routes: impl Into<RouteSet>) {
+        let routes = routes.into();
         assert_eq!(routes.len(), self.guest_edges.count());
+        assert_hop_guest(&self.guest_edges, &routes);
         self.routes = routes;
     }
 
@@ -339,13 +410,52 @@ impl Embedding {
     }
 }
 
+/// Hop-form routes decode against the mesh enumeration, whose endpoints
+/// are always in range.
+fn assert_hop_guest(guest: &GuestEdges, routes: &RouteSet) {
+    assert!(
+        matches!(routes, RouteSet::Paths(_)) || guest.mesh_shape().is_some(),
+        "hop-form routes need a mesh guest"
+    );
+}
+
+/// Every route of an embedding in edge order, as node paths decoded into
+/// one reused buffer ([`Embedding::route_paths`]). A lending cursor: each
+/// path borrows the buffer until the next call.
+pub struct RoutePaths<'a> {
+    emb: &'a Embedding,
+    edges: GuestEdgeIter<'a>,
+    next: usize,
+    buf: Vec<u64>,
+}
+
+impl RoutePaths<'_> {
+    /// The next route's node path, endpoints included; `None` after the
+    /// last.
+    pub fn next_path(&mut self) -> Option<&[u64]> {
+        let (u, v) = self.edges.next()?;
+        let i = self.next;
+        self.next += 1;
+        match &self.emb.routes {
+            RouteSet::Paths(paths) => paths.path(i),
+            RouteSet::Hops(hops) => {
+                let map = &self.emb.map;
+                let interior = hops.interior(i)?;
+                self.buf.clear();
+                route::decode_into(map[u as usize], interior, map[v as usize], &mut self.buf);
+                Some(&self.buf)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn tiny() -> Embedding {
         // Path 0-1-2 into Q_2: 00, 01, 11.
-        let mut routes = RouteSet::new();
+        let mut routes = PathRoutes::new();
         routes.push(&[0b00, 0b01]);
         routes.push(&[0b01, 0b11]);
         Embedding::new(
@@ -375,7 +485,7 @@ mod tests {
         let shape = Shape::new(&[2, 3]);
         let mesh = cubemesh_topology::Mesh::new(shape.clone());
         let explicit = crate::builders::mesh_edge_list(&mesh);
-        let mut routes = RouteSet::new();
+        let mut routes = PathRoutes::new();
         let map: Vec<u64> = (0..6).collect();
         for &(u, v) in &explicit {
             routes.push(&[map[u as usize], map[v as usize]]);
@@ -430,7 +540,7 @@ mod tests {
             vec![(0, 1)],
             Hypercube::new(1),
             vec![0, 1],
-            RouteSet::new(),
+            PathRoutes::new(),
         );
     }
 }

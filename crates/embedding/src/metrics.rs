@@ -2,17 +2,21 @@
 //! plus the load-factor of §7 for many-to-one maps.
 //!
 //! Congestion is exact and never materializes a per-host-edge array the
-//! size of the cube. When the host's edge-index space fits in `u32` (any
-//! cube up to `Q_26`), steps take the *bucketed counting* path: each
-//! route shard computes its dilation max and partitions its dense step
-//! indices into contiguous buckets of `2^15` indices (a 128 KiB count
-//! window — L2-resident), then each bucket is counted through the reused
-//! window with an on-the-fly max. Both phases are embarrassingly
-//! parallel (shards, then buckets) and every value is an exact integer,
-//! so the sharded result is bitwise identical to the sequential one.
-//! When the route arena is all dilation-1 pairs (`RouteSet::all_pairs`,
-//! the shape every Gray-code embedding produces), the gather reads the
-//! node arena directly as `(u, v)` lanes, skipping the offsets table.
+//! size of the cube. Every reader walks the routes in place, hop by hop:
+//! a path-form route straight from its stored nodes, a hop-form route by
+//! recomputing each step from the map and the stored dimension (see
+//! [`crate::route`]), so no route is decoded into a buffer.
+//!
+//! When the host's edge-index space fits in `u32` (any cube up to
+//! `Q_27`), steps take the *bucketed counting* path. Each route shard
+//! walks its routes twice: once counting how many steps fall in each
+//! contiguous bucket of `2^15` edge indices (a 128 KiB count window —
+//! L2-resident), once scattering each step's in-bucket offset, a `u16`,
+//! into its bucket's segment. Then each bucket is counted through the
+//! reused window with an on-the-fly max. A shard so keeps 2 bytes per
+//! hop, and both phases are embarrassingly parallel (shards, then
+//! buckets); every value is an exact integer, so the sharded result is
+//! bitwise identical to the sequential one.
 //!
 //! Larger cubes (`space > u32::MAX`) fall back to the sort-and-merge
 //! path: per-shard sorted `u64` step lists, k-way merged while counting
@@ -20,7 +24,8 @@
 //! exact agreement on both paths.
 
 use crate::builders::PAR_MIN_NODES;
-use crate::map::Embedding;
+use crate::map::{Embedding, GuestEdgeIter};
+use crate::route::{flip, RouteSet};
 use cubemesh_obs as obs;
 use cubemesh_pool::{effective_threads, run_tasks};
 use cubemesh_topology::Hypercube;
@@ -57,11 +62,10 @@ impl Metrics {
 }
 
 /// Compute all metrics of an embedding. Dispatches to the sharded path when
-/// more than one pool thread is available and the route arena is large
-/// enough to amortize the worker hand-off; both paths return identical
-/// values.
+/// more than one pool thread is available and the routes are long enough
+/// to amortize the worker hand-off; both paths return identical values.
 pub fn metrics(e: &Embedding) -> Metrics {
-    if effective_threads() > 1 && e.routes().total_length() >= PAR_MIN_NODES as u64 {
+    if effective_threads() > 1 && has_hops(e, PAR_MIN_NODES as u64) {
         metrics_par(e)
     } else {
         metrics_seq(e)
@@ -86,21 +90,65 @@ pub fn metrics_par(e: &Embedding) -> Metrics {
     dil_cong_dispatch(e, parts)
 }
 
+/// Do the routes take at least `min` hops in total? Every route takes one
+/// or more, so only a set of fewer than `min` routes needs the scan.
+fn has_hops(e: &Embedding, min: u64) -> bool {
+    let routes = e.routes();
+    routes.len() as u64 >= min || routes.total_length() >= min
+}
+
 fn dil_cong_dispatch(e: &Embedding, parts: usize) -> Metrics {
     let host = e.host();
     let space = host.edge_index_space();
-    // Any cube with edge_index_space() <= u32::MAX (dim <= 26) takes the
-    // bucketed u32 counting path — half the memory traffic of u64 and no
-    // sort; giant cubes fall back to sort-and-merge over u64 steps, and
-    // so do tiny route sets, where the count window's zero-fill would
-    // dominate the handful of steps being counted.
-    let bucketed = space <= u32::MAX as usize && e.routes().total_length() >= SMALL_SORT_MAX;
-    let (dilation, congestion) = if bucketed {
+    // Any cube with edge_index_space() <= u32::MAX (dim <= 27) takes the
+    // bucketed counting path — 2 bytes per hop and no sort; giant cubes
+    // fall back to sort-and-merge over u64 steps, and so do tiny route
+    // sets, where the count window's zero-fill would dominate the
+    // handful of steps being counted.
+    let bucketed = space <= u32::MAX as usize && has_hops(e, SMALL_SORT_MAX);
+    let counted = if bucketed {
         dil_cong_bucketed(e, parts)
     } else {
         dil_cong(e, parts, |i| i as u64)
     };
-    finish_metrics(e, dilation, congestion)
+    finish_metrics(e, counted)
+}
+
+/// Visit every hop of the routes from edge id `first_edge` on, one route
+/// per edge of `edges`, in order: `hop(from, bit)` is the step from node
+/// `from` across cube dimension `bit`. Returns the longest route's hop
+/// count. A path-form route is read from its stored nodes; a hop-form
+/// route is recomputed from its edge's images and stored dimensions.
+fn walk_hops(
+    e: &Embedding,
+    first_edge: usize,
+    edges: GuestEdgeIter<'_>,
+    mut hop: impl FnMut(u64, u32),
+) -> u32 {
+    let mut dil = 0u32;
+    match e.routes() {
+        RouteSet::Paths(paths) => {
+            for (_, path) in edges.zip(paths.paths_from(first_edge)) {
+                dil = dil.max(path.len().saturating_sub(1) as u32);
+                for w in path.windows(2) {
+                    hop(w[0], (w[0] ^ w[1]).trailing_zeros());
+                }
+            }
+        }
+        RouteSet::Hops(hops) => {
+            let map = e.map();
+            for ((u, v), interior) in edges.zip(hops.interiors(first_edge)) {
+                let mut cur = map[u as usize];
+                for &d in interior {
+                    hop(cur, u32::from(d));
+                    cur = flip(cur, d);
+                }
+                hop(cur, (cur ^ map[v as usize]).trailing_zeros());
+                dil = dil.max(interior.len() as u32 + 1);
+            }
+        }
+    }
+    dil
 }
 
 /// Bucket granularity for the counting path: `2^15` u32 slots = 128 KiB
@@ -108,101 +156,65 @@ fn dil_cong_dispatch(e: &Embedding, parts: usize) -> Metrics {
 const BUCKET_BITS: u32 = 15;
 const BUCKET_WIDTH: usize = 1 << BUCKET_BITS;
 
-/// Route arenas shorter than this sort faster than they bucket (the
+/// Route sets with fewer hops than this sort faster than they bucket (the
 /// count window's zero-fill alone outweighs sorting a few thousand
 /// steps), so they keep the u64 sort-and-merge path.
 const SMALL_SORT_MAX: u64 = 1 << 16;
+
+/// Longest route, worst congestion and total hops of a route set.
+struct Counted {
+    dilation: u32,
+    congestion: u32,
+    hops: u64,
+}
 
 /// One route shard's gathered steps: dilation max plus step indices
 /// partitioned into bucket-contiguous segments (`offs` holds the prefix
 /// sums; bucket `b` is `steps[offs[b]..offs[b + 1]]`). Steps are stored
 /// as *in-bucket* offsets — the low `BUCKET_BITS` of the edge index,
-/// which is all the count phase needs once the bucket is fixed — so the
-/// scatter writes and the two count-phase reads move half the bytes a
-/// full `u32` index would.
+/// which is all the count phase needs once the bucket is fixed.
 struct ShardSteps {
     dil: u32,
     offs: Vec<u32>,
     steps: Vec<u16>,
 }
 
-/// Gather one contiguous route range: dilation max plus step indices,
-/// with the per-bucket histogram folded into the same pass; then one
-/// counting scatter into bucket-contiguous order.
-fn gather_shard(e: &Embedding, lo: usize, hi: usize, nbuckets: usize) -> ShardSteps {
+/// Gather one contiguous route range in two walks: the first finds the
+/// dilation max and each bucket's step count, the second scatters every
+/// step's in-bucket offset into its bucket's segment. Recomputing a step
+/// is cheaper than keeping a 4-byte index per hop between the walks.
+fn gather_shard(
+    e: &Embedding,
+    first_edge: usize,
+    edges: GuestEdgeIter<'_>,
+    nbuckets: usize,
+) -> ShardSteps {
     let host = e.host();
-    let routes = e.routes();
-    let mut dil = 0u32;
-    let mut raw: Vec<u32>;
-    if routes.all_pairs() {
-        // Every route is a 2-node path: read the arena as (u, v) lanes —
-        // no offsets indirection, dilation is 1 wherever routes exist.
-        // Writing through a pre-sized iterator keeps the loop free of
-        // capacity checks and memory-dependency chains.
-        dil = u32::from(hi > lo);
-        let lanes = &routes.pair_lanes()[lo * 2..hi * 2];
-        raw = vec![0u32; lanes.len() / 2];
-        for (o, pair) in raw.iter_mut().zip(lanes.chunks_exact(2)) {
-            let bit = (pair[0] ^ pair[1]).trailing_zeros();
-            *o = host.edge_index(pair[0], bit) as u32;
-        }
-    } else {
-        raw = Vec::with_capacity(routes.span_length(lo, hi));
-        for i in lo..hi {
-            dil = dil.max(routes.dilation(i));
-            for w in routes.route(i).windows(2) {
-                let bit = (w[0] ^ w[1]).trailing_zeros();
-                raw.push(host.edge_index(w[0], bit) as u32);
-            }
-        }
-    }
-    const LOW_MASK: u32 = (BUCKET_WIDTH - 1) as u32;
-    if nbuckets <= 1 {
-        let total = raw.len() as u32;
-        return ShardSteps {
-            dil,
-            offs: vec![0, total],
-            steps: raw.iter().map(|&s| s as u16).collect(),
-        };
-    }
+    // Four interleaved sub-histograms, rotated per step: consecutive
+    // steps usually land in the same bucket, and a single counter array
+    // would serialize every increment on store-to-load forwarding.
+    let mut hist = vec![0u32; 4 * nbuckets];
+    let mut lane = 0usize;
+    let dil = walk_hops(e, first_edge, edges.clone(), |from, bit| {
+        let b = host.edge_index(from, bit) >> BUCKET_BITS;
+        hist[4 * b + lane] += 1;
+        lane = (lane + 1) & 3;
+    });
     let mut offs = vec![0u32; nbuckets + 1];
-    bucket_histogram(&raw, &mut offs);
-    for b in 1..=nbuckets {
-        offs[b] += offs[b - 1];
+    for (b, counts) in hist.chunks_exact(4).enumerate() {
+        offs[b + 1] = offs[b] + counts.iter().sum::<u32>();
     }
+    drop(hist);
+    const LOW_MASK: usize = BUCKET_WIDTH - 1;
     let mut cursor = offs.clone();
-    let mut steps = vec![0u16; raw.len()];
-    for &s in &raw {
-        let b = (s >> BUCKET_BITS) as usize;
-        steps[cursor[b] as usize] = (s & LOW_MASK) as u16;
-        cursor[b] += 1;
-    }
+    let mut steps = vec![0u16; offs[nbuckets] as usize];
+    walk_hops(e, first_edge, edges, |from, bit| {
+        let idx = host.edge_index(from, bit);
+        let at = &mut cursor[idx >> BUCKET_BITS];
+        steps[*at as usize] = (idx & LOW_MASK) as u16;
+        *at += 1;
+    });
     ShardSteps { dil, offs, steps }
-}
-
-/// Per-bucket step counts into `offs[bucket + 1]` (the shifted layout the
-/// prefix sum in [`gather_shard`] expects). Four interleaved
-/// sub-histograms: consecutive steps usually land in the same bucket, and
-/// a single counter array would serialize every increment on
-/// store-to-load forwarding.
-fn bucket_histogram(steps: &[u32], offs: &mut [u32]) {
-    let nb = offs.len() - 1;
-    let mut h1 = vec![0u32; nb];
-    let mut h2 = vec![0u32; nb];
-    let mut h3 = vec![0u32; nb];
-    let mut lanes = steps.chunks_exact(4);
-    for q in &mut lanes {
-        offs[(q[0] >> BUCKET_BITS) as usize + 1] += 1;
-        h1[(q[1] >> BUCKET_BITS) as usize] += 1;
-        h2[(q[2] >> BUCKET_BITS) as usize] += 1;
-        h3[(q[3] >> BUCKET_BITS) as usize] += 1;
-    }
-    for &s in lanes.remainder() {
-        offs[(s >> BUCKET_BITS) as usize + 1] += 1;
-    }
-    for b in 0..nb {
-        offs[b + 1] += h1[b] + h2[b] + h3[b];
-    }
 }
 
 /// Count a run of buckets across all shards through one reused
@@ -234,24 +246,20 @@ fn bucket_group_max(shards: &[ShardSteps], blo: usize, bhi: usize, space: usize)
 /// shards gather and partition in parallel, buckets count in parallel,
 /// and every merge is an integer max — the sharded result is bitwise
 /// identical to `parts == 1` by construction.
-fn dil_cong_bucketed(e: &Embedding, parts: usize) -> (u32, u32) {
+fn dil_cong_bucketed(e: &Embedding, parts: usize) -> Counted {
     let space = e.host().edge_index_space();
     let nbuckets = space.max(1).div_ceil(BUCKET_WIDTH);
-    let n = e.routes().len();
-    let shards: Vec<ShardSteps> = if parts <= 1 || n < 2 {
-        vec![gather_shard(e, 0, n, nbuckets)]
+    let shards: Vec<ShardSteps> = if parts <= 1 || e.edge_count() < 2 {
+        vec![gather_shard(e, 0, e.edges_iter(), nbuckets)]
     } else {
-        let chunk = n.div_ceil(parts);
-        let bounds: Vec<(usize, usize)> = (0..n)
-            .step_by(chunk)
-            .map(|lo| (lo, (lo + chunk).min(n)))
-            .collect();
-        run_tasks(bounds.len(), |i| {
-            let (lo, hi) = bounds[i];
-            gather_shard(e, lo, hi, nbuckets)
+        let chunks = e.edges().chunks(parts);
+        run_tasks(chunks.len(), |i| {
+            let (first_edge, edges) = chunks[i].clone();
+            gather_shard(e, first_edge, edges, nbuckets)
         })
     };
-    let dil = shards.iter().map(|s| s.dil).max().unwrap_or(0);
+    let dilation = shards.iter().map(|s| s.dil).max().unwrap_or(0);
+    let hops = shards.iter().map(|s| s.steps.len() as u64).sum();
     let shards = &shards;
     let congestion = if parts <= 1 || nbuckets < 2 {
         bucket_group_max(shards, 0, nbuckets, space)
@@ -270,26 +278,30 @@ fn dil_cong_bucketed(e: &Embedding, parts: usize) -> (u32, u32) {
         .into_iter()
         .fold(0, u32::max)
     };
-    (dil, congestion)
+    Counted {
+        dilation,
+        congestion,
+        hops,
+    }
 }
 
-fn finish_metrics(e: &Embedding, dilation: u32, congestion: u32) -> Metrics {
+fn finish_metrics(e: &Embedding, counted: Counted) -> Metrics {
     let host = e.host();
     let guest_edge_count = e.edge_count();
-    let total_len = e.routes().total_length();
+    let total_len = counted.hops;
     let host_edges = host.edge_count();
     Metrics {
         host_dim: host.dim(),
         guest_nodes: e.guest_nodes(),
         guest_edge_count,
         expansion: e.expansion(),
-        dilation,
+        dilation: counted.dilation,
         avg_dilation: if guest_edge_count == 0 {
             0.0
         } else {
             total_len as f64 / guest_edge_count as f64
         },
-        congestion,
+        congestion: counted.congestion,
         avg_congestion: if host_edges == 0 {
             0.0
         } else {
@@ -300,45 +312,41 @@ fn finish_metrics(e: &Embedding, dilation: u32, congestion: u32) -> Metrics {
 
 /// Maximum dilation and congestion over the routes, sharded `parts` ways.
 /// `conv` narrows the dense host-edge index to the counting type.
-fn dil_cong<T>(e: &Embedding, parts: usize, conv: impl Fn(usize) -> T + Send + Sync) -> (u32, u32)
+fn dil_cong<T>(e: &Embedding, parts: usize, conv: impl Fn(usize) -> T + Send + Sync) -> Counted
 where
     T: Ord + Copy + Send,
 {
     let host = e.host();
-    let routes = e.routes();
-    let n = routes.len();
-
-    let gather = |lo: usize, hi: usize| -> (u32, Vec<T>) {
-        let mut dil = 0u32;
-        let mut steps: Vec<T> = Vec::with_capacity(routes.span_length(lo, hi));
-        for i in lo..hi {
-            dil = dil.max(routes.dilation(i));
-            for w in routes.route(i).windows(2) {
-                let bit = (w[0] ^ w[1]).trailing_zeros();
-                steps.push(conv(host.edge_index(w[0], bit)));
-            }
-        }
+    let gather = |first_edge: usize, edges: GuestEdgeIter<'_>| -> (u32, Vec<T>) {
+        let mut steps: Vec<T> = Vec::new();
+        let dil = walk_hops(e, first_edge, edges, |from, bit| {
+            steps.push(conv(host.edge_index(from, bit)));
+        });
         steps.sort_unstable();
         (dil, steps)
     };
 
-    if parts <= 1 || n < 2 {
-        let (dil, steps) = gather(0, n);
-        return (dil, max_run_sorted(&steps));
+    if parts <= 1 || e.edge_count() < 2 {
+        let (dilation, steps) = gather(0, e.edges_iter());
+        return Counted {
+            dilation,
+            congestion: max_run_sorted(&steps),
+            hops: steps.len() as u64,
+        };
     }
 
-    let chunk = n.div_ceil(parts);
-    let bounds: Vec<(usize, usize)> = (0..n)
-        .step_by(chunk)
-        .map(|lo| (lo, (lo + chunk).min(n)))
-        .collect();
-    let shards: Vec<(u32, Vec<T>)> = run_tasks(bounds.len(), |i| {
-        let (lo, hi) = bounds[i];
-        gather(lo, hi)
+    let chunks = e.edges().chunks(parts);
+    let shards: Vec<(u32, Vec<T>)> = run_tasks(chunks.len(), |i| {
+        let (first_edge, edges) = chunks[i].clone();
+        gather(first_edge, edges)
     });
-    let dil = shards.iter().map(|s| s.0).max().unwrap_or(0);
+    let dilation = shards.iter().map(|s| s.0).max().unwrap_or(0);
     let lists: Vec<Vec<T>> = shards.into_iter().map(|s| s.1).collect();
-    (dil, max_run_merged(&lists))
+    Counted {
+        dilation,
+        congestion: max_run_merged(&lists),
+        hops: lists.iter().map(|l| l.len() as u64).sum(),
+    }
 }
 
 /// Longest run in an already-sorted slice.
@@ -402,13 +410,13 @@ pub fn load_factor(map: &[u64], host: Hypercube) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route::RouteSet;
+    use crate::route::PathRoutes;
 
     fn ring4_in_q2() -> Embedding {
         // 4-ring onto all of Q2 via the cyclic Gray code.
         let map = vec![0b00, 0b01, 0b11, 0b10];
         let edges = vec![(0u32, 1u32), (1, 2), (2, 3), (0, 3)];
-        let mut rs = RouteSet::new();
+        let mut rs = PathRoutes::new();
         rs.push(&[0b00, 0b01]);
         rs.push(&[0b01, 0b11]);
         rs.push(&[0b11, 0b10]);
@@ -432,7 +440,7 @@ mod tests {
     #[test]
     fn dilated_route_counts() {
         // Path 0-1 mapped to opposite corners of Q2 with a length-2 route.
-        let mut rs = RouteSet::new();
+        let mut rs = PathRoutes::new();
         rs.push(&[0b00, 0b01, 0b11]);
         let e = Embedding::new(2, vec![(0, 1)], Hypercube::new(2), vec![0b00, 0b11], rs);
         e.verify().unwrap();
@@ -447,7 +455,7 @@ mod tests {
     #[test]
     fn congestion_counts_overlaps() {
         // Two guest edges routed across the same cube edge 00-01.
-        let mut rs = RouteSet::new();
+        let mut rs = PathRoutes::new();
         rs.push(&[0b00, 0b01]);
         rs.push(&[0b10, 0b00, 0b01, 0b11]);
         let e = Embedding::new(
@@ -465,7 +473,7 @@ mod tests {
 
     #[test]
     fn zero_edge_guest() {
-        let e = Embedding::new(1, vec![], Hypercube::new(0), vec![0], RouteSet::new());
+        let e = Embedding::new(1, vec![], Hypercube::new(0), vec![0], PathRoutes::new());
         for m in [metrics_seq(&e), metrics_par(&e)] {
             assert_eq!(m.dilation, 0);
             assert_eq!(m.congestion, 0);

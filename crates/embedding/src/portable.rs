@@ -23,7 +23,7 @@
 //! one-`write!`-per-number formulation (asserted by test).
 
 use crate::map::Embedding;
-use crate::route::RouteSet;
+use crate::route::PathRoutes;
 use cubemesh_topology::Hypercube;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
@@ -61,7 +61,8 @@ pub fn write_embedding(emb: &Embedding, w: &mut impl Write) -> io::Result<()> {
         flush(&mut buf, w, false)?;
     }
     buf.push('\n');
-    for r in emb.routes().iter() {
+    let mut routes = emb.route_paths();
+    while let Some(r) = routes.next_path() {
         buf.push_str("route");
         for &a in r {
             let _ = write!(buf, " {}", a);
@@ -128,7 +129,7 @@ pub fn read_embedding(r: &mut impl BufRead) -> io::Result<Embedding> {
     }
     let edges: Vec<(u32, u32)> = flat.chunks(2).map(|c| (c[0], c[1])).collect();
 
-    let mut routes = RouteSet::with_capacity(edges.len(), edges.len() * 2);
+    let mut routes = PathRoutes::with_capacity(edges.len(), edges.len() * 2);
     loop {
         let line = next_line()?;
         let line = line.trim();
@@ -181,9 +182,9 @@ mod tests {
             write!(w, " {} {}", u, v)?;
         }
         writeln!(w)?;
-        for r in emb.routes().iter() {
+        for i in 0..emb.edge_count() {
             write!(w, "route")?;
-            for &a in r {
+            for a in emb.route(i) {
                 write!(w, " {}", a)?;
             }
             writeln!(w)?;

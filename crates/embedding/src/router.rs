@@ -13,7 +13,7 @@
 //!   worst edges. This is what lets the search catalog certify
 //!   congestion-2 routings for its dilation-2 embeddings.
 
-use crate::route::RouteSet;
+use crate::route::PathRoutes;
 use cubemesh_obs as obs;
 use cubemesh_topology::{hamming, Hypercube};
 use std::collections::HashMap;
@@ -108,10 +108,10 @@ pub fn route_all(
     edges: &[(u32, u32)],
     host: Hypercube,
     strategy: RouteStrategy,
-) -> RouteSet {
+) -> PathRoutes {
     match strategy {
         RouteStrategy::Canonical => {
-            let mut rs = RouteSet::with_capacity(edges.len(), edges.len() * 2);
+            let mut rs = PathRoutes::with_capacity(edges.len(), edges.len() * 2);
             for &(u, v) in edges {
                 rs.push(&canonical_path(map[u as usize], map[v as usize]));
             }
@@ -121,7 +121,12 @@ pub fn route_all(
     }
 }
 
-fn balanced_routes(map: &[u64], edges: &[(u32, u32)], host: Hypercube, passes: usize) -> RouteSet {
+fn balanced_routes(
+    map: &[u64],
+    edges: &[(u32, u32)],
+    host: Hypercube,
+    passes: usize,
+) -> PathRoutes {
     let _span = obs::span!("router.balanced");
     obs::counter!("router.balanced.calls").inc();
     // Congestion counters on host edges, sparse.
@@ -181,7 +186,7 @@ fn balanced_routes(map: &[u64], edges: &[(u32, u32)], host: Hypercube, passes: u
         return canonical;
     }
 
-    let mut rs = RouteSet::with_capacity(edges.len(), edges.len() * 2);
+    let mut rs = PathRoutes::with_capacity(edges.len(), edges.len() * 2);
     for p in &chosen {
         rs.push(p);
     }
@@ -190,10 +195,10 @@ fn balanced_routes(map: &[u64], edges: &[(u32, u32)], host: Hypercube, passes: u
 
 /// Max per-edge congestion of a route set (small helper used to pick the
 /// better of two routings).
-fn max_edge_congestion(routes: &RouteSet, host: Hypercube) -> u32 {
+fn max_edge_congestion(routes: &PathRoutes, host: Hypercube) -> u32 {
     let mut load: HashMap<usize, u32> = HashMap::new();
     let mut worst = 0;
-    for r in routes.iter() {
+    for r in routes.paths() {
         for w in r.windows(2) {
             let bit = (w[0] ^ w[1]).trailing_zeros();
             let e = load.entry(host.edge_index(w[0], bit)).or_insert(0);

@@ -17,10 +17,11 @@
 //! error. Either way the reported error is the sort's.
 
 use crate::builders::PAR_MIN_NODES;
-use crate::map::Embedding;
+use crate::map::{Embedding, GuestEdgeIter};
+use crate::route::{flip, HopRoutes, PathRoutes, RouteSet};
 use cubemesh_obs as obs;
 use cubemesh_pool::{effective_threads, run_each};
-use cubemesh_topology::hamming;
+use cubemesh_topology::{hamming, Hypercube};
 use std::fmt;
 
 /// Why an embedding failed validation.
@@ -62,7 +63,7 @@ pub enum VerifyError {
     /// A route leaves the host cube.
     RouteOutOfRange { edge: usize, address: u64 },
     /// A route has no nodes at all (even a self-mapped edge must carry
-    /// the single-node path). [`RouteSet::push`](crate::RouteSet::push)
+    /// the single-node path). [`PathRoutes::push`](crate::PathRoutes::push)
     /// already rejects empty routes, so this is defense-in-depth: the
     /// verifier does not assume the container upheld its invariant.
     RouteEmpty { edge: usize },
@@ -278,20 +279,29 @@ fn check_addresses(e: &Embedding) -> Result<(), VerifyError> {
 fn check_route_range(
     e: &Embedding,
     first_edge: usize,
-    edges: impl Iterator<Item = (u32, u32)>,
+    edges: GuestEdgeIter<'_>,
 ) -> Result<(), VerifyError> {
-    if e.routes().all_pairs() {
-        return check_pair_route_range(e, first_edge, edges);
+    match e.routes() {
+        RouteSet::Paths(paths) => check_paths(e, first_edge, edges, paths),
+        RouteSet::Hops(hops) => check_hops(e, first_edge, edges, hops),
     }
+}
+
+/// [`check_route_range`] over stored node paths: edge bounds, empty
+/// route, start, end, adjacency in step order, then range and simplicity
+/// in node order.
+fn check_paths(
+    e: &Embedding,
+    first_edge: usize,
+    edges: GuestEdgeIter<'_>,
+    paths: &PathRoutes,
+) -> Result<(), VerifyError> {
     let host = e.host();
-    let routes = e.routes();
     let mut seen: Vec<u64> = Vec::new();
-    for (k, (u, v)) in edges.enumerate() {
-        let i = first_edge + k;
+    for (i, ((u, v), route)) in (first_edge..).zip(edges.zip(paths.paths_from(first_edge))) {
         if u as usize >= e.guest_nodes() || v as usize >= e.guest_nodes() {
             return Err(VerifyError::EdgeOutOfRange { edge: i });
         }
-        let route = routes.route(i);
         let (Some(&first), Some(&last)) = (route.first(), route.last()) else {
             return Err(VerifyError::RouteEmpty { edge: i });
         };
@@ -323,87 +333,102 @@ fn check_route_range(
         }
         seen.clear();
         for &addr in route {
-            if !host.contains(addr) {
-                return Err(VerifyError::RouteOutOfRange {
-                    edge: i,
-                    address: addr,
-                });
-            }
-            if seen.contains(&addr) {
-                return Err(VerifyError::RouteNotSimple {
-                    edge: i,
-                    address: addr,
-                });
-            }
-            seen.push(addr);
+            check_node(host, &mut seen, i, addr)?;
         }
     }
     Ok(())
 }
 
-/// [`check_route_range`] specialized for an all-pairs route arena (the
-/// shape every Gray construction produces): routes are read straight from
-/// the `(u, v)` lanes, skipping the offsets indirection and the
-/// `seen`-scratch machinery. Exactness: every mapped address is already
-/// known to be in range (the bitmap pass or [`check_addresses`] proved
-/// it), so a pair route whose endpoints match the map and are
-/// cube-adjacent cannot fail the range or simple-path checks — and when
-/// a check fails, the error precedence below is the same one the generic
-/// scan applies (edge bounds, then start, then end, then step-0
-/// adjacency).
-fn check_pair_route_range(
-    e: &Embedding,
-    first_edge: usize,
-    edges: impl Iterator<Item = (u32, u32)>,
+/// Range, then simplicity, of node `addr` of route `edge`, given the
+/// route's earlier nodes in `seen`.
+#[inline]
+fn check_node(
+    host: Hypercube,
+    seen: &mut Vec<u64>,
+    edge: usize,
+    addr: u64,
 ) -> Result<(), VerifyError> {
-    let map = e.map();
-    let n = e.guest_nodes();
-    let lanes = &e.routes().pair_lanes()[first_edge * 2..];
-    for (k, (u, v)) in edges.enumerate() {
-        let (nu, nv) = (u as usize, v as usize);
-        if nu >= n || nv >= n {
-            return Err(VerifyError::EdgeOutOfRange {
-                edge: first_edge + k,
-            });
-        }
-        let from = lanes[2 * k];
-        let to = lanes[2 * k + 1];
-        if from == map[nu] && to == map[nv] && (from ^ to).is_power_of_two() {
-            continue;
-        }
-        let i = first_edge + k;
-        if from != map[nu] {
-            return Err(VerifyError::RouteStartMismatch {
-                edge: i,
-                expected: map[nu],
-                found: from,
-            });
-        }
-        if to != map[nv] {
-            return Err(VerifyError::RouteEndMismatch {
-                edge: i,
-                expected: map[nv],
-                found: to,
-            });
-        }
-        return Err(VerifyError::RouteStepNotAdjacent {
-            edge: i,
-            step: 0,
-            from,
-            to,
+    if !host.contains(addr) {
+        return Err(VerifyError::RouteOutOfRange {
+            edge,
+            address: addr,
         });
     }
+    if seen.contains(&addr) {
+        return Err(VerifyError::RouteNotSimple {
+            edge,
+            address: addr,
+        });
+    }
+    seen.push(addr);
     Ok(())
+}
+
+/// [`check_route_range`] over hop-form routes, read in place: exactly the
+/// errors [`check_paths`] reports on the decoded paths. A decoded route
+/// starts and ends at its edge's images and every stored dimension flips
+/// one bit, so the only step that can fail adjacency is the last, onto
+/// `φ(v)`. The endpoints are mapped addresses, already proven in range
+/// (by the bitmap pass or [`check_addresses`]), so a one-hop route that
+/// passes adjacency also passes range and simplicity; a longer one walks
+/// its nodes in order.
+fn check_hops(
+    e: &Embedding,
+    first_edge: usize,
+    edges: GuestEdgeIter<'_>,
+    hops: &HopRoutes,
+) -> Result<(), VerifyError> {
+    let (host, map, n) = (e.host(), e.map(), e.guest_nodes());
+    let mut seen: Vec<u64> = Vec::new();
+    for (i, (edge, interior)) in (first_edge..).zip(edges.zip(hops.interiors(first_edge))) {
+        check_hop_route(host, map, n, &mut seen, i, edge, interior)?;
+    }
+    Ok(())
+}
+
+/// Check hop-form route `i` of guest edge `(u, v)` flipping `interior`.
+fn check_hop_route(
+    host: Hypercube,
+    map: &[u64],
+    n: usize,
+    seen: &mut Vec<u64>,
+    i: usize,
+    (u, v): (u32, u32),
+    interior: &[u8],
+) -> Result<(), VerifyError> {
+    if u as usize >= n || v as usize >= n {
+        return Err(VerifyError::EdgeOutOfRange { edge: i });
+    }
+    let (start, end) = (map[u as usize], map[v as usize]);
+    let last = interior.iter().fold(start, |cur, &d| flip(cur, d));
+    if !(last ^ end).is_power_of_two() {
+        return Err(VerifyError::RouteStepNotAdjacent {
+            edge: i,
+            step: interior.len(),
+            from: last,
+            to: end,
+        });
+    }
+    if interior.is_empty() {
+        return Ok(());
+    }
+    seen.clear();
+    let mut cur = start;
+    check_node(host, seen, i, cur)?;
+    for &d in interior {
+        cur = flip(cur, d);
+        check_node(host, seen, i, cur)?;
+    }
+    check_node(host, seen, i, end)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route::RouteSet;
     use cubemesh_topology::Hypercube;
 
     fn build(map: Vec<u64>, edges: Vec<(u32, u32)>, routes: Vec<Vec<u64>>) -> Embedding {
-        let mut rs = RouteSet::new();
+        let mut rs = PathRoutes::new();
         for r in &routes {
             rs.push(r);
         }
@@ -474,28 +499,76 @@ mod tests {
         ));
     }
 
+    /// The path form of `e`'s routes, decoded through the accessor.
+    fn decoded(e: &Embedding, shape: &cubemesh_topology::Shape) -> Embedding {
+        let mut rs = PathRoutes::new();
+        let mut paths = e.route_paths();
+        while let Some(p) = paths.next_path() {
+            rs.push(p);
+        }
+        Embedding::new_mesh(shape, e.host(), e.map().to_vec(), rs)
+    }
+
+    /// `edges` hop-form routes at `width`, route `i` flipping
+    /// `interior(i)`.
+    fn hops_of(edges: usize, width: usize, interior: impl Fn(usize) -> Vec<u8>) -> HopRoutes {
+        let mut hops = HopRoutes::blank(edges, width);
+        if let Some(mut writer) = hops.writers([edges]).pop() {
+            for i in 0..edges {
+                writer.push(interior(i));
+            }
+        }
+        hops
+    }
+
     #[test]
-    fn pair_fast_path_agrees_with_generic_scan() {
-        // Identical failing pair content; the second embedding carries an
-        // extra trailing 3-node route, forcing it down the generic scan.
-        // Both must report the same (first) error.
-        let map = vec![0u64, 1, 3, 7];
-        let edges = vec![(0u32, 1u32), (1, 2), (2, 3)];
-        let pair_routes = vec![vec![0u64, 1], vec![1, 0], vec![3, 7]];
-        let a = build(map.clone(), edges.clone(), pair_routes.clone());
-        assert!(a.routes().all_pairs());
-        let mut edges2 = edges;
-        edges2.push((0, 3));
-        let mut routes2 = pair_routes;
-        routes2.push(vec![0, 4, 5, 7]);
-        let b = build(map, edges2, routes2);
-        assert!(!b.routes().all_pairs());
-        assert_eq!(verify_embedding_seq(&a), verify_embedding_seq(&b));
-        assert_eq!(verify_embedding_par(&a), verify_embedding_par(&b));
-        assert!(matches!(
-            verify_embedding_seq(&a),
-            Err(VerifyError::RouteEndMismatch { edge: 1, .. })
-        ));
+    fn hop_form_reports_what_its_decoded_paths_report() {
+        // A 2x3 mesh Gray-coded into Q3, stored at width 1 and width 2,
+        // with each route in turn given every interior of dimensions up
+        // to host_dim + 2, then with every map entry moved.
+        let shape = cubemesh_topology::Shape::new(&[2, 3]);
+        let gray = crate::builders::gray_mesh_embedding(&shape);
+        let edges = gray.edge_count();
+        let mut interiors: Vec<Vec<u8>> = vec![vec![]];
+        interiors.extend((0..=5u8).map(|a| vec![a]));
+        interiors.extend((0..=5u8).flat_map(|a| (0..=5u8).map(move |b| vec![a, b])));
+        for width in [1usize, 2] {
+            for victim in 0..edges {
+                for bad in interiors.iter().filter(|i| i.len() <= width) {
+                    let hops = hops_of(edges, width, |i| {
+                        if i == victim {
+                            bad.clone()
+                        } else {
+                            Vec::new()
+                        }
+                    });
+                    let e = Embedding::new_mesh(&shape, gray.host(), gray.map().to_vec(), hops);
+                    let d = decoded(&e, &shape);
+                    assert_eq!(
+                        both(&e),
+                        both(&d),
+                        "width {width}: route {victim} flips {bad:?}"
+                    );
+                    assert_eq!(sorted_reference(&e), sorted_reference(&d));
+                }
+            }
+        }
+        for node in 0..shape.nodes() {
+            for address in 0..9u64 {
+                for width in [0, 1] {
+                    let mut map = gray.map().to_vec();
+                    map[node] = address;
+                    let hops = hops_of(edges, width, |_| vec![1; width]);
+                    let e = Embedding::new_mesh(&shape, gray.host(), map, hops);
+                    let d = decoded(&e, &shape);
+                    assert_eq!(
+                        both(&e),
+                        both(&d),
+                        "width {width}: node {node} -> {address}"
+                    );
+                }
+            }
+        }
     }
 
     /// The pre-bitmap check order: sort for injectivity, then ranges,
@@ -508,7 +581,13 @@ mod tests {
 
     /// Nodes only, in a host of dimension `dim`.
     fn map_only(map: Vec<u64>, dim: u32) -> Embedding {
-        Embedding::new(map.len(), vec![], Hypercube::new(dim), map, RouteSet::new())
+        Embedding::new(
+            map.len(),
+            vec![],
+            Hypercube::new(dim),
+            map,
+            PathRoutes::new(),
+        )
     }
 
     fn matches_reference(e: &Embedding) -> Result<(), VerifyError> {

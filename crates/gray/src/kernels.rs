@@ -3,8 +3,8 @@
 //! The scalar BRGC primitives in [`crate::code`] are a handful of ALU ops
 //! each; what costs money at paper scale is calling them through
 //! per-node coordinate machinery. These kernels process contiguous runs
-//! — an innermost-axis sweep of Gray mesh addresses, a route arena read
-//! as endpoint lanes — with 4-wide unrolled loops so the work pipelines
+//! — an innermost-axis sweep of Gray mesh addresses, a Hamming total over
+//! paired lanes — with 4-wide unrolled loops so the work pipelines
 //! as pure register arithmetic (no branches, no lookup tables). They
 //! back the chunked lowering fast path in `cubemesh-embedding` and the
 //! `gray_kernel` micro-bench rungs in `cubemesh-bench`.
@@ -69,20 +69,6 @@ pub fn hamming_total(xs: &[u64], ys: &[u64]) -> u64 {
     a0 + a1 + a2 + a3
 }
 
-/// Scan a route arena viewed as `(u, v)` endpoint lanes (see
-/// `RouteSet::pair_lanes`) for the first pair whose endpoints are *not*
-/// cube-adjacent, i.e. whose XOR is not a power of two (Hamming ≠ 1).
-/// Returns the pair index, or `None` when every pair is a unit step.
-pub fn first_non_unit_pair(lanes: &[u64]) -> Option<usize> {
-    for (i, pair) in lanes.chunks_exact(2).enumerate() {
-        let d = pair[0] ^ pair[1];
-        if !d.is_power_of_two() {
-            return Some(i);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,20 +110,5 @@ mod tests {
             .map(|(&x, &y)| u64::from((x ^ y).count_ones()))
             .sum();
         assert_eq!(hamming_total(&xs, &ys), want);
-    }
-
-    #[test]
-    fn non_unit_pair_detection() {
-        // Consecutive Gray codes are unit steps.
-        let lanes: Vec<u64> = (0..32).flat_map(|i| [gray(i), gray(i + 1)]).collect();
-        assert_eq!(first_non_unit_pair(&lanes), None);
-        // A zero step (u == v) is not a unit step.
-        let mut bad = lanes.clone();
-        bad[11] = bad[10];
-        assert_eq!(first_non_unit_pair(&bad), Some(5));
-        // Nor is a Hamming-2 step.
-        let mut bad2 = lanes;
-        bad2[7] = bad2[6] ^ 0b11;
-        assert_eq!(first_non_unit_pair(&bad2), Some(3));
     }
 }

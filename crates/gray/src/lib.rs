@@ -21,5 +21,5 @@ pub mod ring;
 
 pub use axis::{gray_mesh_address, gray_mesh_address_reflected, AxisLayout};
 pub use code::{gray, gray_inverse, gray_reflected};
-pub use kernels::{first_non_unit_pair, gray_fill_run, gray_inverse_fill, hamming_total};
+pub use kernels::{gray_fill_run, gray_inverse_fill, hamming_total};
 pub use ring::even_ring_code;

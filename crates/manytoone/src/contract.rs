@@ -2,7 +2,7 @@
 //! one node of a base embedding.
 
 use cubemesh_core::product::MeshEdgeIndex;
-use cubemesh_embedding::{Embedding, RouteSet};
+use cubemesh_embedding::{Embedding, PathRoutes};
 use cubemesh_topology::{Mesh, Shape};
 
 /// The optimal (information-theoretic) load-factor for `guest_nodes` on an
@@ -48,7 +48,7 @@ pub fn contract(base_shape: &Shape, base: &Embedding, factors: &[usize]) -> Embe
     }
 
     let mut edges = Vec::with_capacity(mesh.edge_count());
-    let mut routes = RouteSet::with_capacity(mesh.edge_count(), mesh.edge_count() * 3);
+    let mut routes = PathRoutes::with_capacity(mesh.edge_count(), mesh.edge_count() * 3);
     for z in big.iter_coords() {
         let node = big.index(&z) as u32;
         for axis in 0..k {
@@ -67,7 +67,7 @@ pub fn contract(base_shape: &Shape, base: &Embedding, factors: &[usize]) -> Embe
             } else {
                 // Crosses a block boundary: reuse the base route.
                 let base_edge = idx.id(base_shape.index(&q), axis);
-                routes.push(base.routes().route(base_edge));
+                routes.push(&base.route(base_edge));
             }
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::contract::contract;
 use cubemesh_core::restrict;
-use cubemesh_embedding::{gray_mesh_embedding, Embedding, RouteSet};
+use cubemesh_embedding::{gray_mesh_embedding, Embedding, PathRoutes};
 use cubemesh_topology::{ceil_pow2, cube_dim, Hypercube, Shape};
 
 /// Fold an embedding into a smaller cube by dropping the high `n' − n`
@@ -17,12 +17,13 @@ pub fn fold_to_dim(emb: &Embedding, n: u32) -> Embedding {
     }
     let mask = (1u64 << n) - 1;
     let map: Vec<u64> = emb.map().iter().map(|&a| a & mask).collect();
-    let mut routes = RouteSet::with_capacity(
+    let mut routes = PathRoutes::with_capacity(
         emb.edge_count(),
         emb.routes().total_length() as usize + emb.edge_count(),
     );
     let mut folded: Vec<u64> = Vec::new();
-    for r in emb.routes().iter() {
+    let mut paths = emb.route_paths();
+    while let Some(r) = paths.next_path() {
         folded.clear();
         for &a in r {
             let m = a & mask;

@@ -64,8 +64,8 @@ impl std::error::Error for WorkloadError {}
 /// pattern of one Jacobi/stencil iteration on the mesh.
 pub fn stencil_exchange(emb: &Embedding, flits: u32) -> Vec<Message> {
     let mut msgs = Vec::with_capacity(emb.edge_count() * 2);
-    for i in 0..emb.edge_count() {
-        let route = emb.routes().route(i);
+    let mut routes = emb.route_paths();
+    while let Some(route) = routes.next_path() {
         msgs.push(Message::new(route.to_vec(), flits));
         msgs.push(Message::new(route.iter().rev().copied().collect(), flits));
     }
@@ -84,9 +84,13 @@ pub fn axis_shift(
 ) -> Vec<Message> {
     let mesh = cubemesh_topology::Mesh::new(shape.clone());
     let mut msgs = Vec::new();
-    for (i, e) in mesh.edges().enumerate() {
+    let mut routes = emb.route_paths();
+    for e in mesh.edges() {
+        let Some(route) = routes.next_path() else {
+            break;
+        };
         if e.axis == axis {
-            msgs.push(Message::new(emb.routes().route(i).to_vec(), flits));
+            msgs.push(Message::new(route.to_vec(), flits));
         }
     }
     msgs

@@ -149,6 +149,15 @@ pub fn report() {
     }
 }
 
+/// The process's peak resident set so far, in KiB: `VmHWM` from
+/// `/proc/self/status`. `None` where that file does not exist (non-Linux
+/// hosts) or has no such line.
+pub fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().trim_end_matches("kB").trim().parse().ok()
+}
+
 #[cfg(test)]
 pub(crate) mod testutil {
     use std::sync::{Mutex, MutexGuard, OnceLock};

@@ -245,12 +245,10 @@ impl Trace {
 fn resolve(e: &TraceEvent, emb: &Embedding) -> Message {
     match e.spec {
         RouteSpec::Edge { edge, reverse } => {
-            let route = emb.routes().route(edge as usize);
-            let path = if reverse {
-                route.iter().rev().copied().collect()
-            } else {
-                route.to_vec()
-            };
+            let mut path = emb.route(edge as usize);
+            if reverse {
+                path.reverse();
+            }
             Message::at(e.at, path, e.flits)
         }
         RouteSpec::Pair { src, dst } => Message::at(

@@ -8,7 +8,7 @@
 //! minimal whenever `⌈log₂ 2ℓ₁⌉ + ⌈log₂ ⌈ℓ₂/2⌉⌉ = ⌈log₂ ℓ₁ℓ₂⌉`.
 
 use cubemesh_embedding::builders::mesh_edge_list;
-use cubemesh_embedding::{Embedding, RouteSet};
+use cubemesh_embedding::{Embedding, PathRoutes};
 use cubemesh_gray::{gray_mesh_address, AxisLayout};
 use cubemesh_topology::{Hypercube, Mesh, Shape};
 
@@ -54,7 +54,7 @@ pub fn fold_embedding(shape: &Shape) -> Embedding {
     // Routes: go through the folded mesh, then Gray — i.e. the image of the
     // length-≤2 folded-mesh path. Crease and intra-row edges are direct;
     // vertical mesh edges pass through the interleaved row.
-    let mut routes = RouteSet::with_capacity(edges.len(), edges.len() * 3);
+    let mut routes = PathRoutes::with_capacity(edges.len(), edges.len() * 3);
     let mut coords = vec![0usize; 2];
     for &(u, v) in &edges {
         let a = map[u as usize];

@@ -9,7 +9,7 @@
 //! motivates the paper's techniques.
 
 use cubemesh_embedding::builders::mesh_edge_list;
-use cubemesh_embedding::{Embedding, RouteSet};
+use cubemesh_embedding::{Embedding, PathRoutes};
 use cubemesh_gray::gray;
 use cubemesh_topology::{cube_dim, Hypercube, Mesh, Shape};
 
@@ -45,7 +45,7 @@ pub fn snake_embedding(shape: &Shape) -> Embedding {
         .map(|c| gray(snake_position(shape, &c) as u64))
         .collect();
     let edges = mesh_edge_list(&mesh);
-    let mut routes = RouteSet::with_capacity(edges.len(), edges.len() * 3);
+    let mut routes = PathRoutes::with_capacity(edges.len(), edges.len() * 3);
     for &(u, v) in &edges {
         routes.push(&cubemesh_embedding::router::canonical_path(
             map[u as usize],

@@ -11,7 +11,7 @@
 //! maps when certification fails).
 
 use cubemesh_embedding::router::{route_all, RouteStrategy};
-use cubemesh_embedding::RouteSet;
+use cubemesh_embedding::PathRoutes;
 use cubemesh_topology::{hamming, Hypercube};
 use std::collections::HashMap;
 use std::fmt;
@@ -56,7 +56,7 @@ pub fn certify_congestion(
     edges: &[(u32, u32)],
     host: Hypercube,
     limit: u32,
-) -> Option<RouteSet> {
+) -> Option<PathRoutes> {
     let greedy = route_all(map, edges, host, RouteStrategy::Balanced { passes: 4 });
     if max_congestion(&greedy, host) <= limit {
         return Some(greedy);
@@ -66,10 +66,12 @@ pub fn certify_congestion(
     assign_bounded_congestion(map, edges, host, limit).ok()
 }
 
-/// Max congestion of a route set (helper shared with discovery).
-pub fn max_congestion(routes: &RouteSet, host: Hypercube) -> u32 {
+/// Max congestion of node-path routes — what the router and the
+/// assigner here produce (helper shared with discovery). A built
+/// embedding is measured by `Embedding::metrics`.
+pub fn max_congestion(routes: &PathRoutes, host: Hypercube) -> u32 {
     let mut steps: Vec<u64> = Vec::with_capacity(routes.total_length() as usize);
-    for r in routes.iter() {
+    for r in routes.paths() {
         for w in r.windows(2) {
             let bit = (w[0] ^ w[1]).trailing_zeros();
             steps.push(host.edge_index(w[0], bit) as u64);
@@ -103,7 +105,7 @@ pub fn assign_bounded_congestion(
     edges: &[(u32, u32)],
     host: Hypercube,
     limit: u32,
-) -> Result<RouteSet, AssignError> {
+) -> Result<PathRoutes, AssignError> {
     assign_bounded_congestion_budgeted(map, edges, host, limit, DEFAULT_ASSIGN_BUDGET)
 }
 
@@ -122,7 +124,7 @@ pub fn assign_bounded_congestion_budgeted(
     host: Hypercube,
     limit: u32,
     max_steps: u64,
-) -> Result<RouteSet, AssignError> {
+) -> Result<PathRoutes, AssignError> {
     let mut load: HashMap<usize, u32> = HashMap::new();
     let bump = |load: &mut HashMap<usize, u32>, a: u64, b: u64| -> bool {
         let bit = (a ^ b).trailing_zeros();
@@ -257,7 +259,7 @@ pub fn assign_bounded_congestion_budgeted(
     for (d, c) in choices.iter().enumerate() {
         chosen_mid.insert(c.edge_idx, c.mids[pick[d]]);
     }
-    let mut rs = RouteSet::with_capacity(edges.len(), edges.len() * 3);
+    let mut rs = PathRoutes::with_capacity(edges.len(), edges.len() * 3);
     for (i, &(u, v)) in edges.iter().enumerate() {
         let a = map[u as usize];
         let b = map[v as usize];
@@ -355,6 +357,6 @@ mod tests {
         let map = vec![0, 0];
         let edges = vec![(0u32, 1u32)];
         let rs = assign_bounded_congestion(&map, &edges, host, 1).unwrap();
-        assert_eq!(rs.route(0), &[0]);
+        assert_eq!(rs.path(0), Some(&[0][..]));
     }
 }

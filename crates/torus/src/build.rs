@@ -3,7 +3,7 @@
 
 use crate::axis::{AxisCode, Step};
 use cubemesh_core::product::MeshEdgeIndex;
-use cubemesh_embedding::{Embedding, RouteSet};
+use cubemesh_embedding::{Embedding, PathRoutes};
 use cubemesh_topology::{Hypercube, Shape, Torus, TorusEdge};
 
 /// Build the wraparound-mesh embedding.
@@ -57,7 +57,7 @@ pub fn build_torus_embedding(shape: &Shape, codes: &[AxisCode], inner: &Embeddin
 
     // Routes, in Torus::edges() order.
     let mut edges = Vec::with_capacity(torus.edge_count());
-    let mut routes = RouteSet::with_capacity(torus.edge_count(), torus.edge_count() * 3);
+    let mut routes = PathRoutes::with_capacity(torus.edge_count(), torus.edge_count() * 3);
     let mut zc = vec![0usize; k];
     for e in torus.edges() {
         let (u, v) = torus.edge_endpoints(e);
@@ -135,7 +135,7 @@ fn assemble_route(
                 let mut wlo = wvec.clone();
                 wlo[axis] = lo;
                 let edge_id = idx_inner.id(inner_shape.index(&wlo), axis);
-                let route = inner.routes().route(edge_id);
+                let route = inner.route(edge_id);
                 let cfields = cur & !inner_mask;
                 if from < to {
                     for &r in &route[1..] {

@@ -32,6 +32,22 @@ cargo build --release
 CUBEMESH_THREADS=1 cargo test -q
 cargo test -q
 
+echo "== embed: 256^3 under 400 MiB peak RSS (--stats process.peak_rss_kib) =="
+# Routes stored as cube dimensions keep this at ~230 MiB; with every route
+# a stored node path it peaked at ~1.35 GiB. The figure is the snapshot's
+# VmHWM line, so the gate needs no external time(1).
+peak_kib=$(CUBEMESH_STATS=text target/release/cubemesh embed 256 256 256 --stats 2>&1 >/dev/null \
+    | awk '$1 == "process.peak_rss_kib" { print $2 }')
+if [[ -z "$peak_kib" ]]; then
+    echo "ERROR: embed --stats printed no process.peak_rss_kib line" >&2
+    exit 1
+fi
+echo "embed 256 256 256: peak RSS $((peak_kib / 1024)) MiB"
+if (( peak_kib >= 400 * 1024 )); then
+    echo "ERROR: embed 256 256 256 peaked at $((peak_kib / 1024)) MiB, at or over 400 MiB" >&2
+    exit 1
+fi
+
 echo "== perfbench: the benchmark still builds against the library APIs =="
 # perfbench is its own workspace and builds the library crates by path,
 # so only this step (not the tier-1 build) catches a change that breaks

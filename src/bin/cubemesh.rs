@@ -20,13 +20,19 @@
 //! replay.
 //!
 //! Every subcommand accepts `--stats` to print an instrumentation snapshot
-//! (counters, histograms, span timings) after the run; setting
+//! (counters, histograms, span timings, and the process's peak resident
+//! set as `process.peak_rss_kib`) after the run; setting
 //! `CUBEMESH_STATS=text` or `CUBEMESH_STATS=json` does the same without
 //! the flag and selects the output format. `--trace FILE` (any subcommand)
 //! records a hierarchical execution trace and writes three exports at
 //! exit: Chrome `trace_event` JSON at FILE (open in Perfetto), folded
 //! flamegraph stacks at FILE.folded, and a stable-schema JSONL event log
 //! at FILE.jsonl.
+//!
+//! `--help` prints the usage. An unknown flag, a word that is not an
+//! extent, or an extent outside `Shape::MAX_AXIS`/`MAX_NODES` prints the
+//! usage and exits 2, as does a shape above the node limit of the
+//! subcommand (see [`MAX_EMBED_NODES`] and its siblings).
 
 use cubemesh::core::{classify3, construct, embed_mesh, plan_shape, Planner};
 use cubemesh::embedding::gray_mesh_embedding;
@@ -39,8 +45,46 @@ use cubemesh::torus::embed_torus;
 use std::io::BufReader;
 use std::process::ExitCode;
 
+/// Every subcommand with its arguments; printed on `--help` and after a
+/// usage error.
+const USAGE: &str = "usage: cubemesh <command> … [--stats] [--trace FILE]
+  embed <l1> [l2 …] [--out FILE]
+  classify <l1> <l2> <l3>
+  torus <l1> [l2 …]
+  simulate <l1> [l2 …] [--flits N] [--cut-through] [--json]
+  census [n]
+  verify FILE
+  replay <l1> [l2 …] [--pattern stencil|shifts|bursty|sweep] [--flits N]
+      [--period N] [--phases N] [--horizon N] [--window N] [--seed N]
+      [--cut-through] [--trace-in FILE] [--record FILE] [--slack] [--check] [--json]";
+
+/// Largest guest, in nodes, that `embed` and `classify` build: the
+/// paper's 512×512×512 census corner, `2²⁷` nodes. Its node map and
+/// hop-form routes peak at ~1.8 GiB (14 B per node). Each subcommand's
+/// limit keeps its peak resident set near that figure at default flags,
+/// so a larger request is refused up front instead of aborting in the
+/// allocator; the per-node peaks were measured on an x86-64 release
+/// build.
+const MAX_EMBED_NODES: usize = 1 << 27;
+
+/// Largest `torus` guest: ~100 B per node (node-path routes and an
+/// explicit edge list), ~1.6 GiB at `2²⁴`.
+const MAX_TORUS_NODES: usize = 1 << 24;
+
+/// Largest `simulate` guest: ~1.7 KiB per node (three embeddings, two
+/// messages per edge and the simulator's queues), ~1.7 GiB at `2²⁰`.
+const MAX_SIMULATE_NODES: usize = 1 << 20;
+
+/// Largest `replay` guest: ~3.8 KiB per node at the default pattern
+/// and phases, ~1.9 GiB at `2¹⁹`.
+const MAX_REPLAY_NODES: usize = 1 << 19;
+
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     obs::init_from_env();
     if args.iter().any(|a| a == "--stats") {
         args.retain(|a| a != "--stats");
@@ -50,13 +94,10 @@ fn main() -> ExitCode {
     }
     let trace_out = take_trace_flag(&mut args);
     let Some((cmd, rest)) = args.split_first() else {
-        eprintln!(
-            "usage: cubemesh <embed|classify|torus|simulate|census|verify|replay> … \
-             [--stats] [--trace FILE]"
-        );
+        eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let code = match cmd.as_str() {
+    let result = match cmd.as_str() {
         "embed" => embed(rest),
         "classify" => classify(rest),
         "torus" => torus(rest),
@@ -64,11 +105,17 @@ fn main() -> ExitCode {
         "census" => census(rest),
         "verify" => verify(rest),
         "replay" => replay_cmd(rest),
-        other => {
-            eprintln!("unknown command '{}'", other);
-            ExitCode::from(2)
-        }
+        other => Err(format!("unknown command '{other}'")),
     };
+    let code = result.unwrap_or_else(|e| {
+        eprintln!("cubemesh: {e}\n{USAGE}");
+        ExitCode::from(2)
+    });
+    // The snapshot closes with the peak resident set, the figure a
+    // memory claim about this run is read from.
+    if let Some(kib) = obs::peak_rss_kib() {
+        obs::counter!("process.peak_rss_kib").add(kib);
+    }
     // Text goes to stderr, JSON as one line to stdout; no-op when off.
     obs::report();
     write_trace(trace_out.as_deref());
@@ -104,26 +151,48 @@ fn write_trace(path: Option<&str>) {
     }
 }
 
-fn parse_dims(args: &[String]) -> (Vec<usize>, Vec<(String, String)>) {
+/// The extents and `--flag [value]` pairs of a subcommand line. A flag
+/// takes the next word as its value unless that word is a flag, so bare
+/// boolean flags (`--json`) compose with valued ones. A flag outside
+/// `known`, or a word that is not an extent, is a usage error.
+fn parse_dims(args: &[String], known: &[&str]) -> Result<(Vec<usize>, Flags), String> {
     let mut dims = Vec::new();
     let mut flags = Vec::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
-            // A following `--flag` is the next flag, not this one's value,
-            // so bare boolean flags (--json) compose with valued ones.
+            if !known.contains(&name) {
+                return Err(format!("unknown flag '{a}'"));
+            }
             let value = match it.peek() {
-                Some(v) if !v.starts_with("--") => it.next().cloned().unwrap(),
+                Some(v) if !v.starts_with("--") => it.next().cloned().unwrap_or_default(),
                 _ => String::new(),
             };
             flags.push((name.to_string(), value));
-        } else if let Ok(d) = a.parse() {
-            dims.push(d);
         } else {
-            eprintln!("ignoring argument '{}'", a);
+            let d = a
+                .parse()
+                .map_err(|_| format!("'{a}' is not an extent (a positive integer)"))?;
+            dims.push(d);
         }
     }
-    (dims, flags)
+    Ok((dims, flags))
+}
+
+type Flags = Vec<(String, String)>;
+
+/// The shape of `dims`, checked against the `Shape` limits first so a bad
+/// extent is a usage error rather than a panic in `Shape::new`, then
+/// against the subcommand's node limit `max_nodes`.
+fn checked_shape(dims: &[usize], max_nodes: usize) -> Result<Shape, String> {
+    if dims.iter().any(|&d| d == 0 || d > Shape::MAX_AXIS) {
+        return Err(format!("extents must be in 1..={}", Shape::MAX_AXIS));
+    }
+    let nodes = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+    match nodes {
+        Some(n) if n <= max_nodes.min(Shape::MAX_NODES) => Ok(Shape::new(dims)),
+        _ => Err(format!("the shape has more than {max_nodes} nodes")),
+    }
 }
 
 fn flag<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
@@ -133,20 +202,33 @@ fn flag<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
-fn embed(args: &[String]) -> ExitCode {
-    let (dims, flags) = parse_dims(args);
-    if dims.is_empty() {
-        eprintln!("usage: cubemesh embed <l1> [l2 …] [--out FILE]");
-        return ExitCode::from(2);
+/// The numeric value of `--name`, or `default` when the flag is absent.
+fn number<T: std::str::FromStr>(
+    flags: &[(String, String)],
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    match flag(flags, name) {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("--{name}: '{v}' is not a non-negative integer")),
     }
-    let shape = Shape::new(&dims);
+}
+
+fn embed(args: &[String]) -> Result<ExitCode, String> {
+    let (dims, flags) = parse_dims(args, &["out"])?;
+    if dims.is_empty() {
+        return Err("embed needs extents".into());
+    }
+    let shape = checked_shape(&dims, MAX_EMBED_NODES)?;
     let (emb, minimal) = embed_mesh(&shape);
     if let Err(e) = emb.verify() {
         eprintln!(
             "internal error: constructed embedding failed to verify: {}",
             e
         );
-        return ExitCode::from(1);
+        return Ok(ExitCode::from(1));
     }
     let m = emb.metrics();
     println!(
@@ -168,25 +250,24 @@ fn embed(args: &[String]) -> ExitCode {
             Ok(f) => f,
             Err(e) => {
                 eprintln!("cannot create {}: {}", path, e);
-                return ExitCode::from(1);
+                return Ok(ExitCode::from(1));
             }
         };
         if let Err(e) = write_embedding(&emb, &mut f) {
             eprintln!("write failed: {}", e);
-            return ExitCode::from(1);
+            return Ok(ExitCode::from(1));
         }
         println!("wrote {}", path);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn classify(args: &[String]) -> ExitCode {
-    let (dims, _) = parse_dims(args);
+fn classify(args: &[String]) -> Result<ExitCode, String> {
+    let (dims, _) = parse_dims(args, &[])?;
     if dims.len() != 3 {
-        eprintln!("usage: cubemesh classify <l1> <l2> <l3>");
-        return ExitCode::from(2);
+        return Err("classify needs three extents".into());
     }
-    let shape = Shape::new(&dims);
+    let shape = checked_shape(&dims, MAX_EMBED_NODES)?;
     match classify3(dims[0] as u64, dims[1] as u64, dims[2] as u64) {
         Some(m) => println!(
             "{}: paper method {:?} (cube Q{})",
@@ -207,17 +288,16 @@ fn classify(args: &[String]) -> ExitCode {
         }
         None => println!("constructive: no plan in this repo's catalog"),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn torus(args: &[String]) -> ExitCode {
-    let (dims, _) = parse_dims(args);
+fn torus(args: &[String]) -> Result<ExitCode, String> {
+    let (dims, _) = parse_dims(args, &[])?;
     if dims.is_empty() {
-        eprintln!("usage: cubemesh torus <l1> [l2 …]");
-        return ExitCode::from(2);
+        return Err("torus needs extents".into());
     }
-    let shape = Shape::new(&dims);
-    match embed_torus(&shape) {
+    let shape = checked_shape(&dims, MAX_TORUS_NODES)?;
+    Ok(match embed_torus(&shape) {
         Some(out) => {
             let m = out.embedding.metrics();
             println!(
@@ -230,25 +310,22 @@ fn torus(args: &[String]) -> ExitCode {
             println!("{}: no §6 construction lands in the minimal cube", shape);
             ExitCode::from(1)
         }
-    }
+    })
 }
 
-fn simulate_cmd(args: &[String]) -> ExitCode {
-    let (dims, flags) = parse_dims(args);
+fn simulate_cmd(args: &[String]) -> Result<ExitCode, String> {
+    let (dims, flags) = parse_dims(args, &["flits", "cut-through", "json"])?;
     if dims.is_empty() {
-        eprintln!("usage: cubemesh simulate <l1> [l2 …] [--flits N] [--cut-through x]");
-        return ExitCode::from(2);
+        return Err("simulate needs extents".into());
     }
-    let flits: u32 = flag(&flags, "flits")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32);
+    let flits: u32 = number(&flags, "flits", 32)?;
     let switching = if flag(&flags, "cut-through").is_some() {
         Switching::CutThrough
     } else {
         Switching::StoreAndForward
     };
     let json = flag(&flags, "json").is_some();
-    let shape = Shape::new(&dims);
+    let shape = checked_shape(&dims, MAX_SIMULATE_NODES)?;
     if !json {
         println!(
             "{}: stencil exchange, {} flits, {:?}",
@@ -291,16 +368,16 @@ fn simulate_cmd(args: &[String]) -> ExitCode {
             );
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn census(args: &[String]) -> ExitCode {
-    let (dims, _) = parse_dims(args);
-    let n = dims.first().copied().unwrap_or(5) as u32;
-    if !(1..=9).contains(&n) {
-        eprintln!("census n must be 1..=9");
-        return ExitCode::from(2);
-    }
+fn census(args: &[String]) -> Result<ExitCode, String> {
+    let (dims, _) = parse_dims(args, &[])?;
+    let n = match dims[..] {
+        [] => 5,
+        [n] if (1..=9).contains(&n) => n as u32,
+        _ => return Err("census takes one n in 1..=9".into()),
+    };
     let c = cubemesh::census::census_3d(n);
     let s = c.cumulative_percent();
     println!(
@@ -312,37 +389,42 @@ fn census(args: &[String]) -> ExitCode {
         s[3],
         c.constructive_percent()
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn replay_cmd(args: &[String]) -> ExitCode {
+fn replay_cmd(args: &[String]) -> Result<ExitCode, String> {
     use cubemesh::replay::{
         bursty_trace, certificate_slack, rate_sweep, replay, saturation_knee, shift_trace,
         stencil_trace, ReplayConfig, Trace,
     };
-    let (dims, flags) = parse_dims(args);
+    let (dims, flags) = parse_dims(
+        args,
+        &[
+            "pattern",
+            "flits",
+            "period",
+            "phases",
+            "horizon",
+            "window",
+            "seed",
+            "cut-through",
+            "trace-in",
+            "record",
+            "slack",
+            "check",
+            "json",
+        ],
+    )?;
     if dims.is_empty() {
-        eprintln!(
-            "usage: cubemesh replay <l1> [l2 …] [--pattern stencil|shifts|bursty|sweep]\n\
-             \x20  [--flits N] [--period N] [--phases N] [--horizon N] [--window N]\n\
-             \x20  [--seed N] [--cut-through x] [--trace-in FILE] [--record FILE]\n\
-             \x20  [--slack x] [--check x] [--json x]"
-        );
-        return ExitCode::from(2);
+        return Err("replay needs extents".into());
     }
-    let shape = Shape::new(&dims);
-    let flits: u32 = flag(&flags, "flits")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
-    let phases: u64 = flag(&flags, "phases")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let horizon: u64 = flag(&flags, "horizon")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256);
-    let seed: u64 = flag(&flags, "seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let shape = checked_shape(&dims, MAX_REPLAY_NODES)?;
+    let flits: u32 = number(&flags, "flits", 8)?;
+    let phases: u64 = number(&flags, "phases", 4)?;
+    let horizon: u64 = number(&flags, "horizon", 256)?;
+    let seed: u64 = number(&flags, "seed", 1)?;
+    let period: u64 = number(&flags, "period", 4 * u64::from(flits))?;
+    let window: u64 = number(&flags, "window", 0)?;
     let switching = if flag(&flags, "cut-through").is_some() {
         Switching::CutThrough
     } else {
@@ -351,7 +433,7 @@ fn replay_cmd(args: &[String]) -> ExitCode {
     let json = flag(&flags, "json").is_some();
 
     if flag(&flags, "slack").is_some() {
-        return match certificate_slack(&shape, flits, phases, switching) {
+        return Ok(match certificate_slack(&shape, flits, phases, switching) {
             Ok(entry) => {
                 if json {
                     println!("{}", entry.to_json());
@@ -377,7 +459,7 @@ fn replay_cmd(args: &[String]) -> ExitCode {
                 eprintln!("slack report failed: {}", e);
                 ExitCode::from(1)
             }
-        };
+        });
     }
 
     let (emb, _) = embed_mesh(&shape);
@@ -385,57 +467,56 @@ fn replay_cmd(args: &[String]) -> ExitCode {
 
     if pattern == "sweep" {
         let rates: [(u64, u64); 7] = [(1, 64), (1, 32), (1, 16), (1, 8), (1, 4), (1, 2), (1, 1)];
-        return match rate_sweep(&emb, &rates, flits, horizon, seed, switching) {
-            Ok(points) => {
-                for p in &points {
-                    if json {
-                        println!("{}", p.to_json());
-                    } else {
-                        println!(
-                            "  rate {}/{:<3} offered {:>9.3}  delivered {:>9.3}  \
+        return Ok(
+            match rate_sweep(&emb, &rates, flits, horizon, seed, switching) {
+                Ok(points) => {
+                    for p in &points {
+                        if json {
+                            println!("{}", p.to_json());
+                        } else {
+                            println!(
+                                "  rate {}/{:<3} offered {:>9.3}  delivered {:>9.3}  \
                              avg latency {:>8.1}  makespan {}",
-                            p.rate_num,
-                            p.rate_den,
-                            p.offered_rate,
-                            p.delivered_rate,
-                            p.avg_latency,
-                            p.makespan
-                        );
+                                p.rate_num,
+                                p.rate_den,
+                                p.offered_rate,
+                                p.delivered_rate,
+                                p.avg_latency,
+                                p.makespan
+                            );
+                        }
                     }
+                    match saturation_knee(&points) {
+                        Some(k) if !json => println!(
+                            "saturation knee at rate {}/{}",
+                            points[k].rate_num, points[k].rate_den
+                        ),
+                        None if !json => println!("no saturation within the ladder"),
+                        _ => {}
+                    }
+                    ExitCode::SUCCESS
                 }
-                match saturation_knee(&points) {
-                    Some(k) if !json => println!(
-                        "saturation knee at rate {}/{}",
-                        points[k].rate_num, points[k].rate_den
-                    ),
-                    None if !json => println!("no saturation within the ladder"),
-                    _ => {}
+                Err(e) => {
+                    eprintln!("sweep failed: {}", e);
+                    ExitCode::from(1)
                 }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("sweep failed: {}", e);
-                ExitCode::from(1)
-            }
-        };
+            },
+        );
     }
 
-    let period: u64 = flag(&flags, "period")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4 * flits as u64);
     let trace = if let Some(path) = flag(&flags, "trace-in") {
         let f = match std::fs::File::open(path) {
             Ok(f) => f,
             Err(e) => {
                 eprintln!("cannot open {}: {}", path, e);
-                return ExitCode::from(1);
+                return Ok(ExitCode::from(1));
             }
         };
         match Trace::load(&mut BufReader::new(f)) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("cannot load trace: {}", e);
-                return ExitCode::from(1);
+                return Ok(ExitCode::from(1));
             }
         }
     } else {
@@ -443,10 +524,7 @@ fn replay_cmd(args: &[String]) -> ExitCode {
             "stencil" => stencil_trace(emb.edge_count(), flits, period, phases),
             "shifts" => shift_trace(&shape, flits, period, phases),
             "bursty" => bursty_trace(emb.guest_nodes(), flits, horizon, 16, 32, 0, seed),
-            other => {
-                eprintln!("unknown pattern '{}'", other);
-                return ExitCode::from(2);
-            }
+            other => return Err(format!("unknown pattern '{other}'")),
         }
     };
     if let Some(path) = flag(&flags, "record") {
@@ -454,27 +532,22 @@ fn replay_cmd(args: &[String]) -> ExitCode {
             Ok(f) => f,
             Err(e) => {
                 eprintln!("cannot create {}: {}", path, e);
-                return ExitCode::from(1);
+                return Ok(ExitCode::from(1));
             }
         };
         if let Err(e) = trace.record(&mut f) {
             eprintln!("record failed: {}", e);
-            return ExitCode::from(1);
+            return Ok(ExitCode::from(1));
         }
         eprintln!("recorded {} events to {}", trace.len(), path);
     }
 
-    let cfg = ReplayConfig {
-        switching,
-        window: flag(&flags, "window")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0),
-    };
+    let cfg = ReplayConfig { switching, window };
     let report = match replay(&emb, &trace, &cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("replay failed: {}", e);
-            return ExitCode::from(1);
+            return Ok(ExitCode::from(1));
         }
     };
 
@@ -483,12 +556,12 @@ fn replay_cmd(args: &[String]) -> ExitCode {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("replay check: second run failed: {}", e);
-                return ExitCode::from(1);
+                return Ok(ExitCode::from(1));
             }
         };
         if report.to_json() != again.to_json() {
             eprintln!("replay check FAILED: reports differ between identical runs");
-            return ExitCode::from(1);
+            return Ok(ExitCode::from(1));
         }
         if report.result.delivered != trace.len() {
             eprintln!(
@@ -496,19 +569,19 @@ fn replay_cmd(args: &[String]) -> ExitCode {
                 report.result.delivered,
                 trace.len()
             );
-            return ExitCode::from(1);
+            return Ok(ExitCode::from(1));
         }
         println!(
             "replay check OK: {} messages, deterministic, makespan {}",
             trace.len(),
             report.result.makespan
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     if json {
         println!("{}", report.to_json());
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     println!(
         "{}: {} events over horizon {}, window {} ({} windows, warm-up {})",
@@ -549,22 +622,24 @@ fn replay_cmd(args: &[String]) -> ExitCode {
             report.windows.len() - cap
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn verify(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("usage: cubemesh verify FILE");
-        return ExitCode::from(2);
+fn verify(args: &[String]) -> Result<ExitCode, String> {
+    let [path] = args else {
+        return Err("verify takes one FILE".into());
     };
+    if path.starts_with("--") {
+        return Err(format!("unknown flag '{path}'"));
+    }
     let f = match std::fs::File::open(path) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("cannot open {}: {}", path, e);
-            return ExitCode::from(1);
+            return Ok(ExitCode::from(1));
         }
     };
-    match read_embedding(&mut BufReader::new(f)) {
+    Ok(match read_embedding(&mut BufReader::new(f)) {
         Ok(emb) => match emb.verify() {
             Ok(()) => {
                 let m = emb.metrics();
@@ -585,6 +660,28 @@ fn verify(args: &[String]) -> ExitCode {
         Err(e) => {
             eprintln!("parse error: {}", e);
             ExitCode::from(1)
+        }
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each subcommand's limit admits the shape its peak was measured at
+    /// and refuses one more plane of it.
+    #[test]
+    fn each_node_limit_admits_its_measured_shape() {
+        for (limit, measured) in [
+            (MAX_EMBED_NODES, [512, 512, 512]),
+            (MAX_TORUS_NODES, [256, 256, 256]),
+            (MAX_SIMULATE_NODES, [128, 128, 64]),
+            (MAX_REPLAY_NODES, [128, 64, 64]),
+        ] {
+            assert_eq!(measured.iter().product::<usize>(), limit);
+            assert!(checked_shape(&measured, limit).is_ok());
+            let past = [measured[0] + 1, measured[1], measured[2]];
+            assert!(checked_shape(&past, limit).is_err());
         }
     }
 }

@@ -14,6 +14,7 @@ use cubemesh::audit::fnv1a;
 use cubemesh::core::embed_mesh;
 use cubemesh::embedding::builders::PAR_MIN_NODES;
 use cubemesh::embedding::portable::write_embedding;
+use cubemesh::embedding::RouteSet;
 use cubemesh::pool::with_threads;
 use cubemesh::topology::Shape;
 
@@ -51,12 +52,17 @@ fn run() -> (u64, usize, Vec<Vec<usize>>) {
     let mut fallbacks = Vec::new();
     for dims in shapes() {
         let (emb, minimal) = embed_mesh(&Shape::new(&dims));
-        let routes = emb.routes();
-        assert_eq!(
-            routes.all_pairs(),
-            routes.iter().all(|r| r.len() == 2),
-            "{dims:?}: all_pairs flag disagrees with the routes"
-        );
+        if let RouteSet::Hops(hops) = emb.routes() {
+            let longest = (0..emb.edge_count())
+                .map(|i| emb.route(i).len() - 1)
+                .max()
+                .unwrap_or(1);
+            assert_eq!(
+                hops.width(),
+                longest - 1,
+                "{dims:?}: hop width is not the longest route's hops minus 1"
+            );
+        }
         let mut file = Vec::new();
         write_embedding(&emb, &mut file).expect("writing to a Vec cannot fail");
         bytes += file.len();

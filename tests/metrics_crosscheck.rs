@@ -11,7 +11,7 @@ fn naive_metrics(emb: &cubemesh::embedding::Embedding) -> (u32, f64, u32, f64) {
     let mut total = 0u64;
     let mut cong: HashMap<(u64, u64), u32> = HashMap::new();
     for i in 0..emb.edge_count() {
-        let r = emb.routes().route(i);
+        let r = emb.route(i);
         dilation = dilation.max(r.len() as u32 - 1);
         total += r.len() as u64 - 1;
         for w in r.windows(2) {

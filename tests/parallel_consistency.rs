@@ -12,7 +12,7 @@ use cubemesh::embedding::verify::{
     verify_embedding_par, verify_embedding_seq, verify_many_to_one_par, verify_many_to_one_seq,
 };
 use cubemesh::embedding::{
-    gray_mesh_embedding, mesh_embedding_with_router, Embedding, MeshEdgeView, RouteSet,
+    gray_mesh_embedding, mesh_embedding_with_router, Embedding, MeshEdgeView, PathRoutes,
     RouteStrategy, VerifyError,
 };
 use cubemesh::manytoone::fold_to_dim;
@@ -97,18 +97,18 @@ proptest! {
         victim in any::<u64>(),
     ) {
         let emb = random_embedding(&[l1, l2], seed, false);
+        let paths: Vec<Vec<u64>> = (0..emb.edge_count()).map(|i| emb.route(i)).collect();
         let (nodes, edges, host, map, routes) = emb.into_parts();
         let bad = (victim % routes.len() as u64) as usize;
-        let mut corrupted = RouteSet::with_capacity(routes.len(), 0);
-        for i in 0..routes.len() {
+        let mut corrupted = PathRoutes::with_capacity(routes.len(), 0);
+        for (i, path) in paths.iter().enumerate() {
             if i == bad {
                 // Jump outside the cube: triggers adjacency/range errors.
-                let r = routes.route(i);
-                let mut path = r.to_vec();
+                let mut path = path.clone();
                 path[0] = host.nodes() + 7;
                 corrupted.push(&path);
             } else {
-                corrupted.push(routes.route(i));
+                corrupted.push(path);
             }
         }
         let emb = Embedding::from_guest(nodes, edges, host, map, corrupted);
@@ -227,7 +227,7 @@ fn artifacts_identical_across_thread_counts() {
         with_threads(threads, || {
             let emb = gray_mesh_embedding(&shape);
             let map = emb.map().to_vec();
-            let routes: Vec<Vec<u64>> = emb.routes().iter().map(|r| r.to_vec()).collect();
+            let routes: Vec<Vec<u64>> = (0..emb.edge_count()).map(|i| emb.route(i)).collect();
             let metrics = emb.metrics();
             let verify = emb.verify();
             (map, routes, metrics, verify)
@@ -280,11 +280,11 @@ fn replay_reports_identical_across_thread_counts() {
 #[test]
 fn zero_and_single_edge_guests_agree() {
     // Single node, no edges.
-    let e = Embedding::new(1, vec![], Hypercube::new(0), vec![0], RouteSet::new());
+    let e = Embedding::new(1, vec![], Hypercube::new(0), vec![0], PathRoutes::new());
     assert_eq!(metrics_seq(&e), metrics_par(&e));
     assert_eq!(verify_embedding_seq(&e), verify_embedding_par(&e));
     // One edge, dilated route.
-    let mut rs = RouteSet::new();
+    let mut rs = PathRoutes::new();
     rs.push(&[0b00, 0b01, 0b11]);
     let e = Embedding::new(2, vec![(0, 1)], Hypercube::new(2), vec![0b00, 0b11], rs);
     assert_eq!(metrics_seq(&e), metrics_par(&e));
