@@ -41,11 +41,11 @@
 
 use cubemesh_audit::{
     certify_fold, certify_torus, manytoone_floors, mesh_floors, sweep, sweep_contract, sweep_fold,
-    sweep_torus, torus_floors, Certificate, CrosscheckError, Finding, Floors,
+    sweep_torus, torus_floors, Certificate, CrosscheckError, Floors,
 };
 use cubemesh_core::{plan_shape, Planner};
 use cubemesh_manytoone::plan_corollary5;
-use cubemesh_obs as obs;
+use cubemesh_obs::cli::{self, Args};
 use cubemesh_topology::{cube_dim, Shape};
 use std::io::{self, Write};
 use std::path::PathBuf;
@@ -56,33 +56,14 @@ const USAGE: &str = "usage: cubemesh-audit <command> [--stats] [--trace FILE]
   certify [--json] [--sweep N] [L1 [L2 L3]]
   selfcheck [--max-axis N] [--construct-cap N] [--quick]";
 
+const CLI: cli::Cli = cli::Cli {
+    bin: "cubemesh-audit",
+    usage: USAGE,
+    report: cli::Report::StatsAndTrace,
+};
+
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help") {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    obs::init_from_env();
-    if args.iter().any(|a| a == "--stats") {
-        args.retain(|a| a != "--stats");
-        if obs::mode() == obs::StatsMode::Off {
-            obs::set_mode(obs::StatsMode::Text);
-        }
-    }
-    let trace_out = match args.iter().position(|a| a == "--trace") {
-        Some(i) => {
-            if i + 1 >= args.len() || args[i + 1].starts_with("--") {
-                eprintln!("--trace requires an output file path");
-                return ExitCode::from(2);
-            }
-            let path = args.remove(i + 1);
-            args.remove(i);
-            obs::trace::set_enabled(true);
-            Some(path)
-        }
-        None => None,
-    };
-    let run = match args.split_first() {
+    CLI.run(|words| match words.split_first() {
         None => Err("no command given".to_owned()),
         Some((cmd, rest)) => match cmd.as_str() {
             "analyze" => cmd_analyze(rest),
@@ -90,186 +71,64 @@ fn main() -> ExitCode {
             "selfcheck" => cmd_selfcheck(rest),
             other => Err(format!("unknown command '{other}'")),
         },
-    };
-    let code = run.unwrap_or_else(|e| {
-        eprintln!("cubemesh-audit: {e}\n{USAGE}");
-        ExitCode::from(2)
-    });
-    obs::report();
-    if let Some(path) = trace_out {
-        obs::trace::set_enabled(false);
-        let log = obs::trace::drain();
-        match log.write_files(std::path::Path::new(&path)) {
-            Ok(paths) => {
-                let names: Vec<String> = paths.iter().map(|p| p.display().to_string()).collect();
-                eprintln!("trace: {} events -> {}", log.len(), names.join(", "));
-            }
-            Err(e) => eprintln!("trace write failed: {e}"),
-        }
-    }
-    code
+    })
 }
 
-/// One subcommand's arguments, split by the flags it documents.
-#[derive(Default)]
-struct Args {
-    switches: Vec<String>,
-    values: Vec<(String, String)>,
-    positional: Vec<String>,
-}
-
-impl Args {
-    /// Split `args` into the documented `switches`, the `valued` flags
-    /// with their values, and positional words. Any other flag, or a
-    /// valued flag without a value, is a usage error.
-    fn parse(args: &[String], switches: &[&str], valued: &[&str]) -> Result<Args, String> {
-        let mut out = Args::default();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            if switches.contains(&a.as_str()) {
-                out.switches.push(a.clone());
-            } else if valued.contains(&a.as_str()) {
-                let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
-                out.values.push((a.clone(), v.clone()));
-            } else if a.starts_with('-') {
-                return Err(format!("unknown flag '{a}'"));
-            } else {
-                out.positional.push(a.clone());
-            }
-        }
-        Ok(out)
-    }
-
-    fn has(&self, switch: &str) -> bool {
-        self.switches.iter().any(|s| s == switch)
-    }
-
-    fn value(&self, flag: &str) -> Option<&str> {
-        self.values
-            .iter()
-            .find(|(f, _)| f == flag)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// The numeric value of `flag`, if given.
-    fn number(&self, flag: &str) -> Result<Option<usize>, String> {
-        self.value(flag).map(|v| parse_number(flag, v)).transpose()
-    }
-
-    /// Refuse positional words, for subcommands that take none.
-    fn no_positional(&self) -> Result<(), String> {
-        match self.positional.first() {
-            Some(p) => Err(format!("unexpected argument '{p}'")),
-            None => Ok(()),
-        }
-    }
-}
-
-fn parse_number(what: &str, v: &str) -> Result<usize, String> {
-    v.parse()
-        .map_err(|_| format!("{what}: '{v}' is not a non-negative integer"))
-}
-
-/// A shape from command-line extents, checked against the `Shape` limits
-/// first so a bad extent is a usage error, not a panic in `Shape::new`.
-fn checked_shape(dims: &[usize]) -> Result<Shape, String> {
-    if dims.iter().any(|&d| d == 0 || d > Shape::MAX_AXIS) {
-        return Err(format!("extents must be in 1..={}", Shape::MAX_AXIS));
-    }
-    let nodes = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
-    if nodes.is_none_or(|n| n > Shape::MAX_NODES) {
-        return Err(format!(
-            "shape has more than {} nodes (Shape::MAX_NODES)",
-            Shape::MAX_NODES
-        ));
-    }
-    Ok(Shape::new(dims))
-}
-
-/// Write a SARIF 2.1.0 log for `findings` to `path` (from `--sarif`).
-fn write_sarif(path: &str, findings: &[Finding]) -> bool {
-    let log = cubemesh_audit::sarif::to_sarif(findings);
-    match std::fs::write(path, log) {
-        Ok(()) => {
-            eprintln!("sarif: {} result(s) -> {path}", findings.len());
-            true
-        }
-        Err(e) => {
-            eprintln!("cubemesh-audit: cannot write SARIF to {path}: {e}");
-            false
-        }
-    }
-}
-
-fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
-    let args = Args::parse(args, &["--json"], &["--sarif", "--baseline", "--root"])?;
+fn cmd_analyze(words: &[String]) -> Result<ExitCode, String> {
+    let args = Args::parse(words, &["--json"], &["--sarif", "--baseline", "--root"])?;
     args.no_positional()?;
+    Ok(CLI.outcome(analyze(&args)))
+}
+
+/// Run the source analyzer and print its findings (exit 1 on any); a
+/// baseline, a root or a SARIF path that cannot be used is a failure.
+fn analyze(args: &Args) -> Result<ExitCode, String> {
     let root = PathBuf::from(args.value("--root").unwrap_or("."));
-    let json = args.has("--json");
-    let sarif_out = args.value("--sarif");
     // Baseline diff mode: load the prior `analyze --json` artifact up
     // front so a bad path fails before the (multi-second) analysis.
     let baseline = match args.value("--baseline") {
         None => None,
         Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cubemesh-audit: cannot read baseline {path}: {e}");
-                    return Ok(ExitCode::from(2));
-                }
-            };
-            match cubemesh_audit::baseline_keys(&text) {
-                Ok(keys) => Some(keys),
-                Err(e) => {
-                    eprintln!("cubemesh-audit: {path}: {e}");
-                    return Ok(ExitCode::from(2));
-                }
-            }
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+            Some(cubemesh_audit::baseline_keys(&text).map_err(|e| format!("{path}: {e}"))?)
         }
     };
-    Ok(match cubemesh_audit::Analysis::run_root(&root) {
-        Ok(mut analysis) => {
-            let baselined = baseline
-                .map(|keys| analysis.apply_baseline(&keys))
-                .unwrap_or(0);
-            if let Some(path) = sarif_out {
-                if !write_sarif(path, &analysis.findings) {
-                    return Ok(ExitCode::from(2));
-                }
-            }
-            if json {
-                println!("{}", analysis.to_json());
-            } else {
-                for f in &analysis.findings {
-                    println!("{f}");
-                }
-                let diffed = if baselined > 0 {
-                    format!(" ({baselined} baselined)")
-                } else {
-                    String::new()
-                };
-                println!(
-                    "audit analyze: {} finding(s){diffed} | {} files, {} functions, {} parallel \
-                     regions, {} suppression(s) | {} ms",
-                    analysis.findings.len(),
-                    analysis.files,
-                    analysis.functions,
-                    analysis.regions,
-                    analysis.suppressions,
-                    analysis.elapsed_ms
-                );
-            }
-            if analysis.findings.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
+    let mut analysis = cubemesh_audit::Analysis::run_root(&root).map_err(|e| e.to_string())?;
+    let baselined = baseline
+        .map(|keys| analysis.apply_baseline(&keys))
+        .unwrap_or(0);
+    if let Some(path) = args.value("--sarif") {
+        let log = cubemesh_audit::sarif::to_sarif(&analysis.findings);
+        std::fs::write(path, log).map_err(|e| format!("cannot write SARIF to {path}: {e}"))?;
+        eprintln!("sarif: {} result(s) -> {path}", analysis.findings.len());
+    }
+    if args.has("--json") {
+        println!("{}", analysis.to_json());
+    } else {
+        for f in &analysis.findings {
+            println!("{f}");
         }
-        Err(e) => {
-            eprintln!("cubemesh-audit: {e}");
-            ExitCode::from(2)
-        }
+        let diffed = if baselined > 0 {
+            format!(" ({baselined} baselined)")
+        } else {
+            String::new()
+        };
+        println!(
+            "audit analyze: {} finding(s){diffed} | {} files, {} functions, {} parallel \
+             regions, {} suppression(s) | {} ms",
+            analysis.findings.len(),
+            analysis.files,
+            analysis.functions,
+            analysis.regions,
+            analysis.suppressions,
+            analysis.elapsed_ms
+        );
+    }
+    Ok(if analysis.findings.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     })
 }
 
@@ -399,32 +258,31 @@ fn certify_records(planner: &mut Planner, shape: &Shape) -> Result<Vec<Record>, 
     Ok(out)
 }
 
-fn cmd_certify(args: &[String]) -> Result<ExitCode, String> {
-    let args = Args::parse(args, &["--json"], &["--sweep"])?;
+fn cmd_certify(words: &[String]) -> Result<ExitCode, String> {
+    let args = Args::parse(words, &["--json"], &["--sweep"])?;
     let json = args.has("--json");
     let sweep_axis = args.number("--sweep")?;
-    let dims = args
-        .positional
-        .iter()
-        .map(|a| parse_number("extent", a))
-        .collect::<Result<Vec<usize>, String>>()?;
+    let dims: Vec<usize> = args.numbers()?;
 
     let shapes: Box<dyn Iterator<Item = Shape>> = match sweep_axis {
         Some(_) if !dims.is_empty() => {
             return Err("give --sweep N or extents, not both".to_owned());
         }
-        Some(max) if max > Shape::MAX_AXIS => {
-            return Err(format!("--sweep must be at most {}", Shape::MAX_AXIS));
+        Some(max) => {
+            let max = cli::within("--sweep", max, 0..=Shape::MAX_AXIS)?;
+            Box::new(sorted_triples(max))
         }
-        Some(max) => Box::new(sorted_triples(max)),
         None if dims.is_empty() => return Err("certify needs --sweep N or extents".to_owned()),
-        None => Box::new(std::iter::once(checked_shape(&dims)?)),
+        None => {
+            Shape::check(&dims).map_err(|e| e.to_string())?;
+            Box::new(std::iter::once(Shape::new(&dims)))
+        }
     };
 
     // Records are written as each shape is certified, so none is
     // buffered and a sweep's first line appears at once; a reader that
-    // closes the pipe ends the run quietly. (The planner's memo still
-    // grows with each distinct reduced shape certified.)
+    // closes the pipe ends the run quietly. The planner's memo is
+    // bounded per shape, so a sweep's memory does not grow with N.
     let mut out = io::stdout().lock();
     match write_records(&mut out, shapes, json) {
         Ok(Written::Done { any_certified }) => {
@@ -481,6 +339,7 @@ fn write_records(
             Ok(rs) => rs,
             Err(e) => return Ok(Written::Failed(e)),
         };
+        planner.bound_memo(Planner::MEMO_LIMIT);
         for r in &records {
             any_certified |= r.cert.is_some();
             if !json {
@@ -502,19 +361,16 @@ fn write_records(
     Ok(Written::Done { any_certified })
 }
 
-fn cmd_selfcheck(args: &[String]) -> Result<ExitCode, String> {
-    let args = Args::parse(args, &["--quick"], &["--max-axis", "--construct-cap"])?;
+fn cmd_selfcheck(words: &[String]) -> Result<ExitCode, String> {
+    let args = Args::parse(words, &["--quick"], &["--max-axis", "--construct-cap"])?;
     args.no_positional()?;
     let quick = args.has("--quick");
-    let max_axis = args
-        .number("--max-axis")?
-        .unwrap_or(if quick { 8 } else { 32 });
-    if max_axis > Shape::MAX_AXIS {
-        return Err(format!("--max-axis must be at most {}", Shape::MAX_AXIS));
-    }
-    let cap = args
-        .number("--construct-cap")?
-        .unwrap_or(if quick { 512 } else { 32768 });
+    let max_axis = cli::within(
+        "--max-axis",
+        args.number_or("--max-axis", if quick { 8 } else { 32 })?,
+        0..=Shape::MAX_AXIS,
+    )?;
+    let cap = args.number_or("--construct-cap", if quick { 512 } else { 32768 })?;
     let contract_axis = max_axis.min(6);
 
     type SweepFn = fn(usize, usize) -> Result<cubemesh_audit::SweepReport, CrosscheckError>;

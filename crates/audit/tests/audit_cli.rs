@@ -13,7 +13,7 @@ fn audit(args: &[&str]) -> Output {
 
 #[test]
 fn bad_arguments_are_usage_errors() {
-    let cases: [&[&str]; 9] = [
+    let cases: [&[&str]; 11] = [
         &["certify", "0", "5"],
         &["certify", "40000", "2"],
         &["certify", "32768", "32768", "32768", "4"],
@@ -23,6 +23,9 @@ fn bad_arguments_are_usage_errors() {
         &["selfcheck", "--max-axis", "x", "--quick"],
         &["analyze", "--bogus"],
         &["analyze", "stray"],
+        // `--trace` without its file (refused without the usage before).
+        &["certify", "5", "5", "--trace"],
+        &["selfcheck", "--max-axis"],
     ];
     for args in cases {
         let out = audit(args);

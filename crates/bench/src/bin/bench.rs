@@ -30,8 +30,10 @@
 //! * `--trace FILE` record a hierarchical execution trace (Chrome JSON at
 //!   FILE plus FILE.folded / FILE.jsonl)
 //!
-//! An undocumented flag, a stray argument or a non-numeric value prints
-//! the usage and exits 2; `--help` prints it and exits 0 without running.
+//! An undocumented flag, a stray argument, a non-numeric value or a
+//! `--shapes` entry that fails `Shape::check` prints the usage and exits
+//! 2 before anything runs; `--help` prints it and exits 0. A failed run
+//! or a regression exits 1.
 //!
 //! ## Perf-trajectory gating
 //!
@@ -74,6 +76,7 @@
 use cubemesh_core::{construct, plan_shape, Plan, Planner};
 use cubemesh_embedding::Embedding;
 use cubemesh_obs as obs;
+use cubemesh_obs::cli::{self, Args};
 use cubemesh_topology::Shape;
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -624,19 +627,18 @@ const USAGE: &str = "usage: cubemesh-bench [--json] [--out PATH] [--threads N] [
          [--no-replay] [--replay-out PATH] [--trace FILE] [--inject-regression]
 Each BENCH document is written only to the path its flag names.";
 
-/// Flags that stand alone.
-const SWITCHES: [&str; 7] = [
+/// Flags that stand alone (`--stats` is the shared one, see `cli`).
+const SWITCHES: [&str; 6] = [
     "--json",
     "--quick",
     "--par-only",
-    "--stats",
     "--no-replay",
     "--no-service",
     "--inject-regression",
 ];
 
-/// Flags that take a value.
-const VALUED: [&str; 11] = [
+/// Flags that take a value (`--trace FILE` is the shared one).
+const VALUED: [&str; 10] = [
     "--out",
     "--threads",
     "--reps",
@@ -647,99 +649,67 @@ const VALUED: [&str; 11] = [
     "--service-out",
     "--compare-service",
     "--replay-out",
-    "--trace",
 ];
 
-/// Refuse anything but the documented flags, each valued flag with its
-/// value.
-fn check_args(args: &[String]) -> Result<(), String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if VALUED.contains(&a.as_str()) {
-            if it.next().is_none() {
-                return Err(format!("{a} needs a value"));
-            }
-        } else if !SWITCHES.contains(&a.as_str()) {
-            return Err(format!("unknown argument '{a}'"));
-        }
-    }
+/// Write `doc` to `path` if the caller gave one.
+fn write_doc(path: Option<&str>, doc: &str) -> Result<(), String> {
+    let Some(path) = path else { return Ok(()) };
+    std::fs::write(path, doc).map_err(|e| format!("writing {path}: {e}"))?;
+    println!("wrote {path}");
     Ok(())
 }
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// The numeric value of `flag`, if given; a value that does not parse is
-/// an error, not a silent default.
-fn number<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    flag_value(args, flag)
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("{flag}: '{v}' is not a number"))
+/// `--shapes L1xL2xL3[,L1xL2xL3...]`, each shape within [`Shape::check`].
+fn parse_shapes(list: &str) -> Result<Vec<Vec<usize>>, String> {
+    list.split(',')
+        .map(|spec| {
+            let dims = spec
+                .split('x')
+                .map(|t| cli::number("--shapes", t))
+                .collect::<Result<Vec<usize>, String>>()?;
+            Shape::check(&dims).map_err(|e| format!("--shapes: {spec}: {e}"))?;
+            Ok(dims)
         })
-        .transpose()
+        .collect()
 }
 
-/// Write `doc` to `path` if the caller gave one; false on a write error.
-fn write_doc(path: Option<&str>, doc: &str) -> bool {
-    let Some(path) = path else {
-        return true;
-    };
-    match std::fs::write(path, doc) {
-        Ok(()) => {
-            println!("wrote {path}");
-            true
-        }
-        Err(e) => {
-            eprintln!("cubemesh-bench: writing {path}: {e}");
-            false
-        }
-    }
-}
-
-fn parse_shape(s: &str) -> Option<Vec<usize>> {
-    let dims: Vec<usize> = s
-        .split('x')
-        .map(|t| t.parse().ok())
-        .collect::<Option<_>>()?;
-    (!dims.is_empty() && dims.iter().all(|&d| d > 0)).then_some(dims)
-}
+const CLI: cli::Cli = cli::Cli {
+    bin: "cubemesh-bench",
+    usage: USAGE,
+    report: cli::Report::StatsAndTrace,
+};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help") {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    let parsed = check_args(&args).and_then(|()| {
-        Ok((
-            number::<usize>(&args, "--threads")?,
-            number::<usize>(&args, "--reps")?,
-            number::<f64>(&args, "--tolerance")?,
-        ))
-    });
-    let (threads_flag, reps, tolerance_pct) = match parsed {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("cubemesh-bench: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    CLI.run(run)
+}
+
+fn run(words: &[String]) -> Result<ExitCode, String> {
+    let args = Args::parse(words, &SWITCHES, &VALUED)?;
+    args.no_positional()?;
+    let threads_flag: Option<usize> = args.number("--threads")?;
+    let reps: usize = args.number_or("--reps", 3)?;
+    let tolerance_pct: Option<f64> = args.number("--tolerance")?;
+    let ladder: Vec<Vec<usize>> = if let Some(list) = args.value("--shapes") {
+        parse_shapes(list)?
+    } else if args.has("--quick") {
+        vec![vec![16, 16, 16]]
+    } else {
+        LADDER.iter().map(|d| d.to_vec()).collect()
     };
-    obs::init_from_env();
-    if args.iter().any(|a| a == "--stats") && obs::mode() == obs::StatsMode::Off {
-        obs::set_mode(obs::StatsMode::Text);
-    }
-    let trace_out = flag_value(&args, "--trace");
-    if trace_out.is_some() {
-        obs::trace::set_enabled(true);
-    }
     if let Some(t) = threads_flag {
         std::env::set_var("CUBEMESH_THREADS", t.to_string());
     }
+    Ok(CLI.outcome(bench(&args, &ladder, reps, tolerance_pct)))
+}
+
+/// Run the ladders the flags ask for and gate them against their
+/// baselines: a regression past tolerance exits 1, as does a failure.
+fn bench(
+    args: &Args,
+    ladder: &[Vec<usize>],
+    reps: usize,
+    tolerance_pct: Option<f64>,
+) -> Result<ExitCode, String> {
     let threads = cubemesh_pool::effective_threads();
     // Lead with the execution environment so a pasted bench line can't be
     // mistaken for numbers from a real work-stealing pool.
@@ -750,25 +720,10 @@ fn main() -> ExitCode {
             .unwrap_or(1),
         cubemesh_pool::backend_name()
     );
-    let par_only = args.iter().any(|a| a == "--par-only");
-    let reps = reps.unwrap_or(3);
-
-    let ladder: Vec<Vec<usize>> = if let Some(list) = flag_value(&args, "--shapes") {
-        match list.split(',').map(parse_shape).collect::<Option<Vec<_>>>() {
-            Some(v) => v,
-            None => {
-                eprintln!("cubemesh-bench: bad --shapes '{list}'");
-                return ExitCode::from(2);
-            }
-        }
-    } else if args.iter().any(|a| a == "--quick") {
-        vec![vec![16, 16, 16]]
-    } else {
-        LADDER.iter().map(|d| d.to_vec()).collect()
-    };
+    let par_only = args.has("--par-only");
 
     let mut rungs = Vec::new();
-    for dims in &ladder {
+    for dims in ladder {
         let Some((mut rung, plan, emb)) = run_pipeline(dims, reps) else {
             continue;
         };
@@ -793,18 +748,12 @@ fn main() -> ExitCode {
                 }
                 Ok::<_, cubemesh_embedding::VerifyError>((construct_s, metrics_s, m_seq))
             });
-            let (seq_construct_s, seq_metrics_s, m_seq) = match seq {
-                Ok(seq) => seq,
-                Err(e) => {
-                    eprintln!("cubemesh-bench: {shape} sequential verify failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let (seq_construct_s, seq_metrics_s, m_seq) =
+                seq.map_err(|e| format!("{shape} sequential verify failed: {e}"))?;
             if m_seq != m_par {
-                eprintln!(
-                    "cubemesh-bench: {shape}: parallel metrics {m_par:?} != sequential {m_seq:?}"
-                );
-                return ExitCode::FAILURE;
+                return Err(format!(
+                    "{shape}: parallel metrics {m_par:?} != sequential {m_seq:?}"
+                ));
             }
             rung.seq_construct_s = seq_construct_s;
             rung.seq_metrics_s = seq_metrics_s;
@@ -832,8 +781,7 @@ fn main() -> ExitCode {
     }
 
     if rungs.is_empty() {
-        eprintln!("cubemesh-bench: no rungs completed");
-        return ExitCode::FAILURE;
+        return Err("no rungs completed".to_owned());
     }
     let kernels = run_kernel_bench(reps);
     for k in &kernels {
@@ -845,10 +793,8 @@ fn main() -> ExitCode {
         );
     }
     let doc = to_json(&rungs, threads, &kernels);
-    if !write_doc(flag_value(&args, "--out").as_deref(), &doc) {
-        return ExitCode::FAILURE;
-    }
-    if args.iter().any(|a| a == "--json") {
+    write_doc(args.value("--out"), &doc)?;
+    if args.has("--json") {
         print!("{doc}");
     }
 
@@ -861,33 +807,22 @@ fn main() -> ExitCode {
         .unwrap_or(cubemesh_bench::DEFAULT_TOLERANCE);
     // Self-test hook for check.sh: deflate this run's throughput 25%
     // (past any sane tolerance) to prove the gate actually trips.
-    let inject = args.iter().any(|a| a == "--inject-regression");
-    if let Some(base_path) = flag_value(&args, "--compare") {
-        let base_doc = match std::fs::read_to_string(&base_path) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("cubemesh-bench: reading baseline {base_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline = match cubemesh_bench::load_baseline(&base_doc) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cubemesh-bench: baseline {base_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    let inject = args.has("--inject-regression");
+    if let Some(base_path) = args.value("--compare") {
+        let base_doc = std::fs::read_to_string(base_path)
+            .map_err(|e| format!("reading baseline {base_path}: {e}"))?;
+        let baseline = cubemesh_bench::load_baseline(&base_doc)
+            .map_err(|e| format!("baseline {base_path}: {e}"))?;
         // Backend honesty gate: throughput from different executors is
         // not comparable, so a backend mismatch is a hard error, not a
         // warning — regenerate the baseline on the current backend.
         if let Some(backend) = &baseline.parallel_backend {
             if backend != cubemesh_pool::backend_name() {
-                eprintln!(
-                    "cubemesh-bench: baseline backend '{backend}' != current '{}' — \
+                return Err(format!(
+                    "baseline backend '{backend}' != current '{}' — \
                      refusing to compare different executors; regenerate {base_path}",
                     cubemesh_pool::backend_name()
-                );
-                return ExitCode::FAILURE;
+                ));
             }
         }
         let current: Vec<cubemesh_bench::RungMetrics> = rungs
@@ -899,13 +834,8 @@ fn main() -> ExitCode {
                 peak_rss_kb: r.peak_rss_kb,
             })
             .collect();
-        let mut report = match cubemesh_bench::compare_rungs(&baseline.rungs, &current, tolerance) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("cubemesh-bench: compare: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let mut report = cubemesh_bench::compare_rungs(&baseline.rungs, &current, tolerance)
+            .map_err(|e| format!("compare: {e}"))?;
         // Kernel micro-rungs gate alongside the shape rungs; baselines
         // predating the kernel bench simply contribute no deltas.
         let current_kernels: Vec<cubemesh_bench::KernelMetrics> = kernels
@@ -921,21 +851,16 @@ fn main() -> ExitCode {
             tolerance,
         ));
         print!("{}", report.to_text());
-        if !write_doc(
-            flag_value(&args, "--compare-out").as_deref(),
-            &report.to_json(),
-        ) {
-            return ExitCode::FAILURE;
-        }
+        write_doc(args.value("--compare-out"), &report.to_json())?;
         regressed = !report.regressions().is_empty();
     }
 
     // BENCH_5: the query-service ladder. Runs with fixed parameters
     // regardless of --quick (it is cheap next to the shape ladder and
     // the rungs must stay comparable across runs).
-    if !args.iter().any(|a| a == "--no-service") {
+    if !args.has("--no-service") {
         let Some((service_rungs, service_meta)) = run_service_bench(reps) else {
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         };
         println!(
             "     service  db {} records in {:.3}s (max axis {})",
@@ -949,25 +874,13 @@ fn main() -> ExitCode {
             }
         }
         let doc5 = bench5_json(&service_rungs, &service_meta);
-        if !write_doc(flag_value(&args, "--service-out").as_deref(), &doc5) {
-            return ExitCode::FAILURE;
-        }
+        write_doc(args.value("--service-out"), &doc5)?;
 
-        if let Some(base5_path) = flag_value(&args, "--compare-service") {
-            let base_doc = match std::fs::read_to_string(&base5_path) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("cubemesh-bench: reading service baseline {base5_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let baseline = match cubemesh_bench::load_service_baseline(&base_doc) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("cubemesh-bench: service baseline {base5_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+        if let Some(base5_path) = args.value("--compare-service") {
+            let base_doc = std::fs::read_to_string(base5_path)
+                .map_err(|e| format!("reading service baseline {base5_path}: {e}"))?;
+            let baseline = cubemesh_bench::load_service_baseline(&base_doc)
+                .map_err(|e| format!("service baseline {base5_path}: {e}"))?;
             let current: Vec<cubemesh_bench::ServiceMetrics> = service_rungs
                 .iter()
                 .map(|r| cubemesh_bench::ServiceMetrics {
@@ -984,13 +897,8 @@ fn main() -> ExitCode {
                         },
                 })
                 .collect();
-            let deltas = match cubemesh_bench::compare_service(&baseline, &current, tolerance) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("cubemesh-bench: service compare: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let deltas = cubemesh_bench::compare_service(&baseline, &current, tolerance)
+                .map_err(|e| format!("service compare: {e}"))?;
             let report = cubemesh_bench::CompareReport {
                 tolerance,
                 deltas,
@@ -1006,10 +914,10 @@ fn main() -> ExitCode {
         }
     }
 
-    if !args.iter().any(|a| a == "--no-replay") {
-        let quick = args.iter().any(|a| a == "--quick");
+    if !args.has("--no-replay") {
+        let quick = args.has("--quick");
         let Some(replay_rungs) = run_replay_ladder(quick) else {
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         };
         for r in &replay_rungs {
             println!(
@@ -1028,28 +936,10 @@ fn main() -> ExitCode {
                 }
             );
         }
-        if !write_doc(
-            flag_value(&args, "--replay-out").as_deref(),
-            &bench4_json(&replay_rungs),
-        ) {
-            return ExitCode::FAILURE;
-        }
-    }
-    obs::report();
-    if let Some(path) = trace_out {
-        obs::trace::set_enabled(false);
-        let log = obs::trace::drain();
-        match log.write_files(std::path::Path::new(&path)) {
-            Ok(paths) => {
-                let names: Vec<String> = paths.iter().map(|p| p.display().to_string()).collect();
-                eprintln!("trace: {} events -> {}", log.len(), names.join(", "));
-            }
-            Err(e) => eprintln!("trace write failed: {e}"),
-        }
+        write_doc(args.value("--replay-out"), &bench4_json(&replay_rungs))?;
     }
     if regressed {
-        eprintln!("cubemesh-bench: REGRESSION beyond tolerance (see compare report above)");
-        return ExitCode::FAILURE;
+        return Err("REGRESSION beyond tolerance (see compare report above)".to_owned());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

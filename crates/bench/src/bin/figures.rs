@@ -3,10 +3,14 @@
 //! EXPERIMENTS.md records paper-vs-measured.
 //!
 //! Usage: `figures [fig1] [fig2 [max_n]] [exceptions] [twod] [examples]
-//!         [catalog] [torus] [manytoone] [netsim] [opencase] [all] [--stats]`
+//!         [catalog] [torus] [manytoone] [netsim] [ablation] [opencase]
+//!         [all] [--stats]`
 //!
 //! `--stats` (or `CUBEMESH_STATS=text|json`) prints an instrumentation
-//! snapshot after the selected figures run.
+//! snapshot after the selected figures run. `fig2`'s `max_n` is in
+//! `1..=9` (default 9). The whole line is checked before any figure
+//! runs: an unknown figure or flag, or a `max_n` outside its range,
+//! prints the usage and exits 2; `--help` prints it and exits 0.
 
 use cubemesh_census::two_d::census_2d_full;
 use cubemesh_census::{
@@ -17,70 +21,79 @@ use cubemesh_core::{classify3, construct, embed_mesh, plan_shape, Planner};
 use cubemesh_embedding::{gray_mesh_embedding, load_factor, verify_many_to_one};
 use cubemesh_manytoone::{contract, corollary5, optimal_load_factor};
 use cubemesh_netsim::{simulate, stencil_exchange};
-use cubemesh_obs as obs;
+use cubemesh_obs::cli::{self, Args};
 use cubemesh_reshape::snake_embedding;
 use cubemesh_search::{anneal, catalog_entries, AnnealConfig, AnnealOutcome};
 use cubemesh_topology::{cube_dim, Shape};
 use cubemesh_torus::{corollary3_dilation2, corollary3_dilation3, embed_torus};
+use std::process::ExitCode;
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    obs::init_from_env();
-    if args.iter().any(|a| a == "--stats") {
-        args.retain(|a| a != "--stats");
-        if obs::mode() == obs::StatsMode::Off {
-            obs::set_mode(obs::StatsMode::Text);
+const USAGE: &str = "usage: figures [fig1] [fig2 [max_n]] [exceptions] [twod] [examples] \
+                     [catalog] [torus] [manytoone] [netsim] [ablation] [opencase] [all] [--stats]";
+
+/// The figures that take no argument, by name.
+const NAMED: [(&str, fn()); 11] = [
+    ("fig1", fig1),
+    ("exceptions", exceptions),
+    ("twod", twod),
+    ("examples", examples),
+    ("catalog", catalog),
+    ("torus", torus),
+    ("manytoone", manytoone),
+    ("netsim", netsim),
+    ("ablation", ablation),
+    ("opencase", opencase),
+    ("all", all),
+];
+
+fn main() -> ExitCode {
+    cli::Cli {
+        bin: "figures",
+        usage: USAGE,
+        report: cli::Report::Stats,
+    }
+    .run(|words| {
+        for figure in figures(Args::parse(words, &[], &[])?.positional())? {
+            figure();
+        }
+        Ok(ExitCode::SUCCESS)
+    })
+}
+
+/// The figures `words` name, in order; `fig2` takes an optional
+/// `max_n` in `1..=9`, the census's paper domain.
+fn figures(words: &[String]) -> Result<Vec<Box<dyn Fn()>>, String> {
+    if words.is_empty() {
+        return Err("no figure given".to_owned());
+    }
+    let mut out: Vec<Box<dyn Fn()>> = Vec::new();
+    let mut it = words.iter().peekable();
+    while let Some(w) = it.next() {
+        if w == "fig2" {
+            let max_n = match it.next_if(|n| n.bytes().all(|b| b.is_ascii_digit())) {
+                Some(n) => cli::within("fig2", cli::number("fig2", n)?, 1..=9)?,
+                None => 9,
+            };
+            out.push(Box::new(move || fig2(max_n)));
+        } else {
+            let named = NAMED.iter().find(|(name, _)| name == w);
+            out.push(Box::new(named.ok_or(format!("unknown figure '{w}'"))?.1));
         }
     }
-    if args.is_empty() {
-        eprintln!(
-            "usage: figures [fig1] [fig2 [max_n]] [exceptions] [twod] \
-             [examples] [catalog] [torus] [manytoone] [netsim] [ablation] \
-             [opencase] [all] [--stats]"
-        );
-        std::process::exit(2);
-    }
-    let mut iter = args.iter().peekable();
-    while let Some(cmd) = iter.next() {
-        match cmd.as_str() {
-            "fig1" => fig1(),
-            "fig2" => {
-                let mut max_n = 9;
-                if let Some(next) = iter.peek() {
-                    if let Ok(n) = next.parse::<u32>() {
-                        max_n = n;
-                        iter.next();
-                    }
-                }
-                fig2(max_n);
-            }
-            "exceptions" => exceptions(),
-            "twod" => twod(),
-            "examples" => examples(),
-            "catalog" => catalog(),
-            "torus" => torus(),
-            "manytoone" => manytoone(),
-            "netsim" => netsim(),
-            "ablation" => ablation(),
-            "opencase" => opencase(),
-            "all" => {
-                fig1();
-                fig2(9);
-                exceptions();
-                twod();
-                examples();
-                catalog();
-                torus();
-                manytoone();
-                netsim();
-            }
-            other => {
-                eprintln!("unknown figure '{}'", other);
-                std::process::exit(2);
-            }
-        }
-    }
-    obs::report();
+    Ok(out)
+}
+
+/// Every paper figure, in order.
+fn all() {
+    fig1();
+    fig2(9);
+    exceptions();
+    twod();
+    examples();
+    catalog();
+    torus();
+    manytoone();
+    netsim();
 }
 
 /// Figure 1: Gray-code minimal-expansion fraction vs k.

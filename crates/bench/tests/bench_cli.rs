@@ -78,3 +78,66 @@ fn a_run_without_out_paths_writes_no_bench_file() {
     assert!(files_in(&dir).is_empty(), "{:?}", files_in(&dir));
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// Exit code 2, the usage on stderr, nothing on stdout, no panic.
+fn refused(bin: &str, out: &Output, args: &[&str]) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+    assert!(
+        stderr.contains(&format!("usage: {bin}")),
+        "{bin} {args:?}: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{bin} {args:?} printed to stdout");
+}
+
+#[test]
+fn bench_refuses_bad_values_before_running() {
+    let dir = scratch_dir("values");
+    for args in [
+        &["--out"][..],
+        &["--quick", "--threads"],
+        &["--shapes", "0x3"],
+        &["--shapes", "40000x2"],
+        &["--shapes", "4xq"],
+        &["--trace"],
+    ] {
+        refused("cubemesh-bench", &bench_in(&dir, args), args);
+    }
+    assert!(files_in(&dir).is_empty(), "{:?}", files_in(&dir));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+fn figures(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(args)
+        .env_remove("CUBEMESH_STATS")
+        .output()
+        .expect("run figures")
+}
+
+/// `figures` checks its whole line before any figure runs: `--help`
+/// prints the usage, and a bad word is refused without a figure (`fig2
+/// 10` ran the n <= 9 census and then panicked; `fig2 0` printed a bare
+/// header; `--help` was an unknown figure).
+#[test]
+fn figures_help_and_refusals_run_nothing() {
+    for args in [&["--help"][..], &["fig2", "--help"]] {
+        let out = figures(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: figures"));
+    }
+    for args in [
+        &[][..],
+        &["fig2", "10"],
+        &["fig2", "0"],
+        &["fig2", "99999999999"],
+        &["fig2", "x"],
+        &["fig1", "bogus"],
+        &["exceptions", "--bogus"],
+        &["exceptions", "--trace", "t.json"],
+        &["exceptions", "-3"],
+    ] {
+        refused("figures", &figures(args), args);
+    }
+}

@@ -3,22 +3,53 @@
 //! ready-to-paste `CatalogEntry` items for the ones that also certify
 //! congestion 2.
 //!
-//! Usage: `sweep2d [max_nodes] [budget]`
+//! Usage: `sweep2d [max_nodes] [budget]` — `max_nodes` in
+//! `1..=`[`MAX_SWEEP_NODES`] (default 256), `budget` search steps per
+//! shape (default 2·10⁹, about an hour each). `--help` prints the usage;
+//! a flag, a third word, or a value that is not a number or is out of
+//! range prints it and exits 2 before any search starts.
 
 use cubemesh_census::cover::{workspace_catalog, Cover2};
 use cubemesh_embedding::builders::mesh_edge_list;
+use cubemesh_obs::cli::{self, Args};
 use cubemesh_search::backtrack::{find_embedding, SearchConfig, SearchOutcome};
+use cubemesh_search::catalog::entry_source;
 use cubemesh_search::routes::certify_congestion;
 use cubemesh_topology::{cube_dim, Hypercube, Mesh, Shape};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let max_nodes: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(256);
-    let budget: u64 = args
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_000_000_000);
+const USAGE: &str = "usage: sweep2d [max_nodes] [budget]";
 
+/// The largest node bound swept, `2¹²` (`Q12` hosts): the coverage
+/// table is `max_nodes²` bytes (16 MiB here), and the exact search is
+/// hopeless long before.
+const MAX_SWEEP_NODES: usize = 1 << 12;
+
+fn main() -> ExitCode {
+    cli::Cli {
+        bin: "sweep2d",
+        usage: USAGE,
+        report: cli::Report::Off,
+    }
+    .run(|words| {
+        let args = Args::parse(words, &[], &[])?;
+        let (max_nodes, budget) = match args.positional() {
+            [] => (256, 2_000_000_000),
+            [n] => (cli::number("max_nodes", n)?, 2_000_000_000),
+            [n, b] => (cli::number("max_nodes", n)?, cli::number("budget", b)?),
+            [_, _, extra, ..] => return Err(format!("unexpected argument '{extra}'")),
+        };
+        sweep(
+            cli::within("max_nodes", max_nodes, 1..=MAX_SWEEP_NODES)?,
+            budget,
+        );
+        Ok(ExitCode::SUCCESS)
+    })
+}
+
+/// Search every 2-D shape of at most `max_nodes` nodes that the
+/// constructive coverage misses, `budget` steps each.
+fn sweep(max_nodes: usize, budget: u64) {
     let (two, _) = workspace_catalog();
     let c2 = Cover2::build(max_nodes, two);
 
@@ -66,7 +97,8 @@ fn main() {
                             seed,
                             t.elapsed()
                         );
-                        emit(&shape, host_dim, &map);
+                        let provenance = "exact backtracking, congestion-2 certified (sweep)";
+                        print!("{}", entry_source(&[a, b], host_dim, &map, provenance));
                         found = true;
                         break;
                     } else {
@@ -96,21 +128,4 @@ fn main() {
             eprintln!("{}x{}: NOT added", a, b);
         }
     }
-}
-
-fn emit(shape: &Shape, host_dim: u32, map: &[u64]) {
-    let dims: Vec<String> = shape.dims().iter().map(|d| d.to_string()).collect();
-    println!("    CatalogEntry {{");
-    println!("        dims: &[{}],", dims.join(", "));
-    println!("        host_dim: {},", host_dim);
-    print!("        map: &[");
-    for (i, a) in map.iter().enumerate() {
-        if i % 12 == 0 {
-            print!("\n            ");
-        }
-        print!("{}, ", a);
-    }
-    println!("\n        ],");
-    println!("        provenance: \"exact backtracking, congestion-2 certified (sweep)\",");
-    println!("    }},");
 }

@@ -263,19 +263,13 @@ fn expect(b: &[u8], pos: &mut usize, lit: &'static [u8]) -> Result<(), PlanParse
 fn parse_shape(b: &[u8], pos: &mut usize) -> Result<Shape, PlanParseError> {
     let start = *pos;
     let mut dims: Vec<usize> = Vec::new();
-    let mut nodes: usize = 1;
     loop {
-        let d = parse_extent(b, pos)?;
-        // Mirror `Shape::new`'s invariants as typed errors so a hostile
-        // string can never reach the constructor's assertions.
-        if d == 0 || d > Shape::MAX_AXIS {
+        dims.push(parse_extent(b, pos)?);
+        // `Shape::check` on every prefix refuses a hostile string at its
+        // first bad extent, before the constructor's assertions.
+        if Shape::check(&dims).is_err() {
             return Err(PlanParseError::BadShape { offset: start });
         }
-        nodes = match nodes.checked_mul(d) {
-            Some(n) if n <= Shape::MAX_NODES => n,
-            _ => return Err(PlanParseError::BadShape { offset: start }),
-        };
-        dims.push(d);
         if b.get(*pos) == Some(&b'x') {
             *pos += 1;
         } else {

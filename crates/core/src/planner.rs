@@ -245,9 +245,26 @@ const HIT_NAMES: [&str; 8] = [
 ];
 
 impl Planner {
+    /// Memo entries a planner that outlives one query keeps (the plan
+    /// service's live misses, a `certify --sweep`): each distinct shape
+    /// planned leaves about five sub-plans (~1.4 KB of RSS) behind, so
+    /// such callers pass this to [`Planner::bound_memo`] after each
+    /// query.
+    pub const MEMO_LIMIT: usize = 1 << 14;
+
     /// Fresh planner with an empty memo table.
     pub fn new() -> Self {
         Planner::default()
+    }
+
+    /// Start the memo over once it holds more than `limit` entries, so
+    /// a planner shared across many queries stays bounded. No answer
+    /// changes: every memo entry is a pure function of its rule mask
+    /// and shape.
+    pub fn bound_memo(&mut self, limit: usize) {
+        if self.memo.len() > limit {
+            self.memo = Default::default();
+        }
     }
 
     /// Plan a minimal-expansion, dilation-≤2 embedding for `shape` with

@@ -28,6 +28,9 @@
 //!   JSON, folded flamegraph stacks and a stable-schema JSONL log.
 //!   Independently gated by [`trace::set_enabled`] (the `--trace` CLI
 //!   flags), so stats and tracing compose freely.
+//! * [`cli`] — the one command line every cubemesh binary reads: its
+//!   flag parser, `--help`, exit codes, and the `--stats`/`--trace`
+//!   start and finish.
 //!
 //! # Enabling
 //!
@@ -51,6 +54,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
 mod json;
 mod metrics;
 mod progress;

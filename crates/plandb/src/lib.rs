@@ -151,41 +151,21 @@ impl From<PlanParseError> for DbError {
 }
 
 /// Canonicalize untrusted extents into a database key: drop unit axes,
-/// sort ascending, and validate every bound the [`Shape`] constructor
-/// asserts — so a key that passes here can be turned into a `Shape`
-/// without panicking. The all-units shape canonicalizes to `[1]`.
+/// sort ascending, and validate the rank and [`Shape::check`], the rule
+/// the [`Shape`] constructor asserts — so a key that passes here can be
+/// turned into a `Shape` without panicking. The all-units shape
+/// canonicalizes to `[1]`.
 pub fn validate_key(dims: &[usize]) -> Result<Vec<usize>, DbError> {
-    if dims.is_empty() {
-        return Err(DbError::BadKey {
-            reason: "no axes".to_owned(),
-        });
-    }
+    // An empty key fails `Shape::check` ("no axes") before its rank is
+    // looked at, as it always did.
     if dims.len() > MAX_KEY_RANK {
         return Err(DbError::BadKey {
             reason: format!("rank {} exceeds {MAX_KEY_RANK}", dims.len()),
         });
     }
-    let mut nodes: usize = 1;
-    for &d in dims {
-        if d == 0 {
-            return Err(DbError::BadKey {
-                reason: "zero extent".to_owned(),
-            });
-        }
-        if d > Shape::MAX_AXIS {
-            return Err(DbError::BadKey {
-                reason: format!("extent {d} exceeds {}", Shape::MAX_AXIS),
-            });
-        }
-        nodes = match nodes.checked_mul(d) {
-            Some(n) if n <= Shape::MAX_NODES => n,
-            _ => {
-                return Err(DbError::BadKey {
-                    reason: format!("node count exceeds {}", Shape::MAX_NODES),
-                })
-            }
-        };
-    }
+    Shape::check(dims).map_err(|e| DbError::BadKey {
+        reason: e.to_string(),
+    })?;
     let mut key: Vec<usize> = dims.iter().copied().filter(|&d| d > 1).collect();
     if key.is_empty() {
         key.push(1);
@@ -219,5 +199,34 @@ mod tests {
         assert!(validate_key(&[2; MAX_KEY_RANK + 1]).is_err());
         // Node-count overflow via many max axes.
         assert!(validate_key(&[Shape::MAX_AXIS; 4]).is_err());
+    }
+
+    /// The reasons go over the wire in `bad shape key` errors: the rank
+    /// is checked first, then the axes in order.
+    #[test]
+    fn key_errors_keep_their_text() {
+        let max = Shape::MAX_AXIS;
+        for (dims, reason) in [
+            (&[][..], "no axes".to_owned()),
+            (
+                &[2; MAX_KEY_RANK + 1],
+                format!("rank {} exceeds {MAX_KEY_RANK}", MAX_KEY_RANK + 1),
+            ),
+            (
+                &[0; MAX_KEY_RANK + 1],
+                format!("rank {} exceeds {MAX_KEY_RANK}", MAX_KEY_RANK + 1),
+            ),
+            (&[3, 0, max + 1], "zero extent".to_owned()),
+            (&[max + 1, 0], format!("extent {} exceeds {max}", max + 1)),
+            (
+                &[max; 4],
+                format!("node count exceeds {}", Shape::MAX_NODES),
+            ),
+        ] {
+            match validate_key(dims) {
+                Err(DbError::BadKey { reason: got }) => assert_eq!(got, reason, "{dims:?}"),
+                other => panic!("{dims:?}: {other:?}"),
+            }
+        }
     }
 }

@@ -16,8 +16,8 @@
 //! executed which task; callers own all reduction/merge semantics, so
 //! stealing is invisible to output bytes.
 //!
-//! Sizing: [`with_threads`] override > `CUBEMESH_THREADS` >
-//! `available_parallelism()`. The override and the variable are re-read
+//! Sizing: [`with_threads`] override > `CUBEMESH_THREADS` (clamped to
+//! [`MAX_THREADS`]) > `available_parallelism()`. The override and the variable are re-read
 //! at every region; the host's CPU count is read once. Tests and the
 //! bench's sequential rerun use the scoped [`with_threads`] override
 //! instead of mutating the (process-global) environment.
@@ -49,11 +49,20 @@ thread_local! {
     static OVERRIDE: AtomicUsize = const { AtomicUsize::new(0) };
 }
 
+/// The most threads `CUBEMESH_THREADS` asks for: a larger value is
+/// read as this many, so no setting spawns thousands of OS threads. At
+/// least 8, the width the repo gate checks determinism at.
+pub const MAX_THREADS: usize = 256;
+
 fn env_threads(var: &str) -> Option<usize> {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
+    threads_from(&std::env::var(var).ok()?)
+}
+
+/// A thread-count setting: a positive integer, clamped to
+/// [`MAX_THREADS`]; anything else sets nothing.
+fn threads_from(value: &str) -> Option<usize> {
+    let n = value.trim().parse::<usize>().ok().filter(|&n| n > 0)?;
+    Some(n.min(MAX_THREADS))
 }
 
 /// Effective parallelism for a region started on this thread right now:
@@ -550,6 +559,23 @@ mod tests {
             })
         });
         assert!(caught.is_err());
+    }
+
+    /// The environment's thread count is clamped: one past the limit
+    /// reads as the limit, so this checks the bound without spawning.
+    #[test]
+    fn thread_setting_is_clamped_at_the_limit() {
+        const { assert!(MAX_THREADS >= 8) };
+        assert_eq!(threads_from("8"), Some(8));
+        assert_eq!(threads_from(&MAX_THREADS.to_string()), Some(MAX_THREADS));
+        assert_eq!(
+            threads_from(&(MAX_THREADS + 1).to_string()),
+            Some(MAX_THREADS)
+        );
+        assert_eq!(threads_from(&usize::MAX.to_string()), Some(MAX_THREADS));
+        for unset in ["0", "", "x", "-3", "99999999999999999999999"] {
+            assert_eq!(threads_from(unset), None, "{unset:?}");
+        }
     }
 
     #[test]

@@ -10,64 +10,94 @@
 //! reporter on stderr while searching, and a full stats snapshot (search
 //! counters, span timings) when the run ends. `CUBEMESH_STATS=json`
 //! switches the snapshot to JSON; `CUBEMESH_STATS=off` suppresses it.
+//!
+//! Exit codes: 0 with a `CatalogEntry` on stdout; 1 when neither phase
+//! found a map; 3 when the exact search proved no map exists
+//! (`EXHAUSTED`); 2 for a refused line — an unknown flag, a missing or
+//! non-numeric value, extents that fail `Shape::check`, a host cube
+//! (`--dim`, else the minimal one) above [`MAX_HOST_DIM`], or a
+//! `--dilation` outside `1..=MAX_HOST_DIM`. `--help` prints the usage.
 
 use cubemesh_embedding::builders::mesh_edge_list;
-use cubemesh_obs::{self as obs, Progress};
+use cubemesh_obs::cli::{self, Args};
+use cubemesh_obs::Progress;
 use cubemesh_search::anneal::{anneal_restarts, AnnealConfig, AnnealOutcome};
 use cubemesh_search::backtrack::{find_embedding, SearchConfig, SearchOutcome};
+use cubemesh_search::catalog::entry_source;
 use cubemesh_search::routes::certify_congestion;
 use cubemesh_topology::{cube_dim, Hypercube, Mesh, Shape};
+use std::process::ExitCode;
 
-fn finish(code: i32) -> ! {
-    obs::report();
-    std::process::exit(code);
-}
+const USAGE: &str = "usage: discover <l1> <l2> [l3 ...] [--dilation D] [--dim N] [--budget STEPS] \
+                     [--restarts R] [--anneal-steps S]";
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut dims: Vec<usize> = Vec::new();
-    let mut dilation = 2u32;
-    let mut dim_override: Option<u32> = None;
-    let mut budget = 200_000_000u64;
-    let mut restarts = 8u64;
-    let mut anneal_steps = 5_000_000u64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--dilation" => {
-                i += 1;
-                dilation = args[i].parse().expect("bad dilation");
-            }
-            "--dim" => {
-                i += 1;
-                dim_override = Some(args[i].parse().expect("bad dim"));
-            }
-            "--budget" => {
-                i += 1;
-                budget = args[i].parse().expect("bad budget");
-            }
-            "--restarts" => {
-                i += 1;
-                restarts = args[i].parse().expect("bad restarts");
-            }
-            "--anneal-steps" => {
-                i += 1;
-                anneal_steps = args[i].parse().expect("bad anneal steps");
-            }
-            s => dims.push(s.parse().unwrap_or_else(|_| panic!("bad dim {s}"))),
-        }
-        i += 1;
-    }
-    assert!(!dims.is_empty(), "usage: discover <l1> <l2> [l3 ...]");
-    dims.sort_unstable();
+/// The largest host cube searched, `Q24`. The annealing phase stops at
+/// `Q26` and the exact search at `Q30`, but memory binds first: a
+/// 2²⁴-node guest in `Q24` peaks at 1.2 GiB, a 2²⁶-node one in `Q26`
+/// needs more than 5 GB (x86-64 release build). A shape whose minimal
+/// cube is larger is refused, as is a larger `--dim` or `--dilation`
+/// (no two addresses of the host lie further apart).
+const MAX_HOST_DIM: u32 = 24;
+
+/// Exit code of a search that proved no embedding exists.
+const EXHAUSTED: u8 = 3;
+
+fn main() -> ExitCode {
     // Discovery is an offline tool: the search counters and span timings
     // ARE its diagnostics, so stats default to on (env can still override).
-    obs::init_from_env();
-    if std::env::var_os("CUBEMESH_STATS").is_none() {
-        obs::set_mode(obs::StatsMode::Text);
+    cli::Cli {
+        bin: "discover",
+        usage: USAGE,
+        report: cli::Report::Always,
     }
-    let shape = Shape::new(&dims);
-    let host_dim = dim_override.unwrap_or_else(|| cube_dim(shape.nodes() as u64));
+    .run(|words| {
+        let args = Args::parse(
+            words,
+            &[],
+            &[
+                "--dilation",
+                "--dim",
+                "--budget",
+                "--restarts",
+                "--anneal-steps",
+            ],
+        )?;
+        let mut dims: Vec<usize> = args.numbers()?;
+        dims.sort_unstable();
+        Shape::check(&dims).map_err(|e| e.to_string())?;
+        let shape = Shape::new(&dims);
+        let host_dim = args.number("--dim")?;
+        let host_dim = host_dim.unwrap_or_else(|| cube_dim(shape.nodes() as u64));
+        if host_dim > MAX_HOST_DIM {
+            return Err(format!(
+                "{shape} in Q{host_dim}: the search stops at Q{MAX_HOST_DIM}"
+            ));
+        }
+        Ok(search(
+            &shape,
+            host_dim,
+            cli::within(
+                "--dilation",
+                args.number_or("--dilation", 2)?,
+                1..=MAX_HOST_DIM,
+            )?,
+            args.number_or("--budget", 200_000_000)?,
+            args.number_or("--restarts", 8)?,
+            args.number_or("--anneal-steps", 5_000_000)?,
+        ))
+    })
+}
+
+/// Exact backtracking over `restarts + 1` seeds, then annealing; prints
+/// the `CatalogEntry` of the first map found.
+fn search(
+    shape: &Shape,
+    host_dim: u32,
+    dilation: u32,
+    budget: u64,
+    restarts: u64,
+    anneal_steps: u64,
+) -> ExitCode {
     eprintln!(
         "searching {} -> Q_{} with dilation <= {} ({} nodes / {} addresses)",
         shape,
@@ -83,15 +113,13 @@ fn main() {
     // Phase 1: exact backtracking, deterministic then shuffled. The
     // reporter shows restart progress; per-restart step counts, prunes,
     // and time-to-first-solution land in the final snapshot.
-    let seeds: Vec<Option<u64>> = std::iter::once(None)
-        .chain((0..restarts).map(Some))
-        .collect();
-    let progress = Progress::always("exact restarts", seeds.len() as u64);
+    let seeds = std::iter::once(None).chain((0..restarts).map(Some));
+    let progress = Progress::always("exact restarts", restarts.saturating_add(1));
     for seed in seeds {
         let cfg = SearchConfig {
             host_dim,
             max_dilation: dilation,
-            node_budget: budget / (restarts + 1),
+            node_budget: budget / restarts.saturating_add(1),
             shuffle_seed: seed,
         };
         let outcome = find_embedding(&guest, &order, &cfg);
@@ -100,22 +128,18 @@ fn main() {
             SearchOutcome::Found(map) => {
                 progress.finish();
                 eprintln!("exact search found a map (seed {seed:?})");
-                if dilation <= 2 && !certifies_congestion2(&shape, host_dim, &map) {
+                if dilation <= 2 && !certifies_congestion2(shape, host_dim, &map) {
                     eprintln!("…but congestion-2 routing is infeasible; retrying");
                     continue;
                 }
-                emit(
-                    &shape,
-                    host_dim,
-                    &map,
-                    "exact backtracking, congestion-2 certified",
-                );
-                finish(0);
+                let provenance = "exact backtracking, congestion-2 certified";
+                print!("{}", entry_source(shape.dims(), host_dim, &map, provenance));
+                return ExitCode::SUCCESS;
             }
             SearchOutcome::Exhausted => {
                 progress.finish();
                 eprintln!("EXHAUSTED: no embedding exists with these parameters");
-                finish(2);
+                return ExitCode::from(EXHAUSTED);
             }
             SearchOutcome::BudgetExceeded => {}
         }
@@ -134,17 +158,17 @@ fn main() {
     match anneal_restarts(&guest, &cfg, restarts.max(1)) {
         AnnealOutcome::Found(map) => {
             eprintln!("annealing found a map");
-            let provenance = if dilation <= 2 && certifies_congestion2(&shape, host_dim, &map) {
+            let provenance = if dilation <= 2 && certifies_congestion2(shape, host_dim, &map) {
                 "simulated annealing, congestion-2 certified"
             } else {
                 "simulated annealing (congestion-2 routing NOT certified)"
             };
-            emit(&shape, host_dim, &map, provenance);
-            finish(0);
+            print!("{}", entry_source(shape.dims(), host_dim, &map, provenance));
+            ExitCode::SUCCESS
         }
         AnnealOutcome::Best { energy, .. } => {
             eprintln!("no embedding found; best residual energy {energy}");
-            finish(1);
+            ExitCode::FAILURE
         }
     }
 }
@@ -153,21 +177,4 @@ fn certifies_congestion2(shape: &Shape, host_dim: u32, map: &[u64]) -> bool {
     let mesh = Mesh::new(shape.clone());
     let edges = mesh_edge_list(&mesh);
     certify_congestion(map, &edges, Hypercube::new(host_dim), 2).is_some()
-}
-
-fn emit(shape: &Shape, host_dim: u32, map: &[u64], provenance: &str) {
-    let dims: Vec<String> = shape.dims().iter().map(|d| d.to_string()).collect();
-    println!("    CatalogEntry {{");
-    println!("        dims: &[{}],", dims.join(", "));
-    println!("        host_dim: {},", host_dim);
-    print!("        map: &[");
-    for (i, a) in map.iter().enumerate() {
-        if i % 12 == 0 {
-            print!("\n            ");
-        }
-        print!("{}, ", a);
-    }
-    println!("\n        ],");
-    println!("        provenance: \"{}\",", provenance);
-    println!("    }},");
 }

@@ -31,6 +31,23 @@ pub struct CatalogEntry {
 
 include!("catalog_data.rs");
 
+/// A found map as a `CatalogEntry` item, ready to paste into
+/// `catalog_data.rs`: what the `discover` and `sweep2d` searches print.
+pub fn entry_source(dims: &[usize], host_dim: u32, map: &[u64], provenance: &str) -> String {
+    let dims: Vec<String> = dims.iter().map(|d| d.to_string()).collect();
+    let mut out = format!(
+        "    CatalogEntry {{\n        dims: &[{}],\n        host_dim: {host_dim},\n        map: &[",
+        dims.join(", ")
+    );
+    for (i, a) in map.iter().enumerate() {
+        if i % 12 == 0 {
+            out.push_str("\n            ");
+        }
+        out.push_str(&format!("{a}, "));
+    }
+    out + &format!("\n        ],\n        provenance: \"{provenance}\",\n    }},\n")
+}
+
 /// All catalog entries.
 pub fn catalog_entries() -> &'static [CatalogEntry] {
     CATALOG
@@ -136,6 +153,18 @@ pub fn catalog_embedding(shape: &Shape) -> Option<Embedding> {
 mod tests {
     use super::*;
     use cubemesh_topology::cube_dim;
+
+    /// The printed item, twelve addresses a line, pastes back as it was.
+    #[test]
+    fn entry_source_prints_a_catalog_item() {
+        let map: Vec<u64> = (0..14).collect();
+        assert_eq!(
+            entry_source(&[2, 7], 4, &map, "test"),
+            "    CatalogEntry {\n        dims: &[2, 7],\n        host_dim: 4,\n        map: &[\n\
+             \x20           0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, \n\
+             \x20           12, 13, \n        ],\n        provenance: \"test\",\n    },\n"
+        );
+    }
 
     #[test]
     fn every_entry_is_well_formed() {

@@ -12,10 +12,18 @@
 //! SIGINT/SIGTERM. The query mode is the check-script client: it sends
 //! one batched `plan` request, verifies every result carries a
 //! certificate and a fingerprint, and prints a one-line JSON summary.
+//!
+//! `--help` prints the usage. A flag the mode does not take, a stray
+//! word, a missing or non-numeric value, or a value outside its range
+//! (`--max-axis` and `--census-max` within `MAX_BUILD_AXIS`, `--workers`
+//! within `MAX_WORKERS`, a query batch within `MAX_BATCH`) prints the
+//! usage and exits 2 before anything is built, bound or dialled; a run
+//! that fails exits 1.
 
+use cubemesh_obs::cli::{self, Args};
 use cubemesh_obs::{parse_json, JsonValue};
 use cubemesh_plandb::{build, validate_key, BuildConfig, MAX_BUILD_AXIS};
-use cubemesh_service::{serve, EngineConfig, QueryEngine, ServerConfig, MAX_BATCH};
+use cubemesh_service::{serve, EngineConfig, QueryEngine, ServerConfig, MAX_BATCH, MAX_WORKERS};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -44,94 +52,73 @@ fn install_signal_handlers() {
     }
 }
 
-struct Args {
-    flags: std::collections::BTreeMap<String, String>,
-}
+const USAGE: &str = "usage: cubemesh-serve [--db FILE] [--addr HOST:PORT] [--workers N] [--overflow FILE]
+       cubemesh-serve build --out FILE [--max-axis N] [--checkpoint FILE] [--chunk N]
+       cubemesh-serve query --addr HOST:PORT [--shapes \"3x5x17;5x5x5\"] [--census-max N [--count C]]
+       cubemesh-serve shutdown --addr HOST:PORT";
 
-impl Args {
-    fn parse(args: &[String]) -> Result<Args, String> {
-        let mut flags = std::collections::BTreeMap::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            let Some(name) = a.strip_prefix("--") else {
-                return Err(format!("unexpected argument {a:?}"));
-            };
-            let val = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-            flags.insert(name.to_owned(), val.clone());
-        }
-        Ok(Args { flags })
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.flags.get(name).map(String::as_str)
-    }
-
-    fn usize_or(&self, name: &str, default: usize) -> Result<usize, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{name}: bad number {v:?}")),
-        }
-    }
-}
+const CLI: cli::Cli = cli::Cli {
+    bin: "cubemesh-serve",
+    usage: USAGE,
+    report: cli::Report::Off,
+};
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (mode, rest) = match argv.first().map(String::as_str) {
-        Some("build") => ("build", &argv[1..]),
-        Some("query") => ("query", &argv[1..]),
-        Some("shutdown") => ("shutdown", &argv[1..]),
-        _ => ("serve", &argv[..]),
-    };
-    let result = Args::parse(rest).and_then(|args| match mode {
-        "build" => run_build(&args),
-        "query" => run_query(&args),
-        "shutdown" => run_shutdown(&args),
-        _ => run_serve(&args),
-    });
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("cubemesh-serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run_build(args: &Args) -> Result<(), String> {
-    let max_axis = args.usize_or("max-axis", 16)?;
-    let out = PathBuf::from(args.get("out").ok_or("build needs --out PATH")?);
-    let cfg = BuildConfig {
-        max_axis,
-        chunk_shapes: args.usize_or("chunk", 512)?,
-        checkpoint: args.get("checkpoint").map(PathBuf::from),
-    };
-    let report = build(&cfg, &out).map_err(|e| e.to_string())?;
-    println!(
-        "{{\"built\":\"{}\",\"shapes\":{},\"certified\":{},\"uncovered\":{},\"resumed\":{}}}",
-        out.display(),
-        report.shapes,
-        report.certified,
-        report.uncovered,
-        report.resumed,
-    );
-    Ok(())
-}
-
-fn run_serve(args: &Args) -> Result<(), String> {
-    let engine = QueryEngine::new(&EngineConfig {
-        db: args.get("db").map(PathBuf::from),
-        overflow: args.get("overflow").map(PathBuf::from),
+    CLI.run(|words| match words.split_first() {
+        Some((mode, rest)) if mode == "build" => run_build(rest),
+        Some((mode, rest)) if mode == "query" => run_query(rest),
+        Some((mode, rest)) if mode == "shutdown" => run_shutdown(rest),
+        _ => run_serve(words),
     })
-    .map_err(|e| e.to_string())?;
-    let engine = Arc::new(engine);
-    let server = serve(
-        &ServerConfig {
-            addr: args.get("addr").unwrap_or("127.0.0.1:0").to_owned(),
-            workers: args.usize_or("workers", 4)?,
-        },
-        Arc::clone(&engine),
-    )
-    .map_err(|e| e.to_string())?;
+}
+
+fn run_build(words: &[String]) -> Result<ExitCode, String> {
+    let flags = ["--max-axis", "--out", "--checkpoint", "--chunk"];
+    let args = Args::parse(words, &[], &flags)?;
+    args.no_positional()?;
+    let max_axis = args.number_or("--max-axis", 16)?;
+    let cfg = BuildConfig {
+        max_axis: cli::within("--max-axis", max_axis, 1..=MAX_BUILD_AXIS)?,
+        chunk_shapes: args.number_or("--chunk", 512)?,
+        checkpoint: args.value("--checkpoint").map(PathBuf::from),
+    };
+    let out = PathBuf::from(args.value("--out").ok_or("build needs --out PATH")?);
+    let run = || -> Result<ExitCode, String> {
+        let report = build(&cfg, &out).map_err(|e| e.to_string())?;
+        println!(
+            "{{\"built\":\"{}\",\"shapes\":{},\"certified\":{},\"uncovered\":{},\"resumed\":{}}}",
+            out.display(),
+            report.shapes,
+            report.certified,
+            report.uncovered,
+            report.resumed,
+        );
+        Ok(ExitCode::SUCCESS)
+    };
+    Ok(CLI.outcome(run()))
+}
+
+fn run_serve(words: &[String]) -> Result<ExitCode, String> {
+    let args = Args::parse(words, &[], &["--db", "--addr", "--workers", "--overflow"])?;
+    args.no_positional()?;
+    let engine = EngineConfig {
+        db: args.value("--db").map(PathBuf::from),
+        overflow: args.value("--overflow").map(PathBuf::from),
+    };
+    let server = ServerConfig {
+        addr: args.value("--addr").unwrap_or("127.0.0.1:0").to_owned(),
+        workers: cli::within(
+            "--workers",
+            args.number_or("--workers", 4)?,
+            0..=MAX_WORKERS,
+        )?,
+    };
+    Ok(CLI.outcome(serve_until_stopped(&engine, &server)))
+}
+
+fn serve_until_stopped(engine: &EngineConfig, server: &ServerConfig) -> Result<ExitCode, String> {
+    let engine = Arc::new(QueryEngine::new(engine).map_err(|e| e.to_string())?);
+    let server = serve(server, Arc::clone(&engine)).map_err(|e| e.to_string())?;
     println!("{{\"listening\":\"{}\"}}", server.local_addr());
     std::io::stdout().flush().map_err(|e| e.to_string())?;
 
@@ -146,16 +133,24 @@ fn run_serve(args: &Args) -> Result<(), String> {
     if panicked > 0 {
         return Err(format!("{panicked} server thread(s) panicked"));
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn connect(args: &Args) -> Result<TcpStream, String> {
-    let addr = args.get("addr").ok_or("needs --addr HOST:PORT")?;
+fn connect(addr: &str) -> Result<TcpStream, String> {
     TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))
 }
 
-fn run_shutdown(args: &Args) -> Result<(), String> {
-    let mut stream = connect(args)?;
+fn run_shutdown(words: &[String]) -> Result<ExitCode, String> {
+    let args = Args::parse(words, &[], &["--addr"])?;
+    args.no_positional()?;
+    let addr = args
+        .value("--addr")
+        .ok_or("shutdown needs --addr HOST:PORT")?;
+    Ok(CLI.outcome(shutdown(addr)))
+}
+
+fn shutdown(addr: &str) -> Result<ExitCode, String> {
+    let mut stream = connect(addr)?;
     stream
         .write_all(b"{\"op\":\"shutdown\"}\n")
         .map_err(|e| e.to_string())?;
@@ -164,7 +159,7 @@ fn run_shutdown(args: &Args) -> Result<(), String> {
         .read_line(&mut reply)
         .map_err(|e| e.to_string())?;
     print!("{reply}");
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Parse `--shapes "3x5x17;5x5x5"` into extents lists.
@@ -192,24 +187,24 @@ fn census_batch(max_axis: usize, count: usize) -> Result<Vec<Vec<usize>>, String
     keys.collect::<Result<_, _>>().map_err(|e| e.to_string())
 }
 
-fn run_query(args: &Args) -> Result<(), String> {
-    let mut shapes = match args.get("shapes") {
+fn run_query(words: &[String]) -> Result<ExitCode, String> {
+    let args = Args::parse(
+        words,
+        &[],
+        &["--addr", "--shapes", "--census-max", "--count"],
+    )?;
+    args.no_positional()?;
+    let mut shapes = match args.value("--shapes") {
         Some(spec) => parse_shapes_flag(spec)?,
         None => Vec::new(),
     };
-    let (census_max, count) = match args.get("census-max") {
+    let (census_max, count) = match args.number("--census-max")? {
         // The batch cycles through the census keys up to the bound, so
         // the bound is the build's: an empty universe has no key to
         // cycle, and a wider one has no database to answer from.
         Some(census_max) => (
-            census_max
-                .parse()
-                .ok()
-                .filter(|n| (1..=MAX_BUILD_AXIS).contains(n))
-                .ok_or_else(|| {
-                    format!("--census-max: {census_max:?} is not a number in 1..={MAX_BUILD_AXIS}")
-                })?,
-            args.usize_or("count", 1024)?,
+            cli::within("--census-max", census_max, 1..=MAX_BUILD_AXIS)?,
+            args.number_or("--count", 1024)?,
         ),
         None => (0, 0),
     };
@@ -226,7 +221,12 @@ fn run_query(args: &Args) -> Result<(), String> {
     if shapes.is_empty() {
         return Err("query needs --shapes and/or --census-max".to_owned());
     }
+    let addr = args.value("--addr").ok_or("query needs --addr HOST:PORT")?;
+    Ok(CLI.outcome(query(addr, &shapes)))
+}
 
+/// Send `shapes` as one batched `plan` request and check every answer.
+fn query(addr: &str, shapes: &[Vec<usize>]) -> Result<ExitCode, String> {
     let mut request = String::from("{\"op\":\"plan\",\"shapes\":[");
     for (i, dims) in shapes.iter().enumerate() {
         if i > 0 {
@@ -243,7 +243,7 @@ fn run_query(args: &Args) -> Result<(), String> {
     }
     request.push_str("]}\n");
 
-    let mut stream = connect(args)?;
+    let mut stream = connect(addr)?;
     stream
         .write_all(request.as_bytes())
         .map_err(|e| e.to_string())?;
@@ -316,7 +316,7 @@ fn run_query(args: &Args) -> Result<(), String> {
             "{errors} error result(s), {missing_certificate} without certificates"
         ));
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 #[cfg(test)]

@@ -96,14 +96,6 @@ pub struct Resolved {
     pub within_certificate: bool,
 }
 
-/// Memo entries the live planner may hold between requests. Each
-/// distinct cold miss leaves about five sub-plans (~1.4 KB of RSS) in
-/// the memo, so a long-running engine would otherwise grow with every
-/// distinct miss it answers. Past the limit the engine starts a fresh
-/// [`Planner`]; no answer changes, because every memo entry is a pure
-/// function of its rule mask and shape.
-pub const LIVE_MEMO_LIMIT: usize = 1 << 14;
-
 struct Overflow {
     tx: Option<Sender<PlanRecord>>,
     writer: Option<JoinHandle<()>>,
@@ -116,7 +108,8 @@ pub struct QueryEngine {
     db: Option<PlanDb>,
     overlay: Mutex<HashMap<Vec<usize>, PlanRecord>>,
     planner: Mutex<(Planner, Vec<Box<dyn PlanStrategy + Send + Sync>>)>,
-    /// [`LIVE_MEMO_LIMIT`], lowered by tests.
+    /// The live planner's memo bound, [`Planner::MEMO_LIMIT`]; lowered
+    /// by tests.
     memo_limit: usize,
     overflow: Mutex<Overflow>,
     db_hits: AtomicU64,
@@ -170,7 +163,7 @@ impl QueryEngine {
             db,
             overlay: Mutex::new(HashMap::new()),
             planner: Mutex::new((Planner::new(), default_strategies())),
-            memo_limit: LIVE_MEMO_LIMIT,
+            memo_limit: Planner::MEMO_LIMIT,
             overflow: Mutex::new(overflow),
             db_hits: AtomicU64::new(0),
             overlay_hits: AtomicU64::new(0),
@@ -209,9 +202,9 @@ impl QueryEngine {
             let mut guard = lock(&self.planner);
             let (planner, strategies) = &mut *guard;
             let rec = plan_record(planner, strategies, &key);
-            if planner.memo_len() > self.memo_limit {
-                *planner = Planner::new();
-            }
+            // Each distinct cold miss would otherwise grow the memo
+            // for the life of the engine.
+            planner.bound_memo(self.memo_limit);
             rec.inspect_err(|_| {
                 self.errors.fetch_add(1, SeqCst);
             })?

@@ -31,9 +31,9 @@ pub mod engine;
 pub mod protocol;
 pub mod server;
 
-pub use engine::{EngineConfig, QueryEngine, Resolved, Source, StatsSnapshot, LIVE_MEMO_LIMIT};
+pub use engine::{EngineConfig, QueryEngine, Resolved, Source, StatsSnapshot};
 pub use protocol::{handle_line, parse_request, render_error, Request, MAX_BATCH};
-pub use server::{serve, Server, ServerConfig};
+pub use server::{serve, Server, ServerConfig, MAX_WORKERS};
 
 use cubemesh_plandb::DbError;
 use std::fmt;

@@ -22,12 +22,18 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// The most worker threads `cubemesh-serve --workers` starts: each
+/// worker is an OS thread serving one connection at a time, so a larger
+/// request is refused before the server binds.
+pub const MAX_WORKERS: usize = 256;
+
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:0` for an ephemeral port.
     pub addr: String,
-    /// Worker threads (connections served concurrently).
+    /// Worker threads (connections served concurrently); `cubemesh-serve`
+    /// accepts at most [`MAX_WORKERS`].
     pub workers: usize,
 }
 

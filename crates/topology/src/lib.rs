@@ -31,5 +31,5 @@ pub use hamming::{ceil_pow2, cube_dim, hamming, is_pow2};
 pub use hypercube::Hypercube;
 pub use mesh::{Mesh, MeshEdge};
 pub use product::product;
-pub use shape::Shape;
+pub use shape::{Shape, ShapeError};
 pub use torus::{Torus, TorusEdge};

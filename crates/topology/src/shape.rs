@@ -24,26 +24,40 @@ impl Shape {
     /// and minimal-cube address the workspace computes.
     pub const MAX_NODES: usize = 1 << 46;
 
+    /// The extent rule every shape obeys: at least one axis, each axis
+    /// length in `1..=`[`Self::MAX_AXIS`], and a node count within
+    /// [`Self::MAX_NODES`] (computed without overflow). Axes are checked
+    /// in order, so the error names the first axis that breaks the rule.
+    /// Allocates nothing; untrusted extents pass here before
+    /// [`Shape::new`].
+    pub fn check(dims: &[usize]) -> Result<(), ShapeError> {
+        if dims.is_empty() {
+            return Err(ShapeError::NoAxes);
+        }
+        let mut nodes: usize = 1;
+        for &d in dims {
+            if d == 0 {
+                return Err(ShapeError::ZeroExtent);
+            }
+            if d > Self::MAX_AXIS {
+                return Err(ShapeError::AxisTooLong(d));
+            }
+            nodes = match nodes.checked_mul(d) {
+                Some(n) if n <= Self::MAX_NODES => n,
+                _ => return Err(ShapeError::TooManyNodes),
+            };
+        }
+        Ok(())
+    }
+
     /// Create a shape from axis lengths.
     ///
     /// # Panics
-    /// Panics if `dims` is empty, any axis length is zero or exceeds
-    /// [`Self::MAX_AXIS`], or the node count exceeds [`Self::MAX_NODES`].
+    /// Panics if `dims` breaks [`Shape::check`]: it is empty, an axis
+    /// length is zero or exceeds [`Self::MAX_AXIS`], or the node count
+    /// exceeds [`Self::MAX_NODES`].
     pub fn new(dims: &[usize]) -> Self {
-        assert!(!dims.is_empty(), "a shape needs at least one axis");
-        assert!(dims.iter().all(|&d| d > 0), "axis lengths must be >= 1");
-        assert!(
-            dims.iter().all(|&d| d <= Self::MAX_AXIS),
-            "axis length exceeds Shape::MAX_AXIS (2^15)"
-        );
-        let nodes = dims
-            .iter()
-            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-            .filter(|&n| n <= Self::MAX_NODES);
-        assert!(
-            nodes.is_some(),
-            "shape node count exceeds Shape::MAX_NODES (2^46)"
-        );
+        assert_eq!(Self::check(dims), Ok(()), "invalid shape {dims:?}");
         Shape(dims.to_vec())
     }
 
@@ -212,6 +226,34 @@ impl Shape {
     }
 }
 
+/// Why extents are not a [`Shape`]: the rule [`Shape::check`] applies.
+/// The messages are part of the plan service's wire format (its bad-key
+/// errors quote them), so they do not change.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ShapeError {
+    /// No axes at all.
+    NoAxes,
+    /// An axis of length zero.
+    ZeroExtent,
+    /// An axis longer than [`Shape::MAX_AXIS`].
+    AxisTooLong(usize),
+    /// More than [`Shape::MAX_NODES`] nodes.
+    TooManyNodes,
+}
+
+impl fmt::Display for ShapeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ShapeError::NoAxes => write!(f, "no axes"),
+            ShapeError::ZeroExtent => write!(f, "zero extent"),
+            ShapeError::AxisTooLong(d) => write!(f, "extent {d} exceeds {}", Shape::MAX_AXIS),
+            ShapeError::TooManyNodes => write!(f, "node count exceeds {}", Shape::MAX_NODES),
+        }
+    }
+}
+
+impl std::error::Error for ShapeError {}
+
 impl fmt::Debug for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Shape({})", self)
@@ -358,5 +400,51 @@ mod tests {
     #[should_panic]
     fn zero_axis_rejected() {
         let _ = Shape::new(&[3, 0]);
+    }
+
+    /// Each rejection, with the text the plan service sends for it; the
+    /// first axis that breaks the rule decides.
+    #[test]
+    fn check_names_the_first_broken_rule() {
+        let max = Shape::MAX_AXIS;
+        for (dims, want, text) in [
+            (&[][..], ShapeError::NoAxes, "no axes".to_owned()),
+            (&[3, 0, 5], ShapeError::ZeroExtent, "zero extent".to_owned()),
+            (
+                &[0, max + 1],
+                ShapeError::ZeroExtent,
+                "zero extent".to_owned(),
+            ),
+            (
+                &[max + 1, 0],
+                ShapeError::AxisTooLong(max + 1),
+                "extent 32769 exceeds 32768".to_owned(),
+            ),
+            (
+                &[max; 5],
+                ShapeError::TooManyNodes,
+                "node count exceeds 70368744177664".to_owned(),
+            ),
+            (
+                &[usize::MAX],
+                ShapeError::AxisTooLong(usize::MAX),
+                format!("extent {} exceeds 32768", usize::MAX),
+            ),
+        ] {
+            assert_eq!(Shape::check(dims), Err(want), "{dims:?}");
+            assert_eq!(want.to_string(), text, "{dims:?}");
+        }
+    }
+
+    #[test]
+    fn check_admits_the_limits() {
+        let max = Shape::MAX_AXIS;
+        for dims in [&[1][..], &[max], &[max, max, max, 2], &[512, 512, 512]] {
+            assert_eq!(Shape::check(dims), Ok(()), "{dims:?}");
+        }
+        assert_eq!(
+            Shape::check(&[max, max, max, 3]),
+            Err(ShapeError::TooManyNodes)
+        );
     }
 }

@@ -6,16 +6,26 @@
 
 use cubemesh::core::{construct, plan_shape, Planner};
 use cubemesh::embedding::gray_mesh_embedding;
+use cubemesh::obs::cli::{Args, Cli, Report};
 use cubemesh::topology::Shape;
+use std::process::ExitCode;
 
-fn main() {
-    let dims: Vec<usize> = std::env::args()
-        .skip(1)
-        .map(|a| a.parse().expect("axis lengths must be integers"))
-        .collect();
-    let dims = if dims.is_empty() { vec![5, 6, 7] } else { dims };
-    let shape = Shape::new(&dims);
+fn main() -> ExitCode {
+    let cli = Cli {
+        bin: "quickstart",
+        usage: "usage: quickstart [l1 l2 ...]",
+        report: Report::Off,
+    };
+    cli.run(|words| {
+        let dims: Vec<usize> = Args::parse(words, &[], &[])?.numbers()?;
+        let dims = if dims.is_empty() { vec![5, 6, 7] } else { dims };
+        Shape::check(&dims).map_err(|e| e.to_string())?;
+        quickstart(Shape::new(&dims));
+        Ok(ExitCode::SUCCESS)
+    })
+}
 
+fn quickstart(shape: Shape) {
     println!(
         "mesh {} — {} nodes, minimal cube Q{}",
         shape,

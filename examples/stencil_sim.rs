@@ -8,28 +8,35 @@
 use cubemesh::core::embed_mesh;
 use cubemesh::embedding::gray_mesh_embedding;
 use cubemesh::netsim::{simulate, stencil_exchange};
+use cubemesh::obs::cli::{Args, Cli, Report};
 use cubemesh::reshape::snake_embedding;
 use cubemesh::topology::Shape;
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<usize> = std::env::args()
-        .skip(1)
-        .map(|a| a.parse().expect("integer arguments"))
-        .collect();
-    let (dims, flits) = match args.len() {
-        0 => (vec![9, 9, 9], 32),
-        1 => (vec![args[0]], 32),
-        n => {
-            // Last arg is the flit count if more than 3 numbers given, or
-            // if exactly 2 treat both as dims.
-            if n == 4 {
-                (args[..3].to_vec(), args[3] as u32)
-            } else {
-                (args.to_vec(), 32)
-            }
-        }
+fn main() -> ExitCode {
+    let cli = Cli {
+        bin: "stencil_sim",
+        usage: "usage: stencil_sim [l1 l2 l3 [flits]]",
+        report: Report::Off,
     };
-    let shape = Shape::new(&dims);
+    cli.run(|words| {
+        let args: Vec<usize> = Args::parse(words, &[], &[])?.numbers()?;
+        let (dims, flits) = match args.len() {
+            0 => (vec![9, 9, 9], 32),
+            // Four numbers are three extents and the flit count.
+            4 => (
+                args[..3].to_vec(),
+                u32::try_from(args[3]).map_err(|e| e.to_string())?,
+            ),
+            _ => (args, 32),
+        };
+        Shape::check(&dims).map_err(|e| e.to_string())?;
+        stencil_sim(Shape::new(&dims), flits);
+        Ok(ExitCode::SUCCESS)
+    })
+}
+
+fn stencil_sim(shape: Shape, flits: u32) {
     println!(
         "mesh {} — one halo exchange, {}-flit messages, store-and-forward\n",
         shape, flits

@@ -4,17 +4,27 @@
 //! cargo run --example torus_ring -- 6 10
 //! ```
 
+use cubemesh::obs::cli::{Args, Cli, Report};
 use cubemesh::topology::Shape;
 use cubemesh::torus::{corollary3_dilation2, corollary3_dilation3, embed_torus};
+use std::process::ExitCode;
 
-fn main() {
-    let dims: Vec<usize> = std::env::args()
-        .skip(1)
-        .map(|a| a.parse().expect("integer axis lengths"))
-        .collect();
-    let dims = if dims.is_empty() { vec![6, 10] } else { dims };
-    let shape = Shape::new(&dims);
+fn main() -> ExitCode {
+    let cli = Cli {
+        bin: "torus_ring",
+        usage: "usage: torus_ring [l1 l2 ...]",
+        report: Report::Off,
+    };
+    cli.run(|words| {
+        let dims: Vec<usize> = Args::parse(words, &[], &[])?.numbers()?;
+        let dims = if dims.is_empty() { vec![6, 10] } else { dims };
+        Shape::check(&dims).map_err(|e| e.to_string())?;
+        torus_ring(Shape::new(&dims));
+        Ok(ExitCode::SUCCESS)
+    })
+}
 
+fn torus_ring(shape: Shape) {
     println!(
         "wraparound mesh {} — {} nodes, minimal cube Q{}",
         shape,

@@ -30,18 +30,25 @@
 //! at FILE.jsonl.
 //!
 //! `--help` prints the usage. An unknown flag, a word that is not an
-//! extent, or an extent outside `Shape::MAX_AXIS`/`MAX_NODES` prints the
-//! usage and exits 2, as does a shape above the node limit of the
-//! subcommand (see [`MAX_EMBED_NODES`] and its siblings).
+//! extent, or extents that fail `Shape::check` print the usage and exit
+//! 2, as does a shape above the node limit of the subcommand (see
+//! [`MAX_EMBED_NODES`] and its siblings) or a `replay` trace above
+//! [`MAX_REPLAY_EVENTS`]. A run that finds a failure (a failed verify, a
+//! slack violation, a `--check` mismatch) exits 1.
 
 use cubemesh::core::{classify3, construct, embed_mesh, plan_shape, Planner};
-use cubemesh::embedding::gray_mesh_embedding;
 use cubemesh::embedding::portable::{read_embedding, write_embedding};
+use cubemesh::embedding::{gray_mesh_embedding, Embedding};
 use cubemesh::netsim::{simulate_with, stencil_exchange, Switching};
-use cubemesh::obs;
+use cubemesh::obs::cli::{self, Args};
+use cubemesh::replay::{
+    bursty_trace, certificate_slack, rate_sweep, replay, saturation_knee, shift_trace,
+    stencil_trace, ReplayConfig, Trace,
+};
 use cubemesh::reshape::snake_embedding;
 use cubemesh::topology::Shape;
 use cubemesh::torus::embed_torus;
+use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
 
@@ -79,157 +86,59 @@ const MAX_SIMULATE_NODES: usize = 1 << 20;
 /// and phases, ~1.9 GiB at `2¹⁹`.
 const MAX_REPLAY_NODES: usize = 1 << 19;
 
+/// The most events a generated `replay` trace may hold (24 B each, so
+/// 384 MiB): the default stencil at [`MAX_REPLAY_NODES`],
+/// `2 · edges · 4` ≈ 1.24·10⁷ events, fits. Each pattern's count is
+/// bounded from its flags before anything is generated: the stencil
+/// (and `--slack`'s) `2 · edges · phases`, shifts `edges · phases`,
+/// bursty and each sweep rate `nodes · horizon`.
+const MAX_REPLAY_EVENTS: u64 = 1 << 24;
+
+const CLI: cli::Cli = cli::Cli {
+    bin: "cubemesh",
+    usage: USAGE,
+    report: cli::Report::StatsAndTrace,
+};
+
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help") {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    obs::init_from_env();
-    if args.iter().any(|a| a == "--stats") {
-        args.retain(|a| a != "--stats");
-        if obs::mode() == obs::StatsMode::Off {
-            obs::set_mode(obs::StatsMode::Text);
+    CLI.run(|words| {
+        let Some((cmd, rest)) = words.split_first() else {
+            return Err("no command given".into());
+        };
+        match cmd.as_str() {
+            "embed" => embed(rest),
+            "classify" => classify(rest),
+            "torus" => torus(rest),
+            "simulate" => simulate_cmd(rest),
+            "census" => census(rest),
+            "verify" => verify(rest),
+            "replay" => replay_cmd(rest),
+            other => Err(format!("unknown command '{other}'")),
         }
-    }
-    let trace_out = take_trace_flag(&mut args);
-    let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
-    let result = match cmd.as_str() {
-        "embed" => embed(rest),
-        "classify" => classify(rest),
-        "torus" => torus(rest),
-        "simulate" => simulate_cmd(rest),
-        "census" => census(rest),
-        "verify" => verify(rest),
-        "replay" => replay_cmd(rest),
-        other => Err(format!("unknown command '{other}'")),
-    };
-    let code = result.unwrap_or_else(|e| {
-        eprintln!("cubemesh: {e}\n{USAGE}");
-        ExitCode::from(2)
-    });
-    // The snapshot closes with the peak resident set, the figure a
-    // memory claim about this run is read from.
-    if let Some(kib) = obs::peak_rss_kib() {
-        obs::counter!("process.peak_rss_kib").add(kib);
-    }
-    // Text goes to stderr, JSON as one line to stdout; no-op when off.
-    obs::report();
-    write_trace(trace_out.as_deref());
-    code
+    })
 }
 
-/// Pre-scan `--trace FILE` (valid anywhere on the command line), strip it
-/// from `args`, and enable trace collection. Returns the output path.
-fn take_trace_flag(args: &mut Vec<String>) -> Option<String> {
-    let i = args.iter().position(|a| a == "--trace")?;
-    if i + 1 >= args.len() || args[i + 1].starts_with("--") {
-        eprintln!("--trace requires an output file path");
-        std::process::exit(2);
+/// The shape the extents in `args` name: [`Shape::check`]'s rule, then
+/// the subcommand's node limit `max_nodes`.
+fn shape_arg(args: &Args, max_nodes: usize) -> Result<Shape, String> {
+    let dims: Vec<usize> = args.numbers()?;
+    Shape::check(&dims).map_err(|e| e.to_string())?;
+    if dims.iter().product::<usize>() > max_nodes {
+        return Err(format!("the shape has more than {max_nodes} nodes"));
     }
-    let path = args.remove(i + 1);
-    args.remove(i);
-    obs::trace::set_enabled(true);
-    Some(path)
+    Ok(Shape::new(&dims))
 }
 
-/// Drain the trace buffers and write the Chrome / folded / JSONL exports
-/// next to `path`. No-op when tracing never ran.
-fn write_trace(path: Option<&str>) {
-    let Some(path) = path else { return };
-    obs::trace::set_enabled(false);
-    let log = obs::trace::drain();
-    match log.write_files(std::path::Path::new(path)) {
-        Ok(paths) => {
-            let names: Vec<String> = paths.iter().map(|p| p.display().to_string()).collect();
-            eprintln!("trace: {} events -> {}", log.len(), names.join(", "));
-        }
-        Err(e) => eprintln!("trace write failed: {}", e),
-    }
+fn embed(words: &[String]) -> Result<ExitCode, String> {
+    let args = Args::parse(words, &[], &["--out"])?;
+    let shape = shape_arg(&args, MAX_EMBED_NODES)?;
+    Ok(CLI.outcome(write_embed(&shape, args.value("--out"))))
 }
 
-/// The extents and `--flag [value]` pairs of a subcommand line. A flag
-/// takes the next word as its value unless that word is a flag, so bare
-/// boolean flags (`--json`) compose with valued ones. A flag outside
-/// `known`, or a word that is not an extent, is a usage error.
-fn parse_dims(args: &[String], known: &[&str]) -> Result<(Vec<usize>, Flags), String> {
-    let mut dims = Vec::new();
-    let mut flags = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            if !known.contains(&name) {
-                return Err(format!("unknown flag '{a}'"));
-            }
-            let value = match it.peek() {
-                Some(v) if !v.starts_with("--") => it.next().cloned().unwrap_or_default(),
-                _ => String::new(),
-            };
-            flags.push((name.to_string(), value));
-        } else {
-            let d = a
-                .parse()
-                .map_err(|_| format!("'{a}' is not an extent (a positive integer)"))?;
-            dims.push(d);
-        }
-    }
-    Ok((dims, flags))
-}
-
-type Flags = Vec<(String, String)>;
-
-/// The shape of `dims`, checked against the `Shape` limits first so a bad
-/// extent is a usage error rather than a panic in `Shape::new`, then
-/// against the subcommand's node limit `max_nodes`.
-fn checked_shape(dims: &[usize], max_nodes: usize) -> Result<Shape, String> {
-    if dims.iter().any(|&d| d == 0 || d > Shape::MAX_AXIS) {
-        return Err(format!("extents must be in 1..={}", Shape::MAX_AXIS));
-    }
-    let nodes = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
-    match nodes {
-        Some(n) if n <= max_nodes.min(Shape::MAX_NODES) => Ok(Shape::new(dims)),
-        _ => Err(format!("the shape has more than {max_nodes} nodes")),
-    }
-}
-
-fn flag<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    flags
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.as_str())
-}
-
-/// The numeric value of `--name`, or `default` when the flag is absent.
-fn number<T: std::str::FromStr>(
-    flags: &[(String, String)],
-    name: &str,
-    default: T,
-) -> Result<T, String> {
-    match flag(flags, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name}: '{v}' is not a non-negative integer")),
-    }
-}
-
-fn embed(args: &[String]) -> Result<ExitCode, String> {
-    let (dims, flags) = parse_dims(args, &["out"])?;
-    if dims.is_empty() {
-        return Err("embed needs extents".into());
-    }
-    let shape = checked_shape(&dims, MAX_EMBED_NODES)?;
-    let (emb, minimal) = embed_mesh(&shape);
-    if let Err(e) = emb.verify() {
-        eprintln!(
-            "internal error: constructed embedding failed to verify: {}",
-            e
-        );
-        return Ok(ExitCode::from(1));
-    }
+fn write_embed(shape: &Shape, out: Option<&str>) -> Result<ExitCode, String> {
+    let (emb, minimal) = embed_mesh(shape);
+    emb.verify()
+        .map_err(|e| format!("internal error: constructed embedding failed to verify: {e}"))?;
     let m = emb.metrics();
     println!(
         "{}: Q{} ({}), expansion {:.3}, dilation {}, congestion {}, avg dilation {:.3}",
@@ -245,30 +154,22 @@ fn embed(args: &[String]) -> Result<ExitCode, String> {
         m.congestion,
         m.avg_dilation
     );
-    if let Some(path) = flag(&flags, "out") {
-        let mut f = match std::fs::File::create(path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("cannot create {}: {}", path, e);
-                return Ok(ExitCode::from(1));
-            }
-        };
-        if let Err(e) = write_embedding(&emb, &mut f) {
-            eprintln!("write failed: {}", e);
-            return Ok(ExitCode::from(1));
-        }
+    if let Some(path) = out {
+        let mut f = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+        write_embedding(&emb, &mut f).map_err(|e| format!("write failed: {e}"))?;
         println!("wrote {}", path);
     }
     Ok(ExitCode::SUCCESS)
 }
 
-fn classify(args: &[String]) -> Result<ExitCode, String> {
-    let (dims, _) = parse_dims(args, &[])?;
-    if dims.len() != 3 {
+fn classify(words: &[String]) -> Result<ExitCode, String> {
+    let args = Args::parse(words, &[], &[])?;
+    if args.positional().len() != 3 {
         return Err("classify needs three extents".into());
     }
-    let shape = checked_shape(&dims, MAX_EMBED_NODES)?;
-    match classify3(dims[0] as u64, dims[1] as u64, dims[2] as u64) {
+    let shape = shape_arg(&args, MAX_EMBED_NODES)?;
+    let d = shape.dims();
+    match classify3(d[0] as u64, d[1] as u64, d[2] as u64) {
         Some(m) => println!(
             "{}: paper method {:?} (cube Q{})",
             shape,
@@ -291,12 +192,8 @@ fn classify(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn torus(args: &[String]) -> Result<ExitCode, String> {
-    let (dims, _) = parse_dims(args, &[])?;
-    if dims.is_empty() {
-        return Err("torus needs extents".into());
-    }
-    let shape = checked_shape(&dims, MAX_TORUS_NODES)?;
+fn torus(words: &[String]) -> Result<ExitCode, String> {
+    let shape = shape_arg(&Args::parse(words, &[], &[])?, MAX_TORUS_NODES)?;
     Ok(match embed_torus(&shape) {
         Some(out) => {
             let m = out.embedding.metrics();
@@ -313,19 +210,12 @@ fn torus(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-fn simulate_cmd(args: &[String]) -> Result<ExitCode, String> {
-    let (dims, flags) = parse_dims(args, &["flits", "cut-through", "json"])?;
-    if dims.is_empty() {
-        return Err("simulate needs extents".into());
-    }
-    let flits: u32 = number(&flags, "flits", 32)?;
-    let switching = if flag(&flags, "cut-through").is_some() {
-        Switching::CutThrough
-    } else {
-        Switching::StoreAndForward
-    };
-    let json = flag(&flags, "json").is_some();
-    let shape = checked_shape(&dims, MAX_SIMULATE_NODES)?;
+fn simulate_cmd(words: &[String]) -> Result<ExitCode, String> {
+    let args = Args::parse(words, &["--cut-through", "--json"], &["--flits"])?;
+    let flits: u32 = args.number_or("--flits", 32)?;
+    let switching = switching(&args);
+    let json = args.has("--json");
+    let shape = shape_arg(&args, MAX_SIMULATE_NODES)?;
     if !json {
         println!(
             "{}: stencil exchange, {} flits, {:?}",
@@ -371,11 +261,10 @@ fn simulate_cmd(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn census(args: &[String]) -> Result<ExitCode, String> {
-    let (dims, _) = parse_dims(args, &[])?;
-    let n = match dims[..] {
+fn census(words: &[String]) -> Result<ExitCode, String> {
+    let n = match Args::parse(words, &[], &[])?.numbers::<u32>()?[..] {
         [] => 5,
-        [n] if (1..=9).contains(&n) => n as u32,
+        [n] if (1..=9).contains(&n) => n,
         _ => return Err("census takes one n in 1..=9".into()),
     };
     let c = cubemesh::census::census_3d(n);
@@ -392,184 +281,166 @@ fn census(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn replay_cmd(args: &[String]) -> Result<ExitCode, String> {
-    use cubemesh::replay::{
-        bursty_trace, certificate_slack, rate_sweep, replay, saturation_knee, shift_trace,
-        stencil_trace, ReplayConfig, Trace,
-    };
-    let (dims, flags) = parse_dims(
-        args,
+fn replay_cmd(words: &[String]) -> Result<ExitCode, String> {
+    let args = Args::parse(
+        words,
+        &["--cut-through", "--slack", "--check", "--json"],
         &[
-            "pattern",
-            "flits",
-            "period",
-            "phases",
-            "horizon",
-            "window",
-            "seed",
-            "cut-through",
-            "trace-in",
-            "record",
-            "slack",
-            "check",
-            "json",
+            "--pattern",
+            "--flits",
+            "--period",
+            "--phases",
+            "--horizon",
+            "--window",
+            "--seed",
+            "--trace-in",
+            "--record",
         ],
     )?;
-    if dims.is_empty() {
-        return Err("replay needs extents".into());
+    let shape = shape_arg(&args, MAX_REPLAY_NODES)?;
+    let flits: u32 = args.number_or("--flits", 8)?;
+    let phases: u64 = args.number_or("--phases", 4)?;
+    let horizon: u64 = args.number_or("--horizon", 256)?;
+    let seed: u64 = args.number_or("--seed", 1)?;
+    let period: u64 = args.number_or("--period", 4 * u64::from(flits))?;
+    let window: u64 = args.number_or("--window", 0)?;
+    let switching = switching(&args);
+    let json = args.has("--json");
+    let slack = args.has("--slack");
+    let pattern = args.value("--pattern").unwrap_or("stencil");
+    if !["stencil", "shifts", "bursty", "sweep"].contains(&pattern) {
+        return Err(format!("unknown pattern '{pattern}'"));
     }
-    let shape = checked_shape(&dims, MAX_REPLAY_NODES)?;
-    let flits: u32 = number(&flags, "flits", 8)?;
-    let phases: u64 = number(&flags, "phases", 4)?;
-    let horizon: u64 = number(&flags, "horizon", 256)?;
-    let seed: u64 = number(&flags, "seed", 1)?;
-    let period: u64 = number(&flags, "period", 4 * u64::from(flits))?;
-    let window: u64 = number(&flags, "window", 0)?;
-    let switching = if flag(&flags, "cut-through").is_some() {
-        Switching::CutThrough
-    } else {
-        Switching::StoreAndForward
+
+    // Bound the trace from the flags before generating any of it, in
+    // the order the run below picks its trace; a `--trace-in` trace is
+    // bounded by its file.
+    let (edges, nodes) = (shape.mesh_edges() as u64, shape.nodes() as u64);
+    let stencil_events = edges.checked_mul(2).and_then(|n| n.checked_mul(phases));
+    let (events, grown_by) = match pattern {
+        _ if slack => (stencil_events, "--phases"),
+        "sweep" => (nodes.checked_mul(horizon), "--horizon"),
+        _ if args.value("--trace-in").is_some() => (Some(0), ""),
+        "stencil" => (stencil_events, "--phases"),
+        "shifts" => (edges.checked_mul(phases), "--phases"),
+        _ => (nodes.checked_mul(horizon), "--horizon"),
     };
-    let json = flag(&flags, "json").is_some();
-
-    if flag(&flags, "slack").is_some() {
-        return Ok(match certificate_slack(&shape, flits, phases, switching) {
-            Ok(entry) => {
-                if json {
-                    println!("{}", entry.to_json());
-                } else {
-                    println!(
-                        "{}: certified <= {} flits/link/phase, measured {} \
-                         (slack {}, utilization {:.2}){}",
-                        shape,
-                        entry.static_peak_flits,
-                        entry.dynamic_peak_flits,
-                        entry.slack_flits,
-                        entry.utilization,
-                        if entry.violation { "  VIOLATION" } else { "" }
-                    );
-                }
-                if entry.violation {
-                    ExitCode::from(1)
-                } else {
-                    ExitCode::SUCCESS
-                }
-            }
-            Err(e) => {
-                eprintln!("slack report failed: {}", e);
-                ExitCode::from(1)
-            }
-        });
+    if events.is_none_or(|n| n > MAX_REPLAY_EVENTS) {
+        return Err(format!(
+            "{grown_by}: the trace would hold more than {MAX_REPLAY_EVENTS} events"
+        ));
     }
 
-    let (emb, _) = embed_mesh(&shape);
-    let pattern = flag(&flags, "pattern").unwrap_or("stencil");
-
-    if pattern == "sweep" {
-        let rates: [(u64, u64); 7] = [(1, 64), (1, 32), (1, 16), (1, 8), (1, 4), (1, 2), (1, 1)];
-        return Ok(
-            match rate_sweep(&emb, &rates, flits, horizon, seed, switching) {
-                Ok(points) => {
-                    for p in &points {
-                        if json {
-                            println!("{}", p.to_json());
-                        } else {
-                            println!(
-                                "  rate {}/{:<3} offered {:>9.3}  delivered {:>9.3}  \
-                             avg latency {:>8.1}  makespan {}",
-                                p.rate_num,
-                                p.rate_den,
-                                p.offered_rate,
-                                p.delivered_rate,
-                                p.avg_latency,
-                                p.makespan
-                            );
-                        }
-                    }
-                    match saturation_knee(&points) {
-                        Some(k) if !json => println!(
-                            "saturation knee at rate {}/{}",
-                            points[k].rate_num, points[k].rate_den
-                        ),
-                        None if !json => println!("no saturation within the ladder"),
-                        _ => {}
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("sweep failed: {}", e);
-                    ExitCode::from(1)
-                }
+    let run = || -> Result<ExitCode, String> {
+        if slack {
+            let entry = certificate_slack(&shape, flits, phases, switching)
+                .map_err(|e| format!("slack report failed: {e}"))?;
+            if json {
+                println!("{}", entry.to_json());
+            } else {
+                println!(
+                    "{}: certified <= {} flits/link/phase, measured {} \
+                     (slack {}, utilization {:.2}){}",
+                    shape,
+                    entry.static_peak_flits,
+                    entry.dynamic_peak_flits,
+                    entry.slack_flits,
+                    entry.utilization,
+                    if entry.violation { "  VIOLATION" } else { "" }
+                );
+            }
+            return Ok(ExitCode::from(u8::from(entry.violation)));
+        }
+        let (emb, _) = embed_mesh(&shape);
+        if pattern == "sweep" {
+            return rate_sweep_cmd(&emb, flits, horizon, seed, switching, json);
+        }
+        let trace = match args.value("--trace-in") {
+            Some(path) => {
+                let f = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+                Trace::load(&mut BufReader::new(f))
+                    .map_err(|e| format!("cannot load trace: {e}"))?
+            }
+            None => match pattern {
+                "stencil" => stencil_trace(emb.edge_count(), flits, period, phases),
+                "shifts" => shift_trace(&shape, flits, period, phases),
+                _ => bursty_trace(emb.guest_nodes(), flits, horizon, 16, 32, 0, seed),
             },
-        );
-    }
-
-    let trace = if let Some(path) = flag(&flags, "trace-in") {
-        let f = match std::fs::File::open(path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("cannot open {}: {}", path, e);
-                return Ok(ExitCode::from(1));
-            }
         };
-        match Trace::load(&mut BufReader::new(f)) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot load trace: {}", e);
-                return Ok(ExitCode::from(1));
-            }
-        }
-    } else {
-        match pattern {
-            "stencil" => stencil_trace(emb.edge_count(), flits, period, phases),
-            "shifts" => shift_trace(&shape, flits, period, phases),
-            "bursty" => bursty_trace(emb.guest_nodes(), flits, horizon, 16, 32, 0, seed),
-            other => return Err(format!("unknown pattern '{other}'")),
-        }
+        replay_trace(
+            &shape,
+            &emb,
+            &trace,
+            &args,
+            ReplayConfig { switching, window },
+        )
     };
-    if let Some(path) = flag(&flags, "record") {
-        let mut f = match std::fs::File::create(path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("cannot create {}: {}", path, e);
-                return Ok(ExitCode::from(1));
-            }
-        };
-        if let Err(e) = trace.record(&mut f) {
-            eprintln!("record failed: {}", e);
-            return Ok(ExitCode::from(1));
+    Ok(CLI.outcome(run()))
+}
+
+/// `replay --pattern sweep`: the rate ladder up to saturation.
+fn rate_sweep_cmd(
+    emb: &Embedding,
+    flits: u32,
+    horizon: u64,
+    seed: u64,
+    switching: Switching,
+    json: bool,
+) -> Result<ExitCode, String> {
+    let rates: [(u64, u64); 7] = [(1, 64), (1, 32), (1, 16), (1, 8), (1, 4), (1, 2), (1, 1)];
+    let points = rate_sweep(emb, &rates, flits, horizon, seed, switching)
+        .map_err(|e| format!("sweep failed: {e}"))?;
+    for p in &points {
+        if json {
+            println!("{}", p.to_json());
+        } else {
+            println!(
+                "  rate {}/{:<3} offered {:>9.3}  delivered {:>9.3}  \
+             avg latency {:>8.1}  makespan {}",
+                p.rate_num, p.rate_den, p.offered_rate, p.delivered_rate, p.avg_latency, p.makespan
+            );
         }
+    }
+    match saturation_knee(&points) {
+        Some(k) if !json => println!(
+            "saturation knee at rate {}/{}",
+            points[k].rate_num, points[k].rate_den
+        ),
+        None if !json => println!("no saturation within the ladder"),
+        _ => {}
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Record (`--record`), replay and report `trace`; `--check` replays it
+/// twice and fails unless the reports match and every message arrived.
+fn replay_trace(
+    shape: &Shape,
+    emb: &Embedding,
+    trace: &Trace,
+    args: &Args,
+    cfg: ReplayConfig,
+) -> Result<ExitCode, String> {
+    if let Some(path) = args.value("--record") {
+        let mut f = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+        trace
+            .record(&mut f)
+            .map_err(|e| format!("record failed: {e}"))?;
         eprintln!("recorded {} events to {}", trace.len(), path);
     }
-
-    let cfg = ReplayConfig { switching, window };
-    let report = match replay(&emb, &trace, &cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("replay failed: {}", e);
-            return Ok(ExitCode::from(1));
-        }
-    };
-
-    if flag(&flags, "check").is_some() {
-        let again = match replay(&emb, &trace, &cfg) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("replay check: second run failed: {}", e);
-                return Ok(ExitCode::from(1));
-            }
-        };
+    let report = replay(emb, trace, &cfg).map_err(|e| format!("replay failed: {e}"))?;
+    if args.has("--check") {
+        let again = replay(emb, trace, &cfg)
+            .map_err(|e| format!("replay check: second run failed: {e}"))?;
         if report.to_json() != again.to_json() {
-            eprintln!("replay check FAILED: reports differ between identical runs");
-            return Ok(ExitCode::from(1));
+            return Err("replay check FAILED: reports differ between identical runs".into());
         }
         if report.result.delivered != trace.len() {
-            eprintln!(
+            return Err(format!(
                 "replay check FAILED: delivered {} != injected {}",
                 report.result.delivered,
                 trace.len()
-            );
-            return Ok(ExitCode::from(1));
+            ));
         }
         println!(
             "replay check OK: {} messages, deterministic, makespan {}",
@@ -578,8 +449,7 @@ fn replay_cmd(args: &[String]) -> Result<ExitCode, String> {
         );
         return Ok(ExitCode::SUCCESS);
     }
-
-    if json {
+    if args.has("--json") {
         println!("{}", report.to_json());
         return Ok(ExitCode::SUCCESS);
     }
@@ -625,48 +495,46 @@ fn replay_cmd(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn verify(args: &[String]) -> Result<ExitCode, String> {
-    let [path] = args else {
+fn verify(words: &[String]) -> Result<ExitCode, String> {
+    let args = Args::parse(words, &[], &[])?;
+    let [path] = args.positional() else {
         return Err("verify takes one FILE".into());
     };
-    if path.starts_with("--") {
-        return Err(format!("unknown flag '{path}'"));
-    }
-    let f = match std::fs::File::open(path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("cannot open {}: {}", path, e);
-            return Ok(ExitCode::from(1));
-        }
+    let run = || -> Result<ExitCode, String> {
+        let f = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+        let emb =
+            read_embedding(&mut BufReader::new(f)).map_err(|e| format!("parse error: {e}"))?;
+        emb.verify().map_err(|e| format!("INVALID: {e}"))?;
+        let m = emb.metrics();
+        println!(
+            "OK: {} nodes -> Q{}, dilation {}, congestion {}",
+            emb.guest_nodes(),
+            m.host_dim,
+            m.dilation,
+            m.congestion
+        );
+        Ok(ExitCode::SUCCESS)
     };
-    Ok(match read_embedding(&mut BufReader::new(f)) {
-        Ok(emb) => match emb.verify() {
-            Ok(()) => {
-                let m = emb.metrics();
-                println!(
-                    "OK: {} nodes -> Q{}, dilation {}, congestion {}",
-                    emb.guest_nodes(),
-                    m.host_dim,
-                    m.dilation,
-                    m.congestion
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("INVALID: {}", e);
-                ExitCode::from(1)
-            }
-        },
-        Err(e) => {
-            eprintln!("parse error: {}", e);
-            ExitCode::from(1)
-        }
-    })
+    Ok(CLI.outcome(run()))
+}
+
+/// `--cut-through`, or store-and-forward by default.
+fn switching(args: &Args) -> Switching {
+    if args.has("--cut-through") {
+        Switching::CutThrough
+    } else {
+        Switching::StoreAndForward
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn shape_of(dims: &[usize], limit: usize) -> Result<Shape, String> {
+        let words: Vec<String> = dims.iter().map(|d| d.to_string()).collect();
+        shape_arg(&Args::parse(&words, &[], &[])?, limit)
+    }
 
     /// Each subcommand's limit admits the shape its peak was measured at
     /// and refuses one more plane of it.
@@ -679,9 +547,17 @@ mod tests {
             (MAX_REPLAY_NODES, [128, 64, 64]),
         ] {
             assert_eq!(measured.iter().product::<usize>(), limit);
-            assert!(checked_shape(&measured, limit).is_ok());
+            assert!(shape_of(&measured, limit).is_ok());
             let past = [measured[0] + 1, measured[1], measured[2]];
-            assert!(checked_shape(&past, limit).is_err());
+            assert!(shape_of(&past, limit).is_err());
         }
+    }
+
+    /// The default replay (a 4-phase stencil) of the largest replay
+    /// guest fits the event limit.
+    #[test]
+    fn default_replay_at_the_node_limit_fits_the_event_limit() {
+        let shape = shape_of(&[128, 64, 64], MAX_REPLAY_NODES).expect("at the limit");
+        assert!(2 * shape.mesh_edges() as u64 * 4 <= MAX_REPLAY_EVENTS);
     }
 }

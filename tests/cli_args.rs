@@ -47,6 +47,24 @@ fn bad_shapes_and_flags_are_usage_errors() {
         &["verify", "--out"],
         // A flag value that is not a number.
         &["replay", "4", "4", "4", "--flits", "many"],
+        // A trace past MAX_REPLAY_EVENTS (an allocator abort, then a
+        // capacity-overflow panic before), refused before generating.
+        &["replay", "4", "4", "4", "--phases", "1000000000000"],
+        &["replay", "4", "4", "4", "--phases", "100000000000000000"],
+        &[
+            "replay",
+            "4",
+            "4",
+            "4",
+            "--pattern",
+            "bursty",
+            "--horizon",
+            "1000000",
+        ],
+        // A valued flag without its value, and an unknown pattern.
+        &["embed", "9", "9", "9", "--trace"],
+        &["embed", "5", "6", "7", "--out"],
+        &["replay", "4", "4", "4", "--pattern", "nope"],
         // Missing or unknown pieces.
         &["embed"],
         &["census", "12"],
