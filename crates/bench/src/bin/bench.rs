@@ -31,7 +31,8 @@
 //!   FILE plus FILE.folded / FILE.jsonl)
 //!
 //! An undocumented flag, a stray argument, a non-numeric value or a
-//! `--shapes` entry that fails `Shape::check` prints the usage and exits
+//! `--shapes` entry that fails `Shape::check` or has more nodes than
+//! `cubemesh embed` builds (`MAX_EMBED_NODES`) prints the usage and exits
 //! 2 before anything runs; `--help` prints it and exits 0. A failed run
 //! or a regression exits 1.
 //!
@@ -73,7 +74,7 @@
 //! shared/noisy host a single-shot timing can be off by an order of
 //! magnitude, and the minimum is the best estimate of the code's cost.
 
-use cubemesh_core::{construct, plan_shape, Plan, Planner};
+use cubemesh_core::{construct, plan_shape, Plan, Planner, MAX_EMBED_NODES};
 use cubemesh_embedding::Embedding;
 use cubemesh_obs as obs;
 use cubemesh_obs::cli::{self, Args};
@@ -659,7 +660,9 @@ fn write_doc(path: Option<&str>, doc: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `--shapes L1xL2xL3[,L1xL2xL3...]`, each shape within [`Shape::check`].
+/// `--shapes L1xL2xL3[,L1xL2xL3...]`, each shape within [`Shape::check`]
+/// and [`MAX_EMBED_NODES`], the limit `cubemesh embed` has: a rung holds
+/// one embedding at a time and peaks where `embed` does.
 fn parse_shapes(list: &str) -> Result<Vec<Vec<usize>>, String> {
     list.split(',')
         .map(|spec| {
@@ -668,6 +671,11 @@ fn parse_shapes(list: &str) -> Result<Vec<Vec<usize>>, String> {
                 .map(|t| cli::number("--shapes", t))
                 .collect::<Result<Vec<usize>, String>>()?;
             Shape::check(&dims).map_err(|e| format!("--shapes: {spec}: {e}"))?;
+            if dims.iter().product::<usize>() > MAX_EMBED_NODES {
+                return Err(format!(
+                    "--shapes: {spec}: the shape has more than {MAX_EMBED_NODES} nodes"
+                ));
+            }
             Ok(dims)
         })
         .collect()

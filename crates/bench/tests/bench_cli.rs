@@ -100,6 +100,10 @@ fn bench_refuses_bad_values_before_running() {
         &["--shapes", "0x3"],
         &["--shapes", "40000x2"],
         &["--shapes", "4xq"],
+        // Past `cubemesh embed`'s node limit, 2^27 (an allocator abort
+        // before).
+        &["--shapes", "2048x2048x64"],
+        &["--shapes", "16x16x16,513x512x512"],
         &["--trace"],
     ] {
         refused("cubemesh-bench", &bench_in(&dir, args), args);

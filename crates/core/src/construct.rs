@@ -7,6 +7,16 @@ use cubemesh_obs as obs;
 use cubemesh_search::catalog_embedding;
 use cubemesh_topology::Shape;
 
+/// Largest guest, in nodes, that the command-line tools construct as
+/// one embedding (`cubemesh embed`/`classify`, `cubemesh-bench
+/// --shapes`): the paper's 512×512×512 census corner, `2²⁷` nodes. Its
+/// node map and hop-form routes peak at ~1.8 GiB (14 B per node). The
+/// bench holds one embedding at a time and peaks where `embed` does:
+/// 227 vs 227 MiB at `2²⁴` nodes and 451 vs 451 MiB at `2²⁵` (x86-64
+/// release build). A larger request is refused up front instead of
+/// aborting in the allocator.
+pub const MAX_EMBED_NODES: usize = 1 << 27;
+
 /// Why a plan cannot be lowered to an embedding.
 ///
 /// The planner only emits `Direct` after a successful catalog lookup, so

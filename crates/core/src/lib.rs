@@ -38,7 +38,7 @@ pub mod product;
 pub mod strategy;
 
 pub use classify::{classify3, Method};
-pub use construct::{construct, restrict, ConstructError};
+pub use construct::{construct, restrict, ConstructError, MAX_EMBED_NODES};
 pub use plan::{Plan, PlanParseError};
 pub use planner::Planner;
 pub use product::{mesh_product_embedding, product_embedding};

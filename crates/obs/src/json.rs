@@ -98,6 +98,7 @@ const MAX_DEPTH: usize = 128;
 /// trailing garbage.
 pub fn parse(input: &str) -> Result<JsonValue, (usize, String)> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -112,6 +113,7 @@ pub fn parse(input: &str) -> Result<JsonValue, (usize, String)> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays/objects currently open.
@@ -269,15 +271,20 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| (self.pos, "invalid UTF-8 in string".to_owned()))?;
-                    let Some(c) = s.chars().next() else {
-                        return self.err("unterminated string");
+                    // Copy the run up to the next quote or backslash in
+                    // one step. Both are ASCII, which never occurs inside
+                    // a multi-byte UTF-8 sequence, so the run ends on a
+                    // character boundary of `input`.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    let end = self.pos + run;
+                    let Some(text) = self.input.get(self.pos..end) else {
+                        return self.err("invalid UTF-8 in string");
                     };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos = end;
                 }
             }
         }
@@ -357,6 +364,44 @@ mod tests {
         assert_eq!(pos, MAX_DEPTH);
         assert!(msg.contains("nesting"), "{msg}");
         assert!(parse(&"{\"a\":".repeat(1_000_000)).is_err());
+    }
+
+    /// A string is copied run by run: a multi-MiB string parses in
+    /// time linear in its length, and every escape and multi-byte
+    /// character between the runs decodes exactly.
+    #[test]
+    fn long_strings_and_escapes_decode_exactly() {
+        let long = "x→é🦀".repeat(1 << 18);
+        let doc = format!("[\"{long}\", \"{long}\\n{long}\"]");
+        assert!(doc.len() > 4 << 20);
+        let v = parse(&doc).unwrap();
+        let arr = v.as_arr().unwrap();
+        assert_eq!(arr[0].as_str(), Some(long.as_str()));
+        assert_eq!(arr[1].as_str(), Some(format!("{long}\n{long}").as_str()));
+
+        let escapes = r#""a\"b\\c\/d\ne\rf\tg\bh\fi\u0041\u00e9\u2192j→🦀""#;
+        assert_eq!(
+            parse(escapes).unwrap().as_str(),
+            Some("a\"b\\c/d\ne\rf\tg\u{8}h\u{c}iAé→j→🦀")
+        );
+        assert_eq!(parse(r#""""#).unwrap().as_str(), Some(""));
+        assert_eq!(parse(r#""é""#).unwrap().as_str(), Some("é"));
+    }
+
+    /// The error texts and positions of a broken string are unchanged.
+    #[test]
+    fn string_errors_keep_their_text_and_position() {
+        for (doc, want) in [
+            (r#""abc"#, (4, "unterminated string")),
+            (r#""é→"#, (6, "unterminated string")),
+            (r#""ab\"#, (4, "bad escape")),
+            (r#""ab\x""#, (4, "bad escape")),
+            (r#""ab\u00""#, (4, "bad \\u escape")),
+            (r#""\ud800""#, (2, "bad \\u escape")),
+            (r#"{"a"#, (3, "unterminated string")),
+        ] {
+            assert_eq!(parse(doc), Err((want.0, want.1.to_owned())), "{doc}");
+        }
     }
 
     #[test]

@@ -27,13 +27,36 @@ const fn make_table() -> [u32; 256] {
 
 static TABLE: [u32; 256] = make_table();
 
+/// A running CRC-32/IEEE: feed the bytes in pieces of any size, then
+/// read the CRC of everything fed — for a block streamed through a
+/// buffer rather than held whole.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Crc32(u32);
+
+impl Crc32 {
+    /// The CRC state before any byte.
+    pub(crate) const fn new() -> Crc32 {
+        Crc32(0xFFFF_FFFF)
+    }
+
+    /// Feed the next `bytes`.
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = TABLE[usize::from((self.0 as u8) ^ b)] ^ (self.0 >> 8);
+        }
+    }
+
+    /// The CRC of every byte fed so far.
+    pub(crate) fn value(self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
+    }
+}
+
 /// CRC-32/IEEE of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        c = TABLE[usize::from((c as u8) ^ b)] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.value()
 }
 
 #[cfg(test)]
@@ -49,6 +72,18 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn pieces_of_any_size_give_the_one_shot_crc() {
+        let bytes = b"The quick brown fox jumps over the lazy dog";
+        for cut in 0..=bytes.len() {
+            let mut crc = Crc32::new();
+            crc.update(&bytes[..cut]);
+            crc.update(&[]);
+            crc.update(&bytes[cut..]);
+            assert_eq!(crc.value(), 0x414F_A339, "cut at {cut}");
+        }
     }
 
     #[test]

@@ -17,21 +17,39 @@
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! All integers little-endian. The reader keeps only the index in
-//! memory and serves [`PlanDb::get`] with one `pread` per hit — no
-//! mmap, no seeks, safe for concurrent readers over one handle.
+//! All integers little-endian. Two invariants tie the index to the
+//! heap, and [`db_bytes`] refuses records that would break them:
+//!
+//! * **order** — the entries list canonical keys ([`crate::validate_key`]'s
+//!   form) in strictly increasing (rank, extents) order, the order
+//!   [`crate::enumerate_keys`] walks the census in;
+//! * **contiguity** — the frames tile the heap: the first starts at byte
+//!   40, each next one where the last ends, and the last ends where the
+//!   index begins.
+//!
+//! [`PlanDb::open`] streams the index once through a buffered reader
+//! with a running CRC and checks both invariants entry by entry, so it
+//! never sorts, never holds the raw index, and sizes its tables from the
+//! index's byte length rather than the header's count. It keeps one
+//! sorted table per key rank: each row the key's `u16` extents (every
+//! admissible extent is at most [`cubemesh_topology::Shape::MAX_AXIS`]
+//! = 2¹⁵) and its frame's `u64` end, whose start is the previous row's
+//! end — 14 B per rank-3 record. A lookup canonicalizes the query into
+//! a stack key, binary-searches its rank's table, and reads the record
+//! with one `pread` — no mmap, no seeks, safe for concurrent readers
+//! over one handle.
 //!
 //! The checkpoint sibling format is the same framing without the index:
 //! magic "CMPCK\x01\0\0", then frames appended chunk by chunk. A
 //! checkpoint is *tolerant*: a torn tail (partial frame from an
 //! interrupted build) loads as "everything before the tear".
 
-use crate::crc::crc32;
+use crate::crc::{crc32, Crc32};
 use crate::record::PlanRecord;
-use crate::{DbError, MAX_KEY_RANK};
-use std::collections::HashMap;
+use crate::{DbError, StackKey, MAX_KEY_RANK};
+use std::cmp::Ordering;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
@@ -98,14 +116,29 @@ fn parse_frame(bytes: &[u8], at: usize) -> Result<(&[u8], usize), DbError> {
     }
 }
 
-/// Serialize `records` (already in canonical key order) into the full
-/// database byte image. Pure function of its inputs — the determinism
-/// guarantee reduces to "same records in, same bytes out".
+/// Serialize `records` into the full database byte image. The records
+/// must be in index order — by key rank, then extents, strictly
+/// increasing, as [`crate::enumerate_keys`] lists them — and each key
+/// canonical ([`crate::validate_key`]'s form); anything else is refused,
+/// so every image this writes opens. Pure function of its inputs — the
+/// determinism guarantee reduces to "same records in, same bytes out".
 pub fn db_bytes(max_axis: u32, records: &[PlanRecord]) -> Result<Vec<u8>, DbError> {
     let mut frames = Vec::new();
     let mut index = Vec::new();
     let mut payload = Vec::new();
+    let mut prev: Option<&[usize]> = None;
     for rec in records {
+        if !crate::is_canonical(&rec.key) {
+            return Err(DbError::BadKey {
+                reason: format!("record key {:?} is not canonical", rec.key),
+            });
+        }
+        if let Some(prev) = prev.filter(|&p| index_order(p, &rec.key) != Ordering::Less) {
+            return Err(DbError::BadKey {
+                reason: format!("record key {:?} does not follow {prev:?}", rec.key),
+            });
+        }
+        prev = Some(&rec.key);
         payload.clear();
         rec.encode_into(&mut payload)?;
         let frame_at = (HEADER_BYTES + frames.len()) as u64;
@@ -140,18 +173,46 @@ pub fn db_bytes(max_axis: u32, records: &[PlanRecord]) -> Result<Vec<u8>, DbErro
     Ok(out)
 }
 
-/// An open plan database: in-memory shape-keyed index over an on-disk
-/// record heap, one `pread` per lookup.
+/// The index order: by rank, then extents.
+fn index_order<T: Ord>(a: &[T], b: &[T]) -> Ordering {
+    a.len().cmp(&b.len()).then_with(|| a.cmp(b))
+}
+
+/// The bytes of the shortest index entry (rank 1).
+const MIN_ENTRY_BYTES: u64 = 1 + 4 + 8 + 4;
+
+/// Where one rank's rows sit in [`PlanDb`]'s columns.
+#[derive(Clone, Copy, Debug, Default)]
+struct RankRows {
+    /// The rank's first row; rows are numbered in index order.
+    first: usize,
+    /// Where the rows' extents start and end in [`PlanDb`]'s `extents`.
+    start: usize,
+    end: usize,
+}
+
+/// An open plan database: the index in memory as one sorted table per
+/// key rank, the records on disk, one `pread` per lookup.
 pub struct PlanDb {
     file: File,
-    index: HashMap<Vec<usize>, (u64, u32)>,
+    /// Every row's extents, concatenated in index order: rank `r`'s rows
+    /// are a sorted run of `r`-extent keys, so a lookup binary-searches
+    /// the run its rank names.
+    extents: Vec<u16>,
+    /// Every row's frame end, in index order. Frames are contiguous from
+    /// the header on, so row `i`'s frame starts where row `i - 1`'s ends.
+    ends: Vec<u64>,
+    /// Rank `r`'s rows are `ranks[r - 1]`.
+    ranks: [RankRows; MAX_KEY_RANK],
     max_axis: u32,
 }
 
 impl PlanDb {
-    /// Open and validate a database file: magic, version, index CRC and
-    /// every index entry's bounds are checked up front; record payloads
-    /// are CRC-checked lazily on [`get`](PlanDb::get).
+    /// Open and validate a database file: the magic, the version, the
+    /// index CRC, and that the index lists canonical keys in strictly
+    /// increasing order over frames that tile the record heap. The index
+    /// is streamed once and never held whole; record payloads are
+    /// CRC-checked lazily on [`get`](PlanDb::get).
     pub fn open(path: &Path) -> Result<PlanDb, DbError> {
         let _span = cubemesh_obs::span!("plandb.open");
         let mut file = File::open(path)?;
@@ -185,34 +246,134 @@ impl PlanDb {
                 what: format!("index offset {index_offset} outside file of {file_bytes} bytes"),
             });
         }
-        let index_size = file_bytes - index_offset;
-        let mut tail = vec![0u8; index_size as usize];
-        file.read_exact_at(&mut tail, index_offset)?;
-        let (raw, crc_bytes) = tail.split_at(tail.len() - 4);
-        let want = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-        if crc32(raw) != want {
+        let index_bytes = file_bytes - index_offset - 4;
+        let rows = usize::try_from(count)
+            .ok()
+            .filter(|_| count <= index_bytes / MIN_ENTRY_BYTES)
+            .ok_or_else(|| DbError::Corrupt {
+                offset: 16,
+                what: format!("record count {count} exceeds what {index_bytes} index bytes hold"),
+            })?;
+        // Every entry holds one frame end and at least one extent, and
+        // the entries' bytes sum to `index_bytes`, so both reservations
+        // are bounded by the file itself.
+        let extents_held = (index_bytes - (MIN_ENTRY_BYTES - 4) * count) / 4;
+        let mut extents = Vec::with_capacity(usize::try_from(extents_held).unwrap_or(0));
+        let mut ends = Vec::with_capacity(rows);
+        let mut ranks = [RankRows::default(); MAX_KEY_RANK];
+        file.seek(SeekFrom::Start(index_offset))?;
+        let mut index = IndexStream {
+            reader: BufReader::with_capacity(1 << 16, &file),
+            crc: Crc32::new(),
+            at: index_offset,
+            end: index_offset + index_bytes,
+        };
+        // The previous row's key (rank 0 before the first row), and
+        // where the next frame must start.
+        let (mut prev, mut prev_rank) = ([0usize; MAX_KEY_RANK], 0);
+        let mut frame_end = HEADER_BYTES as u64;
+        for row in 0..rows {
+            let entry_at = index.at;
+            let corrupt = |what: String| DbError::Corrupt {
+                offset: entry_at,
+                what,
+            };
+            let mut rank = [0u8; 1];
+            index.read(&mut rank)?;
+            let rank = usize::from(rank[0]);
+            if rank == 0 || rank > MAX_KEY_RANK {
+                return Err(corrupt(format!("index key rank {rank}")));
+            }
+            let mut entry = [0u8; 4 * MAX_KEY_RANK + 12];
+            let entry = &mut entry[..4 * rank + 12];
+            index.read(entry)?;
+            let (key_bytes, frame) = entry.split_at(4 * rank);
+            let mut key = [0usize; MAX_KEY_RANK];
+            for (k, b) in key.iter_mut().zip(key_bytes.chunks_exact(4)) {
+                *k = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize;
+            }
+            let key = &key[..rank];
+            if !crate::is_canonical(key) {
+                return Err(corrupt(format!("index key {key:?} is not canonical")));
+            }
+            let prev_key = &prev[..prev_rank];
+            match index_order(prev_key, key) {
+                Ordering::Less => {}
+                Ordering::Equal => return Err(corrupt(format!("duplicate index key {key:?}"))),
+                Ordering::Greater => {
+                    return Err(corrupt(format!(
+                        "index key {key:?} out of order after {prev_key:?}"
+                    )))
+                }
+            }
+            let frame_at = u64::from_le_bytes([
+                frame[0], frame[1], frame[2], frame[3], frame[4], frame[5], frame[6], frame[7],
+            ]);
+            let frame_bytes = u32::from_le_bytes([frame[8], frame[9], frame[10], frame[11]]);
+            if frame_at != frame_end {
+                return Err(corrupt(format!(
+                    "frame at {frame_at} does not start where the last one ends ({frame_end})"
+                )));
+            }
+            if !(8..=MAX_FRAME + 8).contains(&frame_bytes) {
+                return Err(corrupt(format!("frame length {frame_bytes}")));
+            }
+            frame_end = frame_at + u64::from(frame_bytes);
+            if frame_end > index_offset {
+                return Err(corrupt(format!(
+                    "index entry points outside the record heap ({frame_at}+{frame_bytes}, file {file_bytes})"
+                )));
+            }
+            if rank != prev_rank {
+                ranks[rank - 1].first = row;
+                ranks[rank - 1].start = extents.len();
+            }
+            // `is_canonical` held every extent to `Shape::MAX_AXIS`.
+            extents.extend(key.iter().map(|&d| u16::try_from(d).unwrap_or(u16::MAX)));
+            ranks[rank - 1].end = extents.len();
+            ends.push(frame_end);
+            prev[..rank].copy_from_slice(key);
+            prev_rank = rank;
+        }
+        if index.at != index.end {
+            return Err(DbError::Corrupt {
+                offset: index.at,
+                what: "trailing bytes after index".to_owned(),
+            });
+        }
+        if frame_end != index_offset {
+            return Err(DbError::Corrupt {
+                offset: frame_end,
+                what: format!("the frames end at {frame_end}, the index starts at {index_offset}"),
+            });
+        }
+        let crc = index.crc.value();
+        let mut want = [0u8; 4];
+        index.reader.read_exact(&mut want)?;
+        if crc != u32::from_le_bytes(want) {
             return Err(DbError::Corrupt {
                 offset: index_offset,
                 what: "index CRC mismatch".to_owned(),
             });
         }
-        let index = parse_index(raw, count, index_offset, file_bytes)?;
         cubemesh_obs::counter!("plandb.open").inc();
         Ok(PlanDb {
             file,
-            index,
+            extents,
+            ends,
+            ranks,
             max_axis,
         })
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.ends.len()
     }
 
     /// Whether the database holds no records.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.ends.is_empty()
     }
 
     /// The census extent bound the builder swept (`max_axis` from
@@ -223,21 +384,24 @@ impl PlanDb {
 
     /// Whether a canonical key is present, without touching the disk.
     pub fn contains(&self, dims: &[usize]) -> bool {
-        crate::validate_key(dims)
-            .map(|key| self.index.contains_key(&key))
-            .unwrap_or(false)
+        StackKey::canonical(dims).is_ok_and(|key| self.row(key.extents()).is_some())
     }
 
     /// Look up a shape. The extents are canonicalized first, so axis
     /// order and unit axes do not matter. `Ok(None)` means the shape is
     /// outside the swept universe; corrupt frames are typed errors.
     pub fn get(&self, dims: &[usize]) -> Result<Option<PlanRecord>, DbError> {
-        let key = crate::validate_key(dims)?;
-        let Some(&(frame_at, frame_bytes)) = self.index.get(&key) else {
+        let key = StackKey::canonical(dims)?;
+        let key = key.extents();
+        let Some(row) = self.row(key) else {
             cubemesh_obs::counter!("plandb.get.miss").inc();
             return Ok(None);
         };
-        let mut frame = vec![0u8; frame_bytes as usize];
+        let frame_at = row
+            .checked_sub(1)
+            .map_or(HEADER_BYTES as u64, |prev| self.ends[prev]);
+        // `open` held every frame to `MAX_FRAME + 8` bytes.
+        let mut frame = vec![0u8; (self.ends[row] - frame_at) as usize];
         self.file.read_exact_at(&mut frame, frame_at)?;
         let (payload, used) = parse_frame(&frame, 0).map_err(|e| shift_offset(e, frame_at))?;
         if used != frame.len() {
@@ -247,7 +411,12 @@ impl PlanDb {
             });
         }
         let rec = PlanRecord::decode(payload).map_err(|e| shift_offset(e, frame_at + 8))?;
-        if rec.key != key {
+        let same_key = rec
+            .key
+            .iter()
+            .copied()
+            .eq(key.iter().map(|&d| usize::from(d)));
+        if !same_key {
             return Err(DbError::Corrupt {
                 offset: frame_at,
                 what: format!("record key {:?} under index key {key:?}", rec.key),
@@ -259,9 +428,34 @@ impl PlanDb {
 
     /// All keys, sorted — for sweeps and integrity checks.
     pub fn keys(&self) -> Vec<Vec<usize>> {
-        let mut keys: Vec<Vec<usize>> = self.index.keys().cloned().collect();
+        let mut keys = Vec::with_capacity(self.len());
+        for (rank, rows) in (1..).zip(&self.ranks) {
+            keys.extend(
+                self.extents[rows.start..rows.end]
+                    .chunks_exact(rank)
+                    .map(|key| key.iter().map(|&d| usize::from(d)).collect()),
+            );
+        }
         keys.sort();
         keys
+    }
+
+    /// The row holding canonical `key`: a binary search of its rank's
+    /// table.
+    fn row(&self, key: &[u16]) -> Option<usize> {
+        let rank = key.len();
+        let rows = self.ranks.get(rank.checked_sub(1)?)?;
+        let table = &self.extents[rows.start..rows.end];
+        let (mut lo, mut hi) = (0, table.len() / rank);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match table[mid * rank..(mid + 1) * rank].cmp(key) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(rows.first + mid),
+            }
+        }
+        None
     }
 }
 
@@ -275,70 +469,30 @@ fn shift_offset(e: DbError, by: u64) -> DbError {
     }
 }
 
-fn parse_index(
-    raw: &[u8],
-    count: u64,
-    index_offset: u64,
-    file_bytes: u64,
-) -> Result<HashMap<Vec<usize>, (u64, u32)>, DbError> {
-    let corrupt = |at: usize, what: String| DbError::Corrupt {
-        offset: index_offset + at as u64,
-        what,
-    };
-    let mut index = HashMap::new();
-    let mut at = 0usize;
-    for _ in 0..count {
-        if at >= raw.len() {
-            return Err(corrupt(
-                at,
-                "index shorter than its record count".to_owned(),
-            ));
+/// The index block as a bounded stream: every byte read feeds the
+/// running CRC, and a read past the block's end is a typed error.
+struct IndexStream<R> {
+    reader: R,
+    crc: Crc32,
+    /// File offset of the next byte.
+    at: u64,
+    /// File offset just past the index, where its CRC starts.
+    end: u64,
+}
+
+impl<R: Read> IndexStream<R> {
+    fn read(&mut self, buf: &mut [u8]) -> Result<(), DbError> {
+        if self.end - self.at < buf.len() as u64 {
+            return Err(DbError::Corrupt {
+                offset: self.at,
+                what: "truncated index entry".to_owned(),
+            });
         }
-        let rank = usize::from(raw[at]);
-        if rank == 0 || rank > MAX_KEY_RANK {
-            return Err(corrupt(at, format!("index key rank {rank}")));
-        }
-        let entry_bytes = 1 + 4 * rank + 8 + 4;
-        let end = at.checked_add(entry_bytes);
-        let Some(end) = end.filter(|&e| e <= raw.len()) else {
-            return Err(corrupt(at, "truncated index entry".to_owned()));
-        };
-        let mut key = Vec::with_capacity(rank);
-        let mut p = at + 1;
-        for _ in 0..rank {
-            key.push(u32::from_le_bytes([raw[p], raw[p + 1], raw[p + 2], raw[p + 3]]) as usize);
-            p += 4;
-        }
-        let frame_at = u64::from_le_bytes([
-            raw[p],
-            raw[p + 1],
-            raw[p + 2],
-            raw[p + 3],
-            raw[p + 4],
-            raw[p + 5],
-            raw[p + 6],
-            raw[p + 7],
-        ]);
-        p += 8;
-        let frame_bytes = u32::from_le_bytes([raw[p], raw[p + 1], raw[p + 2], raw[p + 3]]);
-        if frame_at < HEADER_BYTES as u64
-            || frame_at.saturating_add(u64::from(frame_bytes)) > index_offset
-            || u64::from(frame_bytes) > u64::from(MAX_FRAME) + 8
-        {
-            return Err(corrupt(
-                at,
-                format!("index entry points outside the record heap ({frame_at}+{frame_bytes}, file {file_bytes})"),
-            ));
-        }
-        if index.insert(key, (frame_at, frame_bytes)).is_some() {
-            return Err(corrupt(at, "duplicate index key".to_owned()));
-        }
-        at = end;
+        self.reader.read_exact(buf)?;
+        self.crc.update(buf);
+        self.at += buf.len() as u64;
+        Ok(())
     }
-    if at != raw.len() {
-        return Err(corrupt(at, "trailing bytes after index".to_owned()));
-    }
-    Ok(index)
 }
 
 /// An append-only checkpoint log for the builder: records stream in as

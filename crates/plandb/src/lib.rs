@@ -22,8 +22,9 @@
 //! * [`record`] — the [`PlanRecord`] payload and its little-endian
 //!   encoding;
 //! * [`format`] — the single-file container (versioned header, CRC'd
-//!   frames, shape-keyed index) and the [`PlanDb`] reader with
-//!   `pread`-style O(1) lookups;
+//!   frames, shape-keyed index) and the [`PlanDb`] reader: sorted
+//!   per-rank tables in memory, a binary search and one `pread` per
+//!   lookup;
 //! * [`builder`] — the census-sweep builder over
 //!   [`cubemesh_pool::run_tasks`], resumable via an append-only
 //!   checkpoint log and byte-deterministic across pool widths.
@@ -156,22 +157,64 @@ impl From<PlanParseError> for DbError {
 /// turned into a `Shape` without panicking. The all-units shape
 /// canonicalizes to `[1]`.
 pub fn validate_key(dims: &[usize]) -> Result<Vec<usize>, DbError> {
-    // An empty key fails `Shape::check` ("no axes") before its rank is
-    // looked at, as it always did.
-    if dims.len() > MAX_KEY_RANK {
-        return Err(DbError::BadKey {
-            reason: format!("rank {} exceeds {MAX_KEY_RANK}", dims.len()),
-        });
+    Ok(StackKey::canonical(dims)?
+        .extents()
+        .iter()
+        .map(|&d| usize::from(d))
+        .collect())
+}
+
+/// A canonical key on the stack: [`validate_key`]'s answer without the
+/// allocation, its extents as `u16` (every admissible extent is at most
+/// [`Shape::MAX_AXIS`] = 2¹⁵).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct StackKey {
+    extents: [u16; MAX_KEY_RANK],
+    rank: usize,
+}
+
+impl StackKey {
+    /// [`validate_key`]'s checks, in its order and with its texts.
+    pub(crate) fn canonical(dims: &[usize]) -> Result<StackKey, DbError> {
+        // An empty key fails `Shape::check` ("no axes") before its rank
+        // is looked at, as it always did.
+        if dims.len() > MAX_KEY_RANK {
+            return Err(DbError::BadKey {
+                reason: format!("rank {} exceeds {MAX_KEY_RANK}", dims.len()),
+            });
+        }
+        Shape::check(dims).map_err(|e| DbError::BadKey {
+            reason: e.to_string(),
+        })?;
+        let mut key = StackKey {
+            extents: [1; MAX_KEY_RANK],
+            rank: 0,
+        };
+        for &d in dims.iter().filter(|&&d| d > 1) {
+            key.extents[key.rank] = u16::try_from(d).map_err(|_| DbError::BadKey {
+                reason: format!("extent {d} exceeds {}", Shape::MAX_AXIS),
+            })?;
+            key.rank += 1;
+        }
+        // All units: the key `[1]`, whose extent the fill already holds.
+        key.rank = key.rank.max(1);
+        key.extents[..key.rank].sort_unstable();
+        Ok(key)
     }
-    Shape::check(dims).map_err(|e| DbError::BadKey {
-        reason: e.to_string(),
-    })?;
-    let mut key: Vec<usize> = dims.iter().copied().filter(|&d| d > 1).collect();
-    if key.is_empty() {
-        key.push(1);
+
+    /// The extents, ascending.
+    pub(crate) fn extents(&self) -> &[u16] {
+        &self.extents[..self.rank]
     }
-    key.sort_unstable();
-    Ok(key)
+}
+
+/// Whether `key` is the canonical form of some admissible shape — what
+/// [`validate_key`] returns for it: `[1]`, or extents of at least 2 in
+/// ascending order that pass [`Shape::check`], at most [`MAX_KEY_RANK`]
+/// of them. No allocation.
+pub(crate) fn is_canonical(key: &[usize]) -> bool {
+    let shaped = key.len() <= MAX_KEY_RANK && Shape::check(key).is_ok();
+    shaped && (key == [1] || (key[0] > 1 && key.windows(2).all(|w| w[0] <= w[1])))
 }
 
 #[cfg(test)]
@@ -189,6 +232,34 @@ mod tests {
             Ok(vec![1])
         );
         assert_eq!(validate_key(&[7]).map_err(|e| e.to_string()), Ok(vec![7]));
+    }
+
+    #[test]
+    fn canonical_keys_are_what_validate_key_returns() {
+        for key in [
+            &[1][..],
+            &[2],
+            &[2, 2],
+            &[3, 4, 5],
+            &[Shape::MAX_AXIS, Shape::MAX_AXIS],
+        ] {
+            assert!(is_canonical(key), "{key:?}");
+            assert_eq!(validate_key(key).ok().as_deref(), Some(key));
+        }
+        for key in [
+            &[][..],
+            &[0],
+            &[1, 1],
+            &[1, 3],
+            &[3, 1],
+            &[4, 3],
+            &[2, 0],
+            &[Shape::MAX_AXIS + 1],
+            &[Shape::MAX_AXIS; 4],
+            &[2; MAX_KEY_RANK + 1],
+        ] {
+            assert!(!is_canonical(key), "{key:?}");
+        }
     }
 
     #[test]

@@ -45,6 +45,16 @@ impl Default for ReplayConfig {
     }
 }
 
+/// Most windows a replay reports. The window axis runs dense from 0 to
+/// the makespan, at ~150 B per window between the observer and the
+/// report: `cubemesh replay 2 2 --phases 2 --period 1048500 --window 1`
+/// (1,048,509 windows) peaks at 155 MiB, 262 MiB with `--json` (x86-64
+/// release build). [`replay`] refuses a trace whose horizon alone spans
+/// more windows before simulating it, and a run whose drain carries the
+/// makespan past them once it ends; in between the observer drops what
+/// falls beyond the last window.
+pub const MAX_REPLAY_WINDOWS: u64 = 1 << 20;
+
 /// Why a replay failed.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ReplayError {
@@ -52,6 +62,13 @@ pub enum ReplayError {
     Trace(TraceError),
     /// The simulator rejected the injection stream.
     Sim(SimError),
+    /// The run spans more than [`MAX_REPLAY_WINDOWS`] windows.
+    TooManyWindows {
+        /// The window size in cycles.
+        window: u64,
+        /// Cycles the window axis would have to cover.
+        cycles: u64,
+    },
 }
 
 impl fmt::Display for ReplayError {
@@ -59,8 +76,24 @@ impl fmt::Display for ReplayError {
         match self {
             ReplayError::Trace(e) => write!(f, "{e}"),
             ReplayError::Sim(e) => write!(f, "{e}"),
+            ReplayError::TooManyWindows { window, cycles } => write!(
+                f,
+                "{cycles} cycles in windows of {window} need more than \
+                 {MAX_REPLAY_WINDOWS} windows"
+            ),
         }
     }
+}
+
+/// The windows of `window` cycles that cover cycles `0..cycles`
+/// (at least one), or the error when they are more than
+/// [`MAX_REPLAY_WINDOWS`].
+pub fn replay_windows(cycles: u64, window: u64) -> Result<u64, ReplayError> {
+    let windows = cycles.saturating_sub(1) / window.max(1) + 1;
+    if windows > MAX_REPLAY_WINDOWS {
+        return Err(ReplayError::TooManyWindows { window, cycles });
+    }
+    Ok(windows)
 }
 
 impl std::error::Error for ReplayError {}
@@ -193,8 +226,15 @@ impl ReplayReport {
     }
 }
 
+/// Windows the observer keeps: one past the last, everything is
+/// dropped, and [`replay`] refuses such a run once it ends.
+const KEPT_WINDOWS: usize = MAX_REPLAY_WINDOWS as usize;
+
 /// Grow-on-demand accumulator indexed by window.
 fn bump(v: &mut Vec<u64>, i: usize, by: u64) {
+    if i >= KEPT_WINDOWS {
+        return;
+    }
     if v.len() <= i {
         v.resize(i + 1, 0);
     }
@@ -202,6 +242,9 @@ fn bump(v: &mut Vec<u64>, i: usize, by: u64) {
 }
 
 fn raise(v: &mut Vec<u64>, i: usize, to: u64) {
+    if i >= KEPT_WINDOWS {
+        return;
+    }
     if v.len() <= i {
         v.resize(i + 1, 0);
     }
@@ -278,6 +321,9 @@ impl SimObserver for WindowObserver {
         let w = self.win(arrival);
         bump(&mut self.delivered, w, 1);
         bump(&mut self.delivered_flits, w, msg.size as u64);
+        if w >= KEPT_WINDOWS {
+            return;
+        }
         if self.latencies.len() <= w {
             self.latencies.resize_with(w + 1, Vec::new);
         }
@@ -343,6 +389,8 @@ pub fn replay(
     } else {
         cfg.window
     };
+    // The makespan is at least the horizon.
+    replay_windows(horizon, window)?;
     let mut observer = WindowObserver::new(window);
     let result = simulate_trace(
         emb.host(),
@@ -355,8 +403,7 @@ pub fn replay(
 
     // Dense window axis out to the makespan (so trajectories have no
     // holes even when nothing happened in a window).
-    let last = (result.makespan / window) as usize;
-    let count = last + 1;
+    let count = replay_windows(result.makespan.saturating_add(1), window)? as usize;
     let n_links = emb.host().edge_count() * 2;
     let mut windows = Vec::with_capacity(count);
     let mut mean_latencies: Vec<(usize, f64)> = Vec::new();
@@ -595,6 +642,38 @@ mod tests {
             if w.index < 4 {
                 assert_eq!(w.injected as usize, emb.edge_count() * 2);
             }
+        }
+    }
+
+    #[test]
+    fn the_window_axis_is_bounded() {
+        let max = MAX_REPLAY_WINDOWS;
+        assert_eq!(replay_windows(0, 1), Ok(1));
+        assert_eq!(replay_windows(max, 1), Ok(max));
+        assert_eq!(replay_windows(u64::MAX, u64::MAX), Ok(1));
+        let too_many = ReplayError::TooManyWindows {
+            window: 1,
+            cycles: max + 1,
+        };
+        assert_eq!(replay_windows(max + 1, 1), Err(too_many.clone()));
+
+        let emb = gray_mesh_embedding(&Shape::new(&[2, 2]));
+        let cfg = ReplayConfig {
+            switching: Switching::StoreAndForward,
+            window: 1,
+        };
+        // The horizon alone spans too many windows: refused before the
+        // simulation runs.
+        let trace = stencil_trace(emb.edge_count(), 8, max, 2);
+        assert_eq!(trace.horizon(), max + 1);
+        assert_eq!(replay(&emb, &trace, &cfg).err(), Some(too_many));
+        // The horizon fits, but the last phase drains past the last
+        // window: refused once the run ends.
+        let trace = stencil_trace(emb.edge_count(), 8, max - 2, 2);
+        assert!(replay_windows(trace.horizon(), 1).is_ok());
+        match replay(&emb, &trace, &cfg) {
+            Err(ReplayError::TooManyWindows { window: 1, cycles }) => assert!(cycles > max),
+            other => panic!("{:?}", other.map(|r| r.windows.len())),
         }
     }
 

@@ -36,8 +36,8 @@ pub mod synth;
 pub mod trace;
 
 pub use engine::{
-    rate_sweep, replay, saturation_knee, ReplayConfig, ReplayError, ReplayReport, SweepPoint,
-    WindowStats,
+    rate_sweep, replay, replay_windows, saturation_knee, ReplayConfig, ReplayError, ReplayReport,
+    SweepPoint, WindowStats, MAX_REPLAY_WINDOWS,
 };
 pub use slack::{certificate_slack, slack_report, slack_report_json, SlackEntry, SlackError};
 pub use synth::{bursty_trace, rate_trace, shift_trace, stencil_trace};

@@ -27,6 +27,13 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Mutex, PoisonError};
 use std::thread::JoinHandle;
 
+/// Most cold-miss records the overlay holds, like
+/// [`Planner::MEMO_LIMIT`] for the live planner's memo: the overlay
+/// starts over (counted in `service.overlay.reset`) before the insert
+/// that would pass it, so a server fed distinct misses stays bounded. A
+/// miss that was dropped is planned live again.
+pub const MAX_OVERLAY: usize = 1 << 14;
+
 /// Where an answer came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Source {
@@ -111,6 +118,8 @@ pub struct QueryEngine {
     /// The live planner's memo bound, [`Planner::MEMO_LIMIT`]; lowered
     /// by tests.
     memo_limit: usize,
+    /// The overlay's bound, [`MAX_OVERLAY`]; lowered by tests.
+    overlay_limit: usize,
     overflow: Mutex<Overflow>,
     db_hits: AtomicU64,
     overlay_hits: AtomicU64,
@@ -164,6 +173,7 @@ impl QueryEngine {
             overlay: Mutex::new(HashMap::new()),
             planner: Mutex::new((Planner::new(), default_strategies())),
             memo_limit: Planner::MEMO_LIMIT,
+            overlay_limit: MAX_OVERLAY,
             overflow: Mutex::new(overflow),
             db_hits: AtomicU64::new(0),
             overlay_hits: AtomicU64::new(0),
@@ -209,7 +219,14 @@ impl QueryEngine {
                 self.errors.fetch_add(1, SeqCst);
             })?
         };
-        lock(&self.overlay).insert(key, rec.clone());
+        {
+            let mut overlay = lock(&self.overlay);
+            if overlay.len() >= self.overlay_limit && !overlay.contains_key(&key) {
+                overlay.clear();
+                obs::counter!("service.overlay.reset").inc();
+            }
+            overlay.insert(key, rec.clone());
+        }
         self.live_plans.fetch_add(1, SeqCst);
         obs::counter!("service.lookup.live").inc();
         if let Some(tx) = &lock(&self.overflow).tx {
@@ -310,5 +327,55 @@ mod tests {
             last = memo;
         }
         assert!(resets > 0 && unbounded.memo_len() > engine.memo_limit);
+    }
+
+    /// With the overlay bound lowered, every answer still equals an
+    /// unbounded engine's; the overlay never holds more than the bound;
+    /// and a miss dropped by a reset is planned live (and logged) again.
+    #[test]
+    fn overlay_stays_bounded_and_answers_do_not_change() {
+        let dir = std::env::temp_dir().join(format!("cubemesh-overlay-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let log = dir.join("cold.ck");
+        let mut engine = QueryEngine::new(&EngineConfig {
+            db: None,
+            overflow: Some(log.clone()),
+        })
+        .expect("engine");
+        engine.overlay_limit = 16;
+        let unbounded = QueryEngine::new(&EngineConfig::default()).expect("engine");
+        let keys = enumerate_keys(6);
+        assert!(keys.len() > 3 * engine.overlay_limit);
+        let check = |key: &Vec<usize>, want_source: Source| {
+            let (rec, source) = engine.lookup(key).expect("lookup");
+            assert_eq!(source, want_source, "{key:?}");
+            let (want, _) = unbounded.lookup(key).expect("lookup");
+            assert_eq!(rec, want, "{key:?}");
+            let held = engine.stats().overlay_records;
+            assert!(held <= engine.overlay_limit, "{key:?}: overlay {held}");
+        };
+        for key in &keys {
+            check(key, Source::Live);
+        }
+        // The keys since the last reset are held; walking back, every
+        // older key was dropped by a reset and is planned live again.
+        let held = engine.stats().overlay_records;
+        assert!(held > 0);
+        for (i, key) in keys.iter().rev().enumerate() {
+            check(
+                key,
+                if i < held {
+                    Source::Overlay
+                } else {
+                    Source::Live
+                },
+            );
+        }
+        let lives = 2 * keys.len() - held;
+        assert_eq!(engine.stats().live_plans, lives as u64);
+        engine.flush_overflow();
+        let logged = cubemesh_plandb::load_checkpoint(&log).expect("overflow log");
+        assert_eq!(logged.len(), lives);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -31,7 +31,7 @@ pub mod engine;
 pub mod protocol;
 pub mod server;
 
-pub use engine::{EngineConfig, QueryEngine, Resolved, Source, StatsSnapshot};
+pub use engine::{EngineConfig, QueryEngine, Resolved, Source, StatsSnapshot, MAX_OVERLAY};
 pub use protocol::{handle_line, parse_request, render_error, Request, MAX_BATCH};
 pub use server::{serve, Server, ServerConfig, MAX_WORKERS};
 

@@ -307,6 +307,44 @@ test -s "$SRV_DIR/cold.ck"                 # overflow log holds the cold miss
 rm -rf "$SRV_DIR"
 echo "service answered 1025 shapes with certificates and shut down cleanly"
 
+echo "== service: index memory and a full batch (max axis 128) =="
+# The index is held as sorted per-rank tables of u16 extents and u64
+# frame ends (~14 B per rank-3 record) and streamed in at open, so the
+# server's VmHWM right after it prints "listening" on the 357,760-record
+# database must stay under 24 MiB (~8 MiB here; the HashMap index it
+# replaced peaked at 49 MiB). The server runs from target/release, not
+# through cargo, so that $! is its pid. A full MAX_BATCH query must come
+# back within 60 s (~1 s here; the client's JSON string scan was
+# quadratic in the response line before).
+cargo build --release -q -p cubemesh-service --bin cubemesh-serve
+MEM_DIR=$(mktemp -d)
+target/release/cubemesh-serve build --max-axis 128 --out "$MEM_DIR/plans.db" >/dev/null
+target/release/cubemesh-serve --db "$MEM_DIR/plans.db" > "$MEM_DIR/serve.out" &
+MEM_PID=$!
+for _ in $(seq 1 100); do
+    grep -q '"listening"' "$MEM_DIR/serve.out" 2>/dev/null && break
+    sleep 0.1
+done
+MEM_ADDR=$(sed -E 's/.*"listening":"([^"]+)".*/\1/' "$MEM_DIR/serve.out" | head -1)
+hwm_kib=$(awk '$1 == "VmHWM:" { print $2 }' "/proc/$MEM_PID/status")
+echo "cubemesh-serve on a max-axis-128 DB: VmHWM $((hwm_kib / 1024)) MiB after listening"
+if [[ -z "$MEM_ADDR" ]] || (( hwm_kib >= 24 * 1024 )); then
+    echo "ERROR: no listening line, or VmHWM $((hwm_kib / 1024)) MiB is at or over 24 MiB" >&2
+    kill "$MEM_PID"
+    exit 1
+fi
+if ! timeout 60 target/release/cubemesh-serve query --addr "$MEM_ADDR" \
+    --census-max 128 --count 65536 > "$MEM_DIR/query.out"; then
+    echo "ERROR: a 65536-shape query did not finish within 60 s" >&2
+    kill "$MEM_PID"
+    exit 1
+fi
+cat "$MEM_DIR/query.out"
+grep -q '"sources":{"db":65536}' "$MEM_DIR/query.out"
+target/release/cubemesh-serve shutdown --addr "$MEM_ADDR" >/dev/null
+wait "$MEM_PID"
+rm -rf "$MEM_DIR"
+
 echo "== replay: determinism + conservation smoke =="
 # --check replays the same recorded trace twice and exits non-zero unless
 # the reports are byte-identical and delivered == injected.

@@ -36,14 +36,14 @@
 //! [`MAX_REPLAY_EVENTS`]. A run that finds a failure (a failed verify, a
 //! slack violation, a `--check` mismatch) exits 1.
 
-use cubemesh::core::{classify3, construct, embed_mesh, plan_shape, Planner};
+use cubemesh::core::{classify3, construct, embed_mesh, plan_shape, Planner, MAX_EMBED_NODES};
 use cubemesh::embedding::portable::{read_embedding, write_embedding};
 use cubemesh::embedding::{gray_mesh_embedding, Embedding};
 use cubemesh::netsim::{simulate_with, stencil_exchange, Switching};
 use cubemesh::obs::cli::{self, Args};
 use cubemesh::replay::{
-    bursty_trace, certificate_slack, rate_sweep, replay, saturation_knee, shift_trace,
-    stencil_trace, ReplayConfig, Trace,
+    bursty_trace, certificate_slack, rate_sweep, replay, replay_windows, saturation_knee,
+    shift_trace, stencil_trace, ReplayConfig, Trace,
 };
 use cubemesh::reshape::snake_embedding;
 use cubemesh::topology::Shape;
@@ -65,14 +65,11 @@ const USAGE: &str = "usage: cubemesh <command> … [--stats] [--trace FILE]
       [--period N] [--phases N] [--horizon N] [--window N] [--seed N]
       [--cut-through] [--trace-in FILE] [--record FILE] [--slack] [--check] [--json]";
 
-/// Largest guest, in nodes, that `embed` and `classify` build: the
-/// paper's 512×512×512 census corner, `2²⁷` nodes. Its node map and
-/// hop-form routes peak at ~1.8 GiB (14 B per node). Each subcommand's
-/// limit keeps its peak resident set near that figure at default flags,
-/// so a larger request is refused up front instead of aborting in the
-/// allocator; the per-node peaks were measured on an x86-64 release
-/// build.
-const MAX_EMBED_NODES: usize = 1 << 27;
+// `embed` and `classify` build at most `MAX_EMBED_NODES` nodes, peaking
+// at ~1.8 GiB. Each other subcommand's limit keeps its peak resident set
+// near that figure at default flags, so a larger request is refused up
+// front instead of aborting in the allocator; the per-node peaks were
+// measured on an x86-64 release build.
 
 /// Largest `torus` guest: ~100 B per node (node-path routes and an
 /// explicit edge list), ~1.6 GiB at `2²⁴`.
@@ -329,6 +326,22 @@ fn replay_cmd(words: &[String]) -> Result<ExitCode, String> {
         return Err(format!(
             "{grown_by}: the trace would hold more than {MAX_REPLAY_EVENTS} events"
         ));
+    }
+    // The cycles the generated trace spans (slack and sweep pick their
+    // own periods and windows), and with `--window` the windows they
+    // fill, within `MAX_REPLAY_WINDOWS`.
+    let cycles = match pattern {
+        _ if slack || pattern == "sweep" || args.value("--trace-in").is_some() => Some(0),
+        "stencil" | "shifts" => phases
+            .checked_sub(1)
+            .map_or(Some(0), |last| last.checked_mul(period)?.checked_add(1)),
+        _ => Some(horizon),
+    };
+    let Some(cycles) = cycles else {
+        return Err("--period: the trace would span more than 2^64 cycles".into());
+    };
+    if window > 0 {
+        replay_windows(cycles, window).map_err(|e| format!("--window: {e}"))?;
     }
 
     let run = || -> Result<ExitCode, String> {

@@ -61,6 +61,43 @@ fn bad_shapes_and_flags_are_usage_errors() {
             "--horizon",
             "1000000",
         ],
+        // A window axis past MAX_REPLAY_WINDOWS (an allocator abort
+        // before), and a stencil past 2^64 cycles (an overflow in the
+        // trace generator before).
+        &[
+            "replay",
+            "2",
+            "2",
+            "--phases",
+            "2",
+            "--period",
+            "1000000000000000",
+            "--window",
+            "1",
+        ],
+        &[
+            "replay", "2", "2", "--phases", "2", "--period", "1048576", "--window", "1",
+        ],
+        &[
+            "replay",
+            "2",
+            "2",
+            "--pattern",
+            "bursty",
+            "--horizon",
+            "1048577",
+            "--window",
+            "1",
+        ],
+        &[
+            "replay",
+            "2",
+            "2",
+            "--phases",
+            "3",
+            "--period",
+            "18446744073709551615",
+        ],
         // A valued flag without its value, and an unknown pattern.
         &["embed", "9", "9", "9", "--trace"],
         &["embed", "5", "6", "7", "--out"],
