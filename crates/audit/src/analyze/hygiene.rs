@@ -1,5 +1,5 @@
 //! Source hygiene: site-local token rules over non-test library code
-//! (`CM-L001`, `CM-L002`, `CM-L005`, `CM-L006`).
+//! (`CM-L001`, `CM-L002`, `CM-L005`–`CM-L007`).
 //!
 //! Unlike the dataflow passes, each rule judges one site by its tokens:
 //!
@@ -20,6 +20,11 @@
 //!   body of a `for`/`while` loop whose header mentions `chunk` or
 //!   `shard` allocates once per chunk on the hot parallel-lowering path;
 //!   hoist the buffer out and `clear()` it.
+//! * **`CM-L007` shared-mut-in-worker** — a `static mut` declaration.
+//!   Every access needs `unsafe`, which no library crate may write
+//!   outside `crates/pool`'s reasoned allows, but the declaration alone
+//!   compiles: a data race one refactor away. Use an atomic, a lock, or
+//!   per-worker state plus a reduction.
 //!
 //! Comments and literals are tokens of their own, so text inside them
 //! never matches; `#[cfg(test)]` items and `macro_rules!` bodies are
@@ -85,6 +90,14 @@ fn rules_at(file: &File, fns: &[(&str, Range<usize>)], i: usize) -> Vec<(Code, u
         return narrowing_cast(file, i)
             .map(|(code, message)| vec![(code, line, message)])
             .unwrap_or_default();
+    }
+    if let Some(m) = file.spells(i, &["static", "mut"]) {
+        let name = file.next_code(m + 1).map_or("", |n| file.text(n));
+        let message = format!(
+            "`static mut {name}` is an unconditional data race under real threads; use an \
+             atomic, a lock, or per-worker state"
+        );
+        return vec![(Code::SharedMutInWorker, line, message)];
     }
     if (file.is(i, "for") || file.is(i, "while")) && fns.iter().any(|(_, b)| b.contains(&i)) {
         return chunk_loop_allocs(file, i)
@@ -244,7 +257,6 @@ mod tests {
         assert_eq!(Code::ShapeProductOverflow.as_str(), "CM-L005");
         assert_eq!(Code::AllocInChunkLoop.as_str(), "CM-L006");
         assert_eq!(Code::SharedMutInWorker.as_str(), "CM-L007");
-        assert_eq!(Code::DroppedSpanGuard.as_str(), "CM-L008");
     }
 
     #[test]
@@ -358,6 +370,27 @@ mod tests {
                    }\n}\npub fn ok(xs: &[u32]) {\n    for _x in xs {\n        let _ = Vec::<u8>::new();\n    \
                    }\n}\n";
         assert_eq!(codes(src), ["CM-L006"]);
+    }
+
+    #[test]
+    fn static_mut_declaration_is_l007() {
+        // Reached from a worker or not: the access needs `unsafe`, which
+        // rustc refuses, but the declaration compiles.
+        let src = "static mut COUNTER: u32 = 0;\nfn bump() { unsafe { COUNTER += 1; } }\n\
+                   pub fn f(n: usize) {\n    cubemesh_pool::run_tasks(n, |_| bump());\n}\n";
+        let f = analyze_str(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].code, Code::SharedMutInWorker);
+        assert_eq!(f[0].line, 1);
+        assert!(
+            f[0].message.contains("`static mut COUNTER`"),
+            "{}",
+            f[0].message
+        );
+        // A plain `static`, a `'static` lifetime and test code are not.
+        let src = "pub static EPOCH: u64 = 0;\npub fn f() -> &'static str { \"static mut\" }\n\
+                   #[cfg(test)]\nmod tests {\n    static mut SEEN: u32 = 0;\n}\n";
+        assert!(codes(src).is_empty(), "{:?}", codes(src));
     }
 
     #[test]

@@ -8,16 +8,14 @@
 //!
 //! | code | rule | what it proves absent |
 //! |------|------|----------------------|
-//! | `CM-A003` | `worker-reach-static-mut` | a call path from a worker closure to a function touching `static mut` |
 //! | `CM-A005` | `nondet-order-merge` | order-sensitive merges in worker closures: `push`/`insert`/`extend` on a lock guard or `+=` to one, or `HashMap`/`HashSet` iteration feeding results |
 //! | `CM-A006` | `relaxed-ordering` | `Ordering::Relaxed` outside the documented stat/trace guard files (`//! audit: relaxed-domain(…)`) |
 //! | `CM-A007` | `lock-order` | two functions acquiring the same pair of locks in opposite orders |
-//! | `CM-A008` | `span-guard-escape` | span guards whose drop is provably not LIFO: explicit out-of-order `drop`, `mem::forget`, or a guard returned/stored out of the opening scope |
 //! | `CM-A009` | `range-mul-overflow` | unchecked `*`/`<<` on shape/address-typed `usize` values whose proven interval can exceed 64 bits (interval dataflow over the [`crate::cfg`] CFG; `checked_*`/assert guards recognized) |
 //! | `CM-A010` | `range-add-overflow` | unchecked `+` where both operands are unbounded and at least one is shape/address-typed |
 //! | `CM-A011` | `taint-unchecked-sink` | an untrusted value (env read, annotated decode) reaching a slice index or `Vec::with_capacity` without a validation boundary |
 //! | `CM-A012` | `taint-unvalidated-shape` | an untrusted value reaching a `Shape::…` constructor without validation |
-//! | `CM-A013` | `dropped-result` | the `Result` of a workspace fallible function dropped (bare statement, `let _ =`, or a binding never read) |
+//! | `CM-A013` | `dropped-result` | the `Result` of a workspace fallible function discarded by `let _ =` |
 //!
 //! *Does the library keep its local hygiene?* The site-local `CM-L…`
 //! rules, token checks over the same [`Workspace`]:
@@ -28,16 +26,23 @@
 //! | `CM-L002` | `narrowing-addr-cast` | [`hygiene`] | an address-carrying value cast below 64 bits |
 //! | `CM-L005` | `shape-product-overflow` | [`hygiene`] | a shape extent, or a product of extents, cast below 64 bits |
 //! | `CM-L006` | `alloc-in-chunk-loop` | [`hygiene`] | `Vec::new()` / `vec![…]` inside a chunk/shard loop |
-//! | `CM-L007` | `shared-mut-in-worker` | [`capture`] | a `static mut` no worker reaches (reached, it is `CM-A003`) |
-//! | `CM-L008` | `dropped-span-guard` | [`spans`] | a span guard bound to `_` or left as a bare statement |
+//! | `CM-L007` | `shared-mut-in-worker` | [`hygiene`] | a `static mut` declaration |
 //!
 //! Retired codes are never reused. `CM-L003` and `CM-L004` belonged to
-//! the panic allowlist. `CM-A001` (captured mutation), `CM-A002`
-//! (`RefCell`/`Cell`/`Rc` in a worker) and `CM-A004` (float reduction
-//! over a parallel chain) are rejected by rustc at every fan-out the
-//! workspace has, as are A005's captured-collection merge and L007's
-//! cell beside a fan-out; the compile-fail probes in
-//! `crates/audit/tests/compile_fail/` pin each error.
+//! the panic allowlist. The rest are rejected by rustc, and the
+//! compile-fail probes in `crates/audit/tests/compile_fail/` pin each
+//! error: `CM-A001` (captured mutation), `CM-A002`
+//! (`RefCell`/`Cell`/`Rc` in a worker), `CM-A004` (float reduction over
+//! a parallel chain), A005's captured-collection merge and L007's cell
+//! beside a fan-out fail the worker's `Fn + Sync` or `Send` bound;
+//! `CM-A003` (a worker reaching a `static mut`) needs `unsafe`, which
+//! every library crate forbids and `crates/pool` denies; `CM-A008` and
+//! `CM-L008` (a span guard dropped early or out of order) cannot be
+//! written, since `span!` binds its guard where no caller can name it;
+//! and the two other forms of a dropped `Result` that `CM-A013` once
+//! covered, a bare statement and a binding never read, are
+//! `unused_must_use` and `unused_variables` under clippy's
+//! `-D warnings`.
 //!
 //! Interprocedural findings carry *call-path evidence* — the chain of
 //! qualified function names from the fan-out site to the sink — and
@@ -55,20 +60,17 @@
 //! The reason text is mandatory; a bare `audit:allow(CODE)` does not
 //! suppress.
 
-pub mod capture;
 pub mod hygiene;
 pub mod ordering;
 pub mod range;
 pub mod reduction;
 pub mod regions;
 pub mod results;
-pub mod spans;
 pub mod taint;
 
 use crate::ast::Workspace;
 use crate::callgraph::CallGraph;
 use regions::Region;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -78,16 +80,12 @@ use std::time::Instant;
 /// Stable diagnostic codes for analyzer findings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Code {
-    /// `static mut` reachable from a worker.
-    WorkerReachStaticMut,
     /// Order-sensitive merge in a parallel region.
     NondetOrderMerge,
     /// `Ordering::Relaxed` outside a documented relaxed domain.
     RelaxedOrdering,
     /// Inconsistent lock acquisition order.
     LockOrder,
-    /// Span guard provably breaks LIFO drop order.
-    SpanGuardEscape,
     /// Unchecked `*`/`<<` on a shape/address value that may overflow.
     RangeMulOverflow,
     /// Unchecked `+` on shape/address values that may overflow.
@@ -96,7 +94,7 @@ pub enum Code {
     TaintUncheckedSink,
     /// Untrusted value reaches a shape constructor unvalidated.
     TaintUnvalidatedShape,
-    /// `Result` of a workspace fallible function is dropped.
+    /// `Result` of a workspace fallible function discarded by `let _ =`.
     DroppedResult,
     /// Panic-family call in non-test library code.
     PanicInLib,
@@ -106,21 +104,17 @@ pub enum Code {
     ShapeProductOverflow,
     /// Allocation inside a chunk/shard loop body.
     AllocInChunkLoop,
-    /// `static mut` no worker reaches.
+    /// A `static mut` declaration.
     SharedMutInWorker,
-    /// Span guard dropped by the statement that creates it.
-    DroppedSpanGuard,
 }
 
 impl Code {
     /// The stable `CM-Axxx` / `CM-Lxxx` code string.
     pub fn as_str(self) -> &'static str {
         match self {
-            Code::WorkerReachStaticMut => "CM-A003",
             Code::NondetOrderMerge => "CM-A005",
             Code::RelaxedOrdering => "CM-A006",
             Code::LockOrder => "CM-A007",
-            Code::SpanGuardEscape => "CM-A008",
             Code::RangeMulOverflow => "CM-A009",
             Code::RangeAddOverflow => "CM-A010",
             Code::TaintUncheckedSink => "CM-A011",
@@ -131,18 +125,15 @@ impl Code {
             Code::ShapeProductOverflow => "CM-L005",
             Code::AllocInChunkLoop => "CM-L006",
             Code::SharedMutInWorker => "CM-L007",
-            Code::DroppedSpanGuard => "CM-L008",
         }
     }
 
     /// Human-readable rule slug.
     pub fn slug(self) -> &'static str {
         match self {
-            Code::WorkerReachStaticMut => "worker-reach-static-mut",
             Code::NondetOrderMerge => "nondet-order-merge",
             Code::RelaxedOrdering => "relaxed-ordering",
             Code::LockOrder => "lock-order",
-            Code::SpanGuardEscape => "span-guard-escape",
             Code::RangeMulOverflow => "range-mul-overflow",
             Code::RangeAddOverflow => "range-add-overflow",
             Code::TaintUncheckedSink => "taint-unchecked-sink",
@@ -153,17 +144,14 @@ impl Code {
             Code::ShapeProductOverflow => "shape-product-overflow",
             Code::AllocInChunkLoop => "alloc-in-chunk-loop",
             Code::SharedMutInWorker => "shared-mut-in-worker",
-            Code::DroppedSpanGuard => "dropped-span-guard",
         }
     }
 
     /// All analyzer codes, in declaration order.
-    pub const ALL: [Code; 16] = [
-        Code::WorkerReachStaticMut,
+    pub const ALL: [Code; 13] = [
         Code::NondetOrderMerge,
         Code::RelaxedOrdering,
         Code::LockOrder,
-        Code::SpanGuardEscape,
         Code::RangeMulOverflow,
         Code::RangeAddOverflow,
         Code::TaintUncheckedSink,
@@ -174,7 +162,6 @@ impl Code {
         Code::ShapeProductOverflow,
         Code::AllocInChunkLoop,
         Code::SharedMutInWorker,
-        Code::DroppedSpanGuard,
     ];
 }
 
@@ -360,15 +347,11 @@ struct Context<'a> {
 type PassFn = fn(&Context<'_>, &mut Vec<Finding>);
 
 /// Every pass in run order, under the name `pass_ms` reports it by.
-const PASSES: [(&str, PassFn); 8] = [
-    ("capture", |cx, out| {
-        capture::check(cx.ws, &cx.cg, &cx.regions, out)
-    }),
+const PASSES: [(&str, PassFn); 6] = [
     ("reduction", |cx, out| {
         reduction::check(cx.ws, &cx.cg, &cx.regions, out)
     }),
     ("ordering", |cx, out| ordering::check(cx.ws, &cx.cg, out)),
-    ("spans", |cx, out| spans::check(cx.ws, out)),
     ("range", |cx, out| range::check(cx.ws, out)),
     ("taint", |cx, out| taint::check(cx.ws, out)),
     ("results", |cx, out| results::check(cx.ws, out)),
@@ -377,7 +360,7 @@ const PASSES: [(&str, PassFn); 8] = [
 
 /// The passes that carry the `CM-L…` rules. They skip the dataflow
 /// passes, so they stay cheap enough for a debug-build test.
-pub const SOURCE_RULE_PASSES: [&str; 3] = ["capture", "spans", "hygiene"];
+pub const SOURCE_RULE_PASSES: [&str; 1] = ["hygiene"];
 
 /// A complete analyzer run: findings plus run metadata.
 #[derive(Debug)]
@@ -474,50 +457,6 @@ impl Analysis {
     }
 }
 
-/// Parse a prior `analyze --json` artifact into the set of finding
-/// keys it contains, for `--baseline` diff mode.
-///
-/// Keys are `(code, file, message)` — line numbers are deliberately
-/// excluded so unrelated edits that shift a finding a few lines do not
-/// resurrect it past the baseline. A finding whose *message* changes
-/// (different sink expression, different bound) is new.
-pub fn baseline_keys(text: &str) -> Result<BTreeSet<(String, String, String)>, String> {
-    let doc = cubemesh_obs::parse_json(text)
-        .map_err(|(pos, msg)| format!("bad baseline JSON at byte {pos}: {msg}"))?;
-    let findings = doc
-        .get("findings")
-        .and_then(|f| f.as_arr())
-        .ok_or_else(|| "baseline has no \"findings\" array".to_owned())?;
-    let mut keys = BTreeSet::new();
-    for f in findings {
-        let field = |k: &str| f.get(k).and_then(|v| v.as_str()).map(str::to_owned);
-        match (field("code"), field("file"), field("message")) {
-            (Some(code), Some(file), Some(message)) => {
-                keys.insert((code, file, message));
-            }
-            _ => return Err("baseline finding missing code/file/message".to_owned()),
-        }
-    }
-    Ok(keys)
-}
-
-impl Analysis {
-    /// Drop findings whose `(code, file, message)` key appears in
-    /// `baseline` (see [`baseline_keys`]); returns how many were
-    /// suppressed. Run metadata is untouched.
-    pub fn apply_baseline(&mut self, baseline: &BTreeSet<(String, String, String)>) -> usize {
-        let before = self.findings.len();
-        self.findings.retain(|f| {
-            !baseline.contains(&(
-                f.code.as_str().to_owned(),
-                f.file.clone(),
-                f.message.clone(),
-            ))
-        });
-        before - self.findings.len()
-    }
-}
-
 #[cfg(test)]
 pub(crate) fn analyze_str(src: &str) -> Vec<Finding> {
     let mut ws = Workspace::default();
@@ -553,7 +492,9 @@ mod tests {
             assert!(c.as_str().starts_with("CM-A") || c.as_str().starts_with("CM-L"));
         }
         // Retired codes are never reused.
-        for retired in ["CM-A001", "CM-A002", "CM-A004", "CM-L003", "CM-L004"] {
+        for retired in [
+            "CM-A001", "CM-A002", "CM-A003", "CM-A004", "CM-A008", "CM-L003", "CM-L004", "CM-L008",
+        ] {
             assert!(!seen.contains(retired), "{retired} reused");
         }
     }
@@ -568,53 +509,6 @@ mod tests {
         assert!(!is_lib_source("examples/quickstart.rs"));
         assert!(!is_lib_source("crates/bench/benches/obs_overhead.rs"));
         assert!(!is_lib_source("crates/core/src/notes.md"));
-    }
-
-    #[test]
-    fn baseline_roundtrip_suppresses_old_findings_only() {
-        let old = Finding {
-            code: Code::RangeMulOverflow,
-            file: "a.rs".into(),
-            line: 10,
-            message: "product may overflow".into(),
-            path: vec![],
-        };
-        let new = Finding {
-            code: Code::RangeMulOverflow,
-            file: "a.rs".into(),
-            line: 20,
-            message: "a different product".into(),
-            path: vec![],
-        };
-        let moved = Finding {
-            line: 99, // same key, shifted line: still baselined
-            ..old.clone()
-        };
-        let mut analysis = Analysis {
-            findings: vec![old.clone(), new.clone(), moved],
-            files: 1,
-            functions: 1,
-            regions: 0,
-            suppressions: 0,
-            elapsed_ms: 0,
-            pass_ms: vec![],
-        };
-        // Baseline = a prior run that saw only `old`.
-        let prior = Analysis {
-            findings: vec![old],
-            files: 1,
-            functions: 1,
-            regions: 0,
-            suppressions: 0,
-            elapsed_ms: 0,
-            pass_ms: vec![],
-        };
-        let keys = baseline_keys(&prior.to_json()).expect("artifact parses");
-        assert_eq!(keys.len(), 1);
-        assert_eq!(analysis.apply_baseline(&keys), 2);
-        assert_eq!(analysis.findings, vec![new]);
-        assert!(baseline_keys("not json").is_err());
-        assert!(baseline_keys("{\"tool\":\"analyze\"}").is_err());
     }
 
     #[test]

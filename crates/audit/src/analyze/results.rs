@@ -1,24 +1,13 @@
-//! Dataflow-grade dropped-`Result` analysis (CM-A013).
+//! Discarded `Result`s (CM-A013): `let _ = save_trace(&path);`, where
+//! `save_trace` is a workspace function that returns `Result`.
 //!
-//! The lexical `let _ = …` check in [`super::spans`] (`CM-L008`) only
-//! sees span guards; this pass uses the workspace symbol table to know which
-//! *workspace* functions actually return `Result`, and def-use analysis
-//! to know whether a binding of such a call is ever read again. Three
-//! dropped shapes are flagged:
-//!
-//! * a bare expression statement: `save_trace(&path);`
-//! * an explicit discard: `let _ = save_trace(&path);`
-//! * a dead binding: `let r = save_trace(&path);` where `r` never
-//!   occurs again in the function body.
-//!
-//! A call is *used* when its value feeds `?`, a method chain
-//! (`.unwrap_or…`, `.ok()`, `.is_err()`, …), a `match`/`if let`, a
-//! return position, or any later read of the binding. Only calls that
-//! resolve to workspace-defined `Result`-returning functions are
-//! considered — `write!`/`writeln!` and other std `Result`s are out of
-//! scope (those are `#[must_use]`-checked by rustc itself); a name
-//! shared by `Result` and non-`Result` overloads is skipped rather
-//! than guessed at.
+//! The workspace symbol table says which *workspace* functions return
+//! `Result`; a name shared by `Result` and non-`Result` definitions is
+//! skipped rather than guessed at. Std `Result`s (`write!`, …) are out of
+//! scope. The other ways to drop a `Result` are rustc's: a bare statement
+//! is `unused_must_use` and a binding never read is `unused_variables`,
+//! both errors under clippy's `-D warnings`, and both resolve the type
+//! rather than the name. Only `let _ =` is silent to rustc.
 
 use super::{Code, Finding};
 use crate::ast::Workspace;
@@ -99,30 +88,15 @@ pub fn check(ws: &Workspace, findings: &mut Vec<Finding>) {
             let Some(after) = file.next_code(close + 1) else {
                 continue;
             };
-            // Value used: `?`, a method chain, or anything other than a
-            // bare `;` terminator.
+            // The call must end the statement (not feed `?` or a method
+            // chain), which must begin `let _ =`.
             if !file.is(after, ";") {
                 continue;
             }
-            // Walk back over the receiver chain to the statement head.
-            let head = chain_head(file, i);
-            let before = file.prev_code(head);
-            let dropped = match before {
-                // Bare expression statement.
-                None => true,
-                Some(b)
-                    if file.is(b, ";")
-                        || file.tokens[b].kind == TokKind::Open(Delim::Brace)
-                        || file.tokens[b].kind == TokKind::Close(Delim::Brace) =>
-                {
-                    true
-                }
-                // `let BINDER = call(…);` — dropped if the binder is `_`
-                // or is never read afterwards.
-                Some(b) if file.is(b, "=") => dead_binding(file, b, close, end),
-                _ => false,
+            let Some(eq) = file.prev_code(chain_head(file, i)) else {
+                continue;
             };
-            if !dropped {
+            if !discards(file, eq) {
                 continue;
             }
             findings.push(Finding {
@@ -207,42 +181,15 @@ fn chain_head(file: &crate::ast::File, mut i: usize) -> usize {
     }
 }
 
-/// Is the binding introduced by the `=` at token `eq` dead (bound to
-/// `_`, or an identifier never read between the call's `;` and the end
-/// of the function body)?
-fn dead_binding(file: &crate::ast::File, eq: usize, close: usize, body_end: usize) -> bool {
-    let Some(binder) = file.prev_code(eq) else {
+/// Does the `=` at token `eq` end `let _ =`?
+fn discards(file: &crate::ast::File, eq: usize) -> bool {
+    let Some(binder) = file
+        .prev_code(eq)
+        .filter(|&b| file.is(eq, "=") && file.is(b, "_"))
+    else {
         return false;
     };
-    if file.tokens[binder].kind != TokKind::Ident {
-        // Tuple/struct patterns: assume used.
-        return false;
-    }
-    let Some(kw) = file.prev_code(binder) else {
-        return false;
-    };
-    let is_let = file.is(kw, "let")
-        || file.is(kw, "mut") && { file.prev_code(kw).map(|k| file.is(k, "let")) == Some(true) };
-    if !is_let {
-        // Reassignment of an existing variable: its later reads count
-        // as uses of this result; treated as used.
-        return false;
-    }
-    let name = file.text(binder);
-    if name == "_" {
-        return true;
-    }
-    // Underscore-prefixed names are an explicit keep-alive idiom.
-    if name.starts_with('_') {
-        return false;
-    }
-    // Any later read?
-    for j in close + 1..body_end {
-        if file.tokens[j].is_code() && file.tokens[j].kind == TokKind::Ident && file.is(j, name) {
-            return false;
-        }
-    }
-    true
+    file.prev_code(binder).is_some_and(|kw| file.is(kw, "let"))
 }
 
 #[cfg(test)]
@@ -256,62 +203,41 @@ mod tests {
     const HELPER: &str = "pub fn save(x: u32) -> Result<(), String> {\n    if x > 0 { Ok(()) } else { Err(\"zero\".into()) }\n}\n";
 
     #[test]
-    fn bare_statement_fires() {
-        let c = codes(&format!("{HELPER}pub fn f() {{\n    save(3);\n}}\n"));
-        assert!(c.contains(&"CM-A013"), "{c:?}");
-    }
-
-    #[test]
     fn discarded_binding_fires() {
         let c = codes(&format!(
             "{HELPER}pub fn f() {{\n    let _ = save(3);\n}}\n"
         ));
-        assert!(c.contains(&"CM-A013"), "{c:?}");
-    }
-
-    #[test]
-    fn dead_binding_fires() {
+        assert_eq!(c, ["CM-A013"]);
         let c = codes(&format!(
-            "{HELPER}pub fn f() -> u32 {{\n    let r = save(3);\n    7\n}}\n"
+            "{HELPER}pub struct S;\nimpl S {{\n    pub fn g(&self) {{\n        let _ = \
+             self.inner().save(3);\n    }}\n}}\n"
         ));
-        assert!(c.contains(&"CM-A013"), "{c:?}");
+        assert_eq!(c, ["CM-A013"]);
     }
 
     #[test]
-    fn question_mark_is_used() {
-        let c = codes(&format!(
-            "{HELPER}pub fn f() -> Result<(), String> {{\n    save(3)?;\n    Ok(())\n}}\n"
-        ));
-        assert!(!c.contains(&"CM-A013"), "{c:?}");
+    fn rustc_owns_the_other_drops() {
+        // A bare statement is `unused_must_use`, a dead binding
+        // `unused_variables`; an underscore name keeps the value alive.
+        for body in ["save(3);", "let r = save(3);", "let _r = save(3);"] {
+            let c = codes(&format!("{HELPER}pub fn f() {{\n    {body}\n}}\n"));
+            assert!(c.is_empty(), "{body}: {c:?}");
+        }
     }
 
     #[test]
-    fn read_binding_is_used() {
-        let c = codes(&format!(
-            "{HELPER}pub fn f() -> bool {{\n    let r = save(3);\n    r.is_ok()\n}}\n"
-        ));
-        assert!(!c.contains(&"CM-A013"), "{c:?}");
-    }
-
-    #[test]
-    fn method_chain_is_used() {
-        let c = codes(&format!(
-            "{HELPER}pub fn f() {{\n    save(3).unwrap_or(());\n}}\n"
-        ));
-        assert!(!c.contains(&"CM-A013"), "{c:?}");
-    }
-
-    #[test]
-    fn non_result_fn_is_ignored() {
-        let c = codes("pub fn plain(x: u32) -> u32 {\n    x\n}\npub fn f() {\n    plain(3);\n}\n");
-        assert!(!c.contains(&"CM-A013"), "{c:?}");
-    }
-
-    #[test]
-    fn std_macros_are_out_of_scope() {
-        let c = codes(
-            "use std::fmt::Write;\npub fn f(buf: &mut String) {\n    let _ = write!(buf, \"x\");\n}\n",
-        );
-        assert!(!c.contains(&"CM-A013"), "{c:?}");
+    fn kept_or_non_result_values_do_not_fire() {
+        for body in [
+            "save(3)?;",
+            "let _ = save(3).is_ok();",
+            "let _ = plain(3);",
+            "let _ = write!(buf, \"x\");",
+        ] {
+            let c = codes(&format!(
+                "{HELPER}pub fn plain(x: u32) -> u32 {{\n    x\n}}\n\
+                 pub fn f(buf: &mut String) -> Result<(), String> {{\n    {body}\n    Ok(())\n}}\n"
+            ));
+            assert!(c.is_empty(), "{body}: {c:?}");
+        }
     }
 }

@@ -1,21 +1,17 @@
 //! The `cubemesh-audit` gate binary.
 //!
 //! ```text
-//! cubemesh-audit analyze [--json] [--sarif FILE] [--baseline JSON] [--root DIR]
+//! cubemesh-audit analyze [--json] [--root DIR]
 //!     Run the source analyzer over the library sources: the
-//!     interprocedural passes (CM-A003, CM-A005..A013: worker reach of
-//!     `static mut`, order-sensitive merges, lock/atomic discipline,
-//!     span-stack balance, value-range overflow proofs, taint tracking,
-//!     dropped Results) and the hygiene rules (CM-L001/L002/L005..L008:
-//!     panics, narrowing casts, chunk-loop allocation, `static mut`,
-//!     dropped span guards). The races rustc rejects at every fan-out
-//!     (retired CM-A001, A002, A004) are pinned by compile-fail probes
-//!     instead. Exit 1 on any finding; interprocedural findings carry
-//!     call-path evidence from the fan-out site to the sink. --json
-//!     emits the cubemesh-audit-diag/v1 schema; --baseline diffs
-//!     against a prior `analyze --json` artifact and reports only new
-//!     findings; --sarif writes the (post-baseline) findings as SARIF
-//!     2.1.0.
+//!     interprocedural passes (CM-A005..A007, A009..A013: order-sensitive
+//!     merges, lock/atomic discipline, value-range overflow proofs, taint
+//!     tracking, `Result`s discarded by `let _ =`) and the hygiene rules
+//!     (CM-L001/L002/L005..L007: panics, narrowing casts, chunk-loop
+//!     allocation, `static mut`). What rustc rejects (retired CM-A001..A004,
+//!     A008, L008) is pinned by compile-fail probes instead. Exit 1 on any
+//!     finding; interprocedural findings carry call-path evidence from the
+//!     fan-out site to the sink. --json emits the cubemesh-audit-diag/v1
+//!     schema.
 //! cubemesh-audit certify [--json] [--sweep N] [L1 [L2 L3]]
 //!     Certify shapes and report certificate vs proven floor per
 //!     figure of merit. With explicit extents, one shape; with
@@ -52,7 +48,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: cubemesh-audit <command> [--stats] [--trace FILE]
-  analyze [--json] [--sarif FILE] [--baseline JSON] [--root DIR]
+  analyze [--json] [--root DIR]
   certify [--json] [--sweep N] [L1 [L2 L3]]
   selfcheck [--max-axis N] [--construct-cap N] [--quick]";
 
@@ -75,48 +71,25 @@ fn main() -> ExitCode {
 }
 
 fn cmd_analyze(words: &[String]) -> Result<ExitCode, String> {
-    let args = Args::parse(words, &["--json"], &["--sarif", "--baseline", "--root"])?;
+    let args = Args::parse(words, &["--json"], &["--root"])?;
     args.no_positional()?;
     Ok(CLI.outcome(analyze(&args)))
 }
 
 /// Run the source analyzer and print its findings (exit 1 on any); a
-/// baseline, a root or a SARIF path that cannot be used is a failure.
+/// root that cannot be read is a failure.
 fn analyze(args: &Args) -> Result<ExitCode, String> {
     let root = PathBuf::from(args.value("--root").unwrap_or("."));
-    // Baseline diff mode: load the prior `analyze --json` artifact up
-    // front so a bad path fails before the (multi-second) analysis.
-    let baseline = match args.value("--baseline") {
-        None => None,
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-            Some(cubemesh_audit::baseline_keys(&text).map_err(|e| format!("{path}: {e}"))?)
-        }
-    };
-    let mut analysis = cubemesh_audit::Analysis::run_root(&root).map_err(|e| e.to_string())?;
-    let baselined = baseline
-        .map(|keys| analysis.apply_baseline(&keys))
-        .unwrap_or(0);
-    if let Some(path) = args.value("--sarif") {
-        let log = cubemesh_audit::sarif::to_sarif(&analysis.findings);
-        std::fs::write(path, log).map_err(|e| format!("cannot write SARIF to {path}: {e}"))?;
-        eprintln!("sarif: {} result(s) -> {path}", analysis.findings.len());
-    }
+    let analysis = cubemesh_audit::Analysis::run_root(&root).map_err(|e| e.to_string())?;
     if args.has("--json") {
         println!("{}", analysis.to_json());
     } else {
         for f in &analysis.findings {
             println!("{f}");
         }
-        let diffed = if baselined > 0 {
-            format!(" ({baselined} baselined)")
-        } else {
-            String::new()
-        };
         println!(
-            "audit analyze: {} finding(s){diffed} | {} files, {} functions, {} parallel \
-             regions, {} suppression(s) | {} ms",
+            "audit analyze: {} finding(s) | {} files, {} functions, {} parallel regions, {} \
+             suppression(s) | {} ms",
             analysis.findings.len(),
             analysis.files,
             analysis.functions,
@@ -298,11 +271,7 @@ fn cmd_certify(words: &[String]) -> Result<ExitCode, String> {
             eprintln!("certification FAILED: {e}");
             Ok(ExitCode::FAILURE)
         }
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(ExitCode::SUCCESS),
-        Err(e) => {
-            eprintln!("cubemesh-audit: writing the records failed: {e}");
-            Ok(ExitCode::FAILURE)
-        }
+        Err(e) => Ok(CLI.outcome(Err(e))),
     }
 }
 

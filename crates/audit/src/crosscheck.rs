@@ -421,7 +421,7 @@ fn walk(
     max_axis: usize,
     mut check: impl FnMut(&Shape, &mut SweepReport) -> Result<(), CrosscheckError>,
 ) -> Result<SweepReport, CrosscheckError> {
-    let _span = obs::span!(name);
+    obs::span!(name);
     let mut report = SweepReport::default();
     for a in 1..=max_axis {
         for b in a..=max_axis {

@@ -17,30 +17,29 @@
 //! * [`analyze`] — the one source analyzer, built on a real front end: a
 //!   lossless Rust [`lexer`], a lightweight item/closure parser ([`ast`])
 //!   producing a workspace symbol table, and a may-call [`callgraph`].
-//!   Its interprocedural passes prove worker code free of `static mut`
-//!   (`CM-A003`) and of merges that follow the schedule — through a lock
-//!   guard, or from hash iteration (`CM-A005`) — atomics/locks
-//!   disciplined (`CM-A006`–`A007`), and span guards LIFO
-//!   (`CM-A008`) — each finding carrying call-path evidence from the
-//!   fan-out site to the sink. On top of the same front end sits a
-//!   dataflow engine — an intraprocedural [`cfg`] and a generic worklist
-//!   solver with widening ([`dataflow`]) — powering value-range overflow
-//!   proofs on shape/address arithmetic (`CM-A009`–`A010`), taint
-//!   tracking from untrusted inputs to index/capacity/constructor sinks
-//!   (`CM-A011`–`A012`), and def-use dropped-`Result` analysis
-//!   (`CM-A013`). Site-local hygiene rules ride the same token stream:
-//!   no `unwrap`/`expect`/`panic!` outside tests (`CM-L001`), no
+//!   Its interprocedural passes prove worker code free of merges that
+//!   follow the schedule — through a lock guard, or from hash iteration
+//!   (`CM-A005`) — and atomics/locks disciplined (`CM-A006`–`A007`),
+//!   each finding carrying call-path evidence from the fan-out site to
+//!   the sink. On top of the same front end sits a dataflow engine — an
+//!   intraprocedural [`cfg`] and a generic worklist solver with widening
+//!   ([`dataflow`]) — powering value-range overflow proofs on
+//!   shape/address arithmetic (`CM-A009`–`A010`), taint tracking from
+//!   untrusted inputs to index/capacity/constructor sinks
+//!   (`CM-A011`–`A012`), and the workspace `Result`s discarded by
+//!   `let _ =` (`CM-A013`). Site-local hygiene rules ride the same token
+//!   stream: no `unwrap`/`expect`/`panic!` outside tests (`CM-L001`), no
 //!   narrowing casts of cube addresses or shape extents (`CM-L002`,
-//!   `CM-L005`), no allocation inside chunk/shard loops (`CM-L006`), no
-//!   `static mut` (`CM-L007`), and no span guard dropped on the spot
-//!   (`CM-L008`). The races rustc rejects at every fan-out (`Fn + Sync`
-//!   pool workers, `Send` threads) are not re-checked: retired
-//!   `CM-A001`, `A002` and `A004` are pinned by the compile-fail probes
-//!   in `tests/compile_fail/`. Findings are waived only by
-//!   an inline `audit:allow(CODE)` comment that states its reason; they
-//!   serialize in the `cubemesh-audit-diag/v1` schema, diff against a
-//!   prior artifact ([`analyze::baseline_keys`], `analyze --baseline`),
-//!   and export as SARIF 2.1.0 ([`sarif`]) for editor/CI annotation.
+//!   `CM-L005`), no allocation inside chunk/shard loops (`CM-L006`), and
+//!   no `static mut` declaration (`CM-L007`). What rustc rejects is not
+//!   re-checked: races at every fan-out (`Fn + Sync` pool workers,
+//!   `Send` threads), `static mut` access (`unsafe_code`), span guards
+//!   dropped early (`span!` binds its own), and `Result`s dropped by a
+//!   statement or an unread binding (`unused_must_use`,
+//!   `unused_variables`). The retired codes are pinned by the
+//!   compile-fail probes in `tests/compile_fail/`. Findings are waived
+//!   only by an inline `audit:allow(CODE)` comment that states its
+//!   reason, and serialize in the `cubemesh-audit-diag/v1` schema.
 
 #![forbid(unsafe_code)]
 
@@ -55,10 +54,9 @@ pub mod dataflow;
 pub mod fingerprint;
 pub mod lexer;
 pub mod manytoone;
-pub mod sarif;
 pub mod torus;
 
-pub use analyze::{baseline_keys, Analysis, Code, Finding};
+pub use analyze::{Analysis, Code, Finding};
 pub use bounds::{manytoone_floors, mesh_floors, torus_floors, Floors};
 pub use certificate::{certify, check_plan, dilation_floor, AuditError, Certificate};
 pub use crosscheck::{

@@ -1,6 +1,6 @@
-//! Known-bad: the `Result` of a workspace fallible function is silently
-//! dropped (CM-A013). Propagate with `?`, match on the error, or keep a
-//! read binding.
+//! Known-bad: the `Result` of a workspace fallible function is discarded
+//! by `let _ =` (CM-A013), the one form rustc stays silent on. Propagate
+//! with `?`, match on the error, or keep a read binding.
 
 pub fn save_counts(x: u32) -> Result<(), String> {
     if x > 0 {
@@ -11,5 +11,5 @@ pub fn save_counts(x: u32) -> Result<(), String> {
 }
 
 pub fn run(x: u32) {
-    save_counts(x);
+    let _ = save_counts(x);
 }

@@ -57,7 +57,7 @@ fn multiplicity(a: usize, b: usize, c: usize) -> u64 {
 /// permutation-invariant; tested in `cubemesh-core`).
 pub fn census_3d(n: u32) -> ThreeDCensus {
     assert!((1..=9).contains(&n), "paper domain is n = 1..9");
-    let _span = obs::span!("census.3d");
+    obs::span!("census.3d");
     let limit = 1usize << n;
     let (two, three) = workspace_catalog();
     let c2 = Cover2::build(limit, two);

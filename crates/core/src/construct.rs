@@ -50,7 +50,7 @@ impl std::error::Error for ConstructError {}
 pub fn construct(shape: &Shape, plan: &Plan) -> Result<Embedding, ConstructError> {
     // One span per top-level lowering; the product recursion shows up as
     // nested `product.fill` children in a trace.
-    let _span = obs::span!("construct");
+    obs::span!("construct");
     let reduced = reduce(shape);
     let emb = construct_reduced(&reduced, plan)?;
     Ok(lift(emb, shape))

@@ -279,16 +279,12 @@ impl Planner {
     /// restriction applies recursively, so the result is a plan the
     /// masked rule set can justify on its own.
     pub(crate) fn plan_masked(&mut self, shape: &Shape, mask: RuleMask) -> Option<Plan> {
-        // Rules recurse through `replan`; only the outermost call
-        // opens a trace span, so a query shows up as one `planner.plan`
-        // with rule-hit instants nested inside it.
-        let _span = (self.depth == 0).then(|| obs::span!("planner.plan"));
+        // Rules recurse through `replan`, never through here, so a query
+        // shows up as one `planner.plan` span with rule-hit instants
+        // nested inside it, and publishes its batched tallies once.
+        obs::span!("planner.plan");
         let result = self.replan(shape.dims(), mask);
-        // Only the outermost call (depth back at 0) publishes the
-        // batched tallies.
-        if self.depth == 0 {
-            self.flush_stats();
-        }
+        self.flush_stats();
         result
     }
 

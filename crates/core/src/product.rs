@@ -190,7 +190,7 @@ pub fn mesh_product_embedding(
     let mut map = vec![0u64; nodes];
     let mut routes = HopRoutes::blank(view.edge_count(), width);
     {
-        let _span = obs::span!("product.fill");
+        obs::span!("product.fill");
         let map_pieces = split_at_ends(&mut map, chunks.iter().map(|r| r.end));
         let writers = routes.writers(chunks.iter().map(|r| view.edges_before_node(r.end)));
         let pieces: Vec<Piece<'_>> = chunks

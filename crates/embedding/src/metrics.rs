@@ -75,7 +75,7 @@ pub fn metrics(e: &Embedding) -> Metrics {
 /// Single-threaded metrics: one pass gathering steps, one sort, one run
 /// count.
 pub fn metrics_seq(e: &Embedding) -> Metrics {
-    let _span = obs::span!("metrics.seq");
+    obs::span!("metrics.seq");
     dil_cong_dispatch(e, 1)
 }
 
@@ -84,7 +84,7 @@ pub fn metrics_seq(e: &Embedding) -> Metrics {
 /// path is exercised (and testable) even on a single-core host; agrees
 /// exactly with [`metrics_seq`].
 pub fn metrics_par(e: &Embedding) -> Metrics {
-    let _span = obs::span!("metrics.par");
+    obs::span!("metrics.par");
     let parts = effective_threads().max(2);
     obs::trace::gauge("metrics.shards", parts as u64);
     dil_cong_dispatch(e, parts)

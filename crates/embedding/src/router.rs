@@ -72,7 +72,6 @@ fn permutations(bits: &[u32]) -> Vec<Vec<u32>> {
                 rest.remove(i);
                 for mut tail in permutations(&rest) {
                     let mut perm = vec![b];
-                    // audit:allow(CM-A013): Vec::append, which returns no Result
                     perm.append(&mut tail);
                     out.push(perm);
                 }
@@ -127,7 +126,7 @@ fn balanced_routes(
     host: Hypercube,
     passes: usize,
 ) -> PathRoutes {
-    let _span = obs::span!("router.balanced");
+    obs::span!("router.balanced");
     obs::counter!("router.balanced.calls").inc();
     // Congestion counters on host edges, sparse.
     let mut load: HashMap<usize, u32> = HashMap::new();

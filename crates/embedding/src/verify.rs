@@ -235,7 +235,7 @@ fn shard_routes(e: &Embedding) -> bool {
 
 /// Address ranges (unless already proven) and every route, in one scan.
 fn check_routes_seq(e: &Embedding, addresses_checked: bool) -> Result<(), VerifyError> {
-    let _span = obs::span!("verify.seq");
+    obs::span!("verify.seq");
     if !addresses_checked {
         check_addresses(e)?;
     }
@@ -244,7 +244,7 @@ fn check_routes_seq(e: &Embedding, addresses_checked: bool) -> Result<(), Verify
 
 /// [`check_routes_seq`] over contiguous edge-id shards.
 fn check_routes_par(e: &Embedding, addresses_checked: bool) -> Result<(), VerifyError> {
-    let _span = obs::span!("verify.par");
+    obs::span!("verify.par");
     if !addresses_checked {
         check_addresses(e)?;
     }

@@ -293,7 +293,7 @@ fn drive<S: Source>(
     switching: Switching,
     observer: &mut dyn SimObserver,
 ) -> Result<SimResult, SimError> {
-    let _span = obs::span!("netsim.sim");
+    obs::span!("netsim.sim");
     // Event: (ready_time, msg_id) — message msg_id is at hop `hops[msg_id]`
     // ready to request its next link at ready_time.
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();

@@ -8,11 +8,13 @@
 //! 2, so 2 only ever means a bad command line; [`Cli::outcome`] turns
 //! a failed run into its reason and exit 1. Every exit but a refusal
 //! records `process.peak_rss_kib`, prints the snapshot and writes the
-//! trace. Inside, [`Args::parse`] splits a (sub)command's words against
-//! the flags it declares.
+//! trace. A run whose stdout reader has gone (`| head`) stops at its
+//! next write and exits 0 ([`Halt::ReaderGone`]). Inside, [`Args::parse`]
+//! splits a (sub)command's words against the flags it declares.
 
 use std::ffi::OsString;
 use std::fmt::Display;
+use std::io;
 use std::ops::RangeInclusive;
 use std::path::Path;
 use std::process::ExitCode;
@@ -131,18 +133,49 @@ impl Cli {
         }
     }
 
-    /// The exit code of a run whose steps may fail: its own, or 1 after
-    /// `<bin>: <reason>` on stderr.
-    pub fn outcome(&self, run: Result<ExitCode, String>) -> ExitCode {
-        run.unwrap_or_else(|reason| {
-            eprintln!("{}: {reason}", self.bin);
-            ExitCode::FAILURE
-        })
+    /// The exit code of a run whose steps may fail: its own, 0 when its
+    /// stdout reader has gone, or 1 after `<bin>: <reason>` on stderr.
+    pub fn outcome(&self, run: Result<ExitCode, impl Into<Halt>>) -> ExitCode {
+        match run.map_err(Into::into) {
+            Ok(code) => code,
+            Err(Halt::ReaderGone) => ExitCode::SUCCESS,
+            Err(Halt::Failed(reason)) => {
+                eprintln!("{}: {reason}", self.bin);
+                ExitCode::FAILURE
+            }
+        }
     }
 
     fn refuse(&self, reason: &str) -> ExitCode {
         eprintln!("{}: {reason}\n{}", self.bin, self.usage);
         ExitCode::from(2)
+    }
+}
+
+/// Why a run stopped before its end.
+#[derive(Debug)]
+pub enum Halt {
+    /// A step failed: exit 1 after the reason.
+    Failed(String),
+    /// The reader of stdout closed it (`| head`): exit 0, quietly.
+    ReaderGone,
+}
+
+impl From<String> for Halt {
+    fn from(reason: String) -> Halt {
+        Halt::Failed(reason)
+    }
+}
+
+impl From<io::Error> for Halt {
+    /// A failed write of the report: [`Halt::ReaderGone`] for a broken
+    /// pipe, the one test of it in the workspace.
+    fn from(e: io::Error) -> Halt {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            Halt::ReaderGone
+        } else {
+            Halt::Failed(format!("writing the report failed: {e}"))
+        }
     }
 }
 
@@ -365,6 +398,17 @@ mod tests {
             Args::parse(&words("stray"), &[], &[]).and_then(|a| a.no_positional()),
             Err("unexpected argument 'stray'".to_owned())
         );
+    }
+
+    #[test]
+    fn a_closed_stdout_is_a_quiet_success() {
+        let demo = cli(Report::Off);
+        let gone = || io::Error::from(io::ErrorKind::BrokenPipe);
+        assert!(matches!(Halt::from(gone()), Halt::ReaderGone));
+        assert_eq!(demo.outcome(Err(gone())), ExitCode::SUCCESS);
+        let full = Halt::from(io::Error::other("disk full"));
+        assert!(matches!(full, Halt::Failed(r) if r.contains("disk full")));
+        assert_eq!(demo.outcome(Err("bad".to_owned())), ExitCode::FAILURE);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   thread-indexed) so pool workers don't contend on one cache line.
 //! * [`Histogram`] — log2-bucketed value/latency distribution with
 //!   exact count, sum, min and max.
-//! * [`SpanTimer`] — RAII wall-clock timer; nested spans build a
-//!   `parent/child` path via a thread-local span stack and record
-//!   nanoseconds into a histogram per path.
+//! * [`span!`] — a wall-clock span over the rest of its block; nested
+//!   spans build a `parent/child` path via a thread-local span stack and
+//!   record nanoseconds into a histogram per path.
 //! * [`Progress`] — rate-limited `\r`-style progress line with ETA,
 //!   safe to tick from pool workers.
 //! * a process-global named-metric registry behind the [`counter!`],
@@ -45,7 +45,7 @@
 //! cubemesh_obs::counter!("demo.widgets").inc();
 //! cubemesh_obs::histogram!("demo.sizes").record(37);
 //! {
-//!     let _t = cubemesh_obs::span!("demo.outer");
+//!     cubemesh_obs::span!("demo.outer");
 //!     // ... timed region ...
 //! }
 //! let snap = cubemesh_obs::snapshot();
@@ -70,6 +70,7 @@ pub use registry::{counter_named, histogram_named, reset, snapshot, Registry};
 pub use snapshot::Snapshot;
 pub use span::{span_histogram_named, SpanTimer};
 
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 
 /// Output format chosen for the end-of-run snapshot dump.
@@ -149,7 +150,11 @@ pub fn report() {
     match mode() {
         StatsMode::Off => {}
         StatsMode::Text => eprint!("{}", snapshot().to_text()),
-        StatsMode::Json => println!("{}", snapshot().to_json()),
+        // A reader of stdout that has gone (`| head`) misses the
+        // snapshot; that is no failure of the run.
+        StatsMode::Json => {
+            let _ = writeln!(std::io::stdout().lock(), "{}", snapshot().to_json());
+        }
     }
 }
 

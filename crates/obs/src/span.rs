@@ -32,10 +32,12 @@ pub fn span_histogram_named(path: &str) -> &'static Histogram {
     crate::histogram_named(&format!("span.{path}"))
 }
 
-/// An RAII wall-clock timer. Construct with [`SpanTimer::new`] (or the
-/// [`span!`](crate::span) macro); the elapsed time is recorded when the
-/// value drops. Inert (records nothing, tracks no stack) while both
-/// stats and tracing are disabled.
+/// The guard behind [`span!`](crate::span): an RAII wall-clock timer
+/// whose elapsed time is recorded when it drops. Inert (records nothing,
+/// tracks no stack) while both stats and tracing are disabled. Hidden
+/// from the docs: open spans with the macro, which binds the guard where
+/// no caller can name it.
+#[doc(hidden)]
 pub struct SpanTimer {
     start: Option<Instant>,
     hist: Option<&'static Histogram>,
@@ -91,11 +93,6 @@ impl SpanTimer {
             pushed: true,
         }
     }
-
-    /// Elapsed time so far, if the span is timing (stats enabled at open).
-    pub fn elapsed_ns(&self) -> Option<u64> {
-        self.start.map(|s| s.elapsed().as_nanos() as u64)
-    }
 }
 
 impl Drop for SpanTimer {
@@ -115,21 +112,28 @@ impl Drop for SpanTimer {
     }
 }
 
-/// Open an RAII [`SpanTimer`](crate::SpanTimer); bind it to keep the
-/// span open for a scope:
+/// Time the rest of the enclosing block as a span named `name` (a
+/// string literal, or otherwise `'static`):
 ///
 /// ```
 /// cubemesh_obs::set_enabled(true);
 /// {
-///     let _outer = cubemesh_obs::span!("doc_outer");
-///     let _inner = cubemesh_obs::span!("doc_inner"); // records span.doc_outer/doc_inner
+///     cubemesh_obs::span!("doc_outer");
+///     cubemesh_obs::span!("doc_inner"); // records span.doc_outer/doc_inner
 /// }
 /// cubemesh_obs::set_enabled(false);
 /// ```
+///
+/// The macro is a statement: it binds the guard under a name the caller
+/// cannot see, so the span closes at the end of the block, after every
+/// span opened later in it (locals drop in reverse order), and the
+/// per-thread span stack stays LIFO. A guard that drops early does not
+/// compile: `let _ = span!(…)` does not parse, and no code can name the
+/// guard to drop, forget, return or store it.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
-        $crate::SpanTimer::new($name)
+        let _span_guard = $crate::SpanTimer::new($name);
     };
 }
 
@@ -140,9 +144,9 @@ mod tests {
         let _g = crate::testutil::guard();
         crate::set_enabled(true);
         {
-            let _a = crate::span!("span_test_outer");
+            crate::span!("span_test_outer");
             {
-                let _b = crate::span!("span_test_inner");
+                crate::span!("span_test_inner");
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
         }
@@ -166,8 +170,8 @@ mod tests {
         let _g = crate::testutil::guard();
         crate::set_enabled(false);
         {
-            let t = crate::span!("span_test_disabled");
-            assert!(t.elapsed_ns().is_none());
+            let t = super::SpanTimer::new("span_test_disabled");
+            assert!(t.start.is_none() && !t.pushed);
         }
         assert!(crate::snapshot()
             .histogram("span.span_test_disabled")
@@ -183,16 +187,16 @@ mod tests {
         crate::trace::reset();
         crate::trace::set_enabled(true);
         {
-            let _a = crate::span!("span_test_trace_only");
+            crate::span!("span_test_trace_only");
             {
-                let _b = crate::span!("span_test_trace_only_inner");
+                crate::span!("span_test_trace_only_inner");
             }
         }
         crate::trace::set_enabled(false);
         // A later stats-enabled span sees an empty stack (no leaked frames).
         crate::set_enabled(true);
         {
-            let _c = crate::span!("span_test_after_trace");
+            crate::span!("span_test_after_trace");
         }
         crate::set_enabled(false);
         let snap = crate::snapshot();

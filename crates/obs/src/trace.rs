@@ -5,7 +5,7 @@
 //! for per-thread buffers drained after workers join.
 //!
 //! Where the metric layer ([`Counter`](crate::Counter) /
-//! [`Histogram`](crate::Histogram) / [`SpanTimer`](crate::SpanTimer))
+//! [`Histogram`](crate::Histogram) / [`span!`](crate::span))
 //! aggregates, the trace layer *records*: every span open/close becomes
 //! an event with a process-unique span id, the id of its parent span on
 //! the same thread, the thread's trace id and a monotonic timestamp.
@@ -560,10 +560,10 @@ mod tests {
 
     fn run_workload() -> TraceLog {
         {
-            let _outer = crate::span!("trace_test_outer");
+            crate::span!("trace_test_outer");
             gauge("trace_test_gauge", 7);
             {
-                let _inner = crate::span!("trace_test_inner");
+                crate::span!("trace_test_inner");
                 instant("trace_test_instant", "detail!");
             }
         }
@@ -656,7 +656,7 @@ mod tests {
         reset();
         set_enabled(false);
         {
-            let _s = crate::span!("trace_test_disabled");
+            crate::span!("trace_test_disabled");
             gauge("trace_test_disabled_gauge", 1);
             instant("trace_test_disabled_instant", "");
         }
@@ -673,7 +673,7 @@ mod tests {
         // its destructor, while `join` waits for the thread to exit.
         std::thread::scope(|s| {
             let worker = s.spawn(|| {
-                let _w = crate::span!("trace_test_worker");
+                crate::span!("trace_test_worker");
             });
             assert!(worker.join().is_ok(), "worker panicked");
         });
@@ -698,7 +698,7 @@ mod tests {
         crate::set_enabled(true);
         set_enabled(true);
         {
-            let _s = crate::span!("trace_test_both");
+            crate::span!("trace_test_both");
         }
         set_enabled(false);
         crate::set_enabled(false);

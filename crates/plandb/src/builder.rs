@@ -177,7 +177,7 @@ fn plan_blocks(pending: &[&Vec<usize>]) -> Result<Vec<PlanRecord>, DbError> {
 /// `cfg.checkpoint` when the log exists; the final file is byte-
 /// identical across pool widths and across fresh-vs-resumed runs.
 pub fn build(cfg: &BuildConfig, out: &Path) -> Result<BuildReport, DbError> {
-    let _span = obs::span!("plandb.build");
+    obs::span!("plandb.build");
     if cfg.max_axis == 0 || cfg.max_axis > MAX_BUILD_AXIS {
         return Err(DbError::BadKey {
             reason: format!("max_axis {} out of 1..={MAX_BUILD_AXIS}", cfg.max_axis),

@@ -214,7 +214,7 @@ impl PlanDb {
     /// is streamed once and never held whole; record payloads are
     /// CRC-checked lazily on [`get`](PlanDb::get).
     pub fn open(path: &Path) -> Result<PlanDb, DbError> {
-        let _span = cubemesh_obs::span!("plandb.open");
+        cubemesh_obs::span!("plandb.open");
         let mut file = File::open(path)?;
         let mut header = [0u8; HEADER_BYTES];
         file.read_exact(&mut header).map_err(|_| DbError::Corrupt {

@@ -25,6 +25,13 @@
 //! Panics: the first worker panic is captured, remaining tasks are
 //! abandoned (counted but not run), and the original payload is resumed
 //! exactly once on the submitting thread.
+//!
+//! Unsafe code: this is the one crate with any, the type-erased region
+//! runner below. `unsafe_code` is denied here and forbidden in every
+//! other library crate, so each unsafe item carries an `allow` that
+//! states its reason, and no other code can reach a `static mut`.
+
+#![deny(unsafe_code)]
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -118,7 +125,15 @@ struct RunnerPtr {
     data: *const (),
     call: unsafe fn(*const (), usize),
 }
+#[allow(
+    unsafe_code,
+    reason = "both fields are plain addresses; the runner they name is Sync and outlives every task"
+)]
 unsafe impl Send for RunnerPtr {}
+#[allow(
+    unsafe_code,
+    reason = "both fields are plain addresses; the runner they name is Sync and outlives every task"
+)]
 unsafe impl Sync for RunnerPtr {}
 
 /// Monomorphized trampoline rehydrating the erased runner.
@@ -126,6 +141,10 @@ unsafe impl Sync for RunnerPtr {}
 /// # Safety
 /// `data` must point at a live `F`; guaranteed by the `run_steal`
 /// blocking argument on [`RunnerPtr`].
+#[allow(
+    unsafe_code,
+    reason = "rehydrates the erased runner; callers hold the RunnerPtr liveness argument"
+)]
 unsafe fn call_runner<F: Fn(usize) + Sync>(data: *const (), task: usize) {
     let f = &*(data as *const F);
     f(task);
@@ -214,7 +233,6 @@ impl Region {
             let task = grabbed.pop_front();
             if !grabbed.is_empty() {
                 let mut own = lock(&self.queues[me]);
-                // audit:allow(CM-A013): VecDeque::append, which returns no Result
                 own.append(&mut grabbed);
             }
             if task.is_some() {
@@ -245,7 +263,13 @@ impl Region {
         // frame, which cannot unwind past `wait_done` while
         // `pending > 0`; this deref happens strictly before this task's
         // `pending` decrement below.
-        unsafe { (self.runner.call)(self.runner.data, task) };
+        #[allow(
+            unsafe_code,
+            reason = "calls the erased runner while its region is still pending"
+        )]
+        unsafe {
+            (self.runner.call)(self.runner.data, task)
+        };
         if self.pending.fetch_sub(1, SeqCst) == 1 {
             let mut g = lock(&self.done_mx);
             *g = true;

@@ -381,7 +381,7 @@ pub fn replay(
     trace: &Trace,
     cfg: &ReplayConfig,
 ) -> Result<ReplayReport, ReplayError> {
-    let _span = obs::span!("replay.run");
+    obs::span!("replay.run");
     trace.validate(emb)?;
     let horizon = trace.horizon();
     let window = if cfg.window == 0 {
@@ -411,7 +411,7 @@ pub fn replay(
         // Per-window trace span: a traced replay shows one `replay.window`
         // child per simulated window under `replay.run`, with the window's
         // queue/occupancy shape as gauge tracks.
-        let _wspan = obs::span!("replay.window");
+        obs::span!("replay.window");
         let pick = |v: &Vec<u64>| v.get(w).copied().unwrap_or(0);
         let mut sample = observer
             .latencies
@@ -527,7 +527,7 @@ pub fn rate_sweep(
     seed: u64,
     switching: Switching,
 ) -> Result<Vec<SweepPoint>, ReplayError> {
-    let _span = obs::span!("replay.sweep");
+    obs::span!("replay.sweep");
     // Each rate's replay is independent and seeded identically whether it
     // runs on the caller or a pool worker; the order-preserving results
     // plus first-error-in-rate-order reporting keep the parallel sweep

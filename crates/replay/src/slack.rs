@@ -177,7 +177,7 @@ pub fn certificate_slack(
     phases: u64,
     switching: Switching,
 ) -> Result<SlackEntry, SlackError> {
-    let _span = obs::span!("replay.slack");
+    obs::span!("replay.slack");
     let plan = plan_shape(&mut Planner::new(), shape)
         .ok_or_else(|| SlackError::NoPlan {
             shape: shape.clone(),

@@ -60,7 +60,7 @@ pub enum AnnealOutcome {
 
 /// Run simulated annealing. Deterministic for a fixed config.
 pub fn anneal(guest: &Graph, cfg: &AnnealConfig) -> AnnealOutcome {
-    let _span = obs::span!("search.anneal");
+    obs::span!("search.anneal");
     let outcome = anneal_inner(guest, cfg);
     match &outcome {
         AnnealOutcome::Found(_) => {

@@ -77,7 +77,7 @@ pub fn find_embedding(guest: &Graph, order: &[u32], cfg: &SearchConfig) -> Searc
         return SearchOutcome::Found(vec![]);
     }
 
-    let _span = obs::span!("search.backtrack");
+    obs::span!("search.backtrack");
     let started = std::time::Instant::now();
     let mut st = State {
         guest,

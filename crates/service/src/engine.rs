@@ -242,7 +242,7 @@ impl QueryEngine {
     /// split. Verifies the measured figures against the record's
     /// certificate.
     pub fn resolve(&self, dims: &[usize]) -> Result<Resolved, ServiceError> {
-        let _span = obs::span!("service.resolve");
+        obs::span!("service.resolve");
         let (rec, _) = self.lookup(dims)?;
         let plan = rec.plan().map_err(ServiceError::Db)?;
         let shape = Shape::new(&rec.key);

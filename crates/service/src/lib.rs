@@ -17,8 +17,9 @@
 //! * [`protocol`] — the line-delimited JSON wire format (parsed with
 //!   the workspace's own [`cubemesh_obs::parse_json`] — the service
 //!   adds no dependencies);
-//! * [`server`] — the blocking TCP front end: bounded worker pool,
-//!   non-blocking accept loop, cooperative shutdown via a shared flag
+//! * [`server`] — the blocking TCP front end: bounded worker pool
+//!   polling one non-blocking listener, request lines of at most
+//!   [`MAX_LINE_BYTES`], cooperative shutdown via a shared flag
 //!   (set by the `shutdown` op, a signal handler, or any holder of
 //!   [`Server::shutdown_flag`]).
 //!
@@ -33,7 +34,7 @@ pub mod server;
 
 pub use engine::{EngineConfig, QueryEngine, Resolved, Source, StatsSnapshot, MAX_OVERLAY};
 pub use protocol::{handle_line, parse_request, render_error, Request, MAX_BATCH};
-pub use server::{serve, Server, ServerConfig, MAX_WORKERS};
+pub use server::{serve, Server, ServerConfig, MAX_LINE_BYTES, MAX_WORKERS};
 
 use cubemesh_plandb::DbError;
 use std::fmt;

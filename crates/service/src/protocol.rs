@@ -184,7 +184,7 @@ pub fn render_error(detail: &str) -> String {
 /// (without the trailing newline) and whether the server should shut
 /// down after sending it.
 pub fn handle_line(engine: &QueryEngine, line: &str) -> (String, bool) {
-    let _span = cubemesh_obs::span!("service.request");
+    cubemesh_obs::span!("service.request");
     let req = match parse_request(line) {
         Ok(req) => req,
         Err(detail) => {

@@ -1,24 +1,25 @@
-//! The blocking TCP front end: a bounded worker pool over an accept
-//! loop, with cooperative shutdown.
+//! The blocking TCP front end: a bounded worker pool polling one
+//! listener, with cooperative shutdown.
 //!
-//! No async runtime and no platform event loop — the listener is
-//! polled non-blocking so the accept thread can watch the shutdown
-//! flag, and worker reads carry a short timeout so an idle connection
-//! never pins a worker across shutdown. Accepted connections queue on
-//! a channel; `workers` threads drain it, each owning one connection
-//! at a time (line in, line out, flush). The pool is *bounded*: beyond
-//! `workers` concurrent connections, new ones wait in the queue rather
-//! than spawning threads.
+//! No async runtime and no platform event loop: the listener is
+//! non-blocking, and each of the `workers` threads polls `accept` on it
+//! between connections, so it can watch the shutdown flag. A worker
+//! owns one connection at a time (line in, line out, flush), and reads
+//! carry a short timeout so an idle connection never pins a worker
+//! across shutdown. The pool is *bounded*: beyond `workers` concurrent
+//! connections, new ones wait in the kernel's listen backlog, not in a
+//! queue of this process, and a request line longer than
+//! [`MAX_LINE_BYTES`] is answered with an error and closed before it is
+//! buffered whole.
 
 use crate::engine::QueryEngine;
-use crate::protocol::handle_line;
+use crate::protocol::{handle_line, render_error};
 use crate::ServiceError;
 use cubemesh_obs as obs;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -26,6 +27,13 @@ use std::time::Duration;
 /// worker is an OS thread serving one connection at a time, so a larger
 /// request is refused before the server binds.
 pub const MAX_WORKERS: usize = 256;
+
+/// The longest request line the server reads, newline excluded: 16 MiB,
+/// over twice a compact [`MAX_BATCH`](crate::MAX_BATCH) request of
+/// rank-16 keys with five-digit extents (~6.4 MB). A longer line is
+/// answered with one in-band error and the connection is closed, so no
+/// client can make a worker buffer more.
+pub const MAX_LINE_BYTES: usize = 1 << 24;
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -47,11 +55,10 @@ impl Default for ServerConfig {
 }
 
 /// A running server: the bound address, the shutdown flag, and the
-/// thread handles [`Server::join`] waits on.
+/// worker threads [`Server::join`] waits on.
 pub struct Server {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    acceptor: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -75,19 +82,11 @@ impl Server {
         self.shutdown.store(true, SeqCst);
     }
 
-    /// Wait for the accept loop and every worker to finish. Returns the
-    /// number of threads that panicked (0 on a clean run).
+    /// Wait for every worker to finish. Returns the number of threads
+    /// that panicked (0 on a clean run).
     pub fn join(self) -> usize {
-        let mut panicked = 0;
-        if self.acceptor.join().is_err() {
-            panicked += 1;
-        }
-        for w in self.workers {
-            if w.join().is_err() {
-                panicked += 1;
-            }
-        }
-        panicked
+        let joined = self.workers.into_iter().map(JoinHandle::join);
+        joined.filter(Result::is_err).count()
     }
 }
 
@@ -96,74 +95,48 @@ pub fn serve(cfg: &ServerConfig, engine: Arc<QueryEngine>) -> Result<Server, Ser
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
+    let listener = Arc::new(listener);
     let shutdown = Arc::new(AtomicBool::new(false));
-
-    let (tx, rx) = channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-    let worker_count = cfg.workers.max(1);
-    let mut workers = Vec::with_capacity(worker_count);
-    for _ in 0..worker_count {
-        let rx = Arc::clone(&rx);
-        let engine = Arc::clone(&engine);
-        let shutdown = Arc::clone(&shutdown);
-        workers.push(std::thread::spawn(move || {
-            worker_loop(&rx, &engine, &shutdown);
-        }));
-    }
-
-    let flag = Arc::clone(&shutdown);
-    let acceptor = std::thread::spawn(move || {
-        while !flag.load(SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    obs::counter!("service.conn.accepted").inc();
-                    if tx.send(stream).is_err() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL);
-                }
-                Err(_) => {
-                    obs::counter!("service.conn.accept_error").inc();
-                    std::thread::sleep(POLL);
-                }
-            }
-        }
-        // Dropping `tx` here wakes every idle worker with a recv error.
-    });
-
+    let workers = (0..cfg.workers.max(1))
+        .map(|_| {
+            let listener = Arc::clone(&listener);
+            let engine = Arc::clone(&engine);
+            let shutdown = Arc::clone(&shutdown);
+            std::thread::spawn(move || worker_loop(&listener, &engine, &shutdown))
+        })
+        .collect();
     Ok(Server {
         addr,
         shutdown,
-        acceptor,
         workers,
     })
 }
 
-fn worker_loop(
-    rx: &Arc<Mutex<Receiver<TcpStream>>>,
-    engine: &Arc<QueryEngine>,
-    shutdown: &Arc<AtomicBool>,
-) {
-    loop {
-        if shutdown.load(SeqCst) {
-            return;
-        }
-        let next = {
-            let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.recv_timeout(POLL)
-        };
-        match next {
-            Ok(stream) => serve_connection(stream, engine, shutdown),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
+/// Serve one connection at a time, taking each from the listener's
+/// backlog, until shutdown.
+fn worker_loop(listener: &TcpListener, engine: &QueryEngine, shutdown: &AtomicBool) {
+    while !shutdown.load(SeqCst) {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                obs::counter!("service.conn.accepted").inc();
+                serve_connection(stream, engine, shutdown);
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
+            Err(_) => {
+                obs::counter!("service.conn.accept_error").inc();
+                std::thread::sleep(POLL);
+            }
         }
     }
 }
 
-fn serve_connection(stream: TcpStream, engine: &Arc<QueryEngine>, shutdown: &Arc<AtomicBool>) {
-    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() || stream.set_nodelay(true).is_err() {
+fn serve_connection(stream: TcpStream, engine: &QueryEngine, shutdown: &AtomicBool) {
+    // The stream is set blocking: on some platforms an accepted socket
+    // inherits the listener's non-blocking mode.
+    if stream.set_nonblocking(false).is_err()
+        || stream.set_read_timeout(Some(READ_TIMEOUT)).is_err()
+        || stream.set_nodelay(true).is_err()
+    {
         obs::counter!("service.conn.setup_error").inc();
         return;
     }
@@ -173,21 +146,32 @@ fn serve_connection(stream: TcpStream, engine: &Arc<QueryEngine>, shutdown: &Arc
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         if shutdown.load(SeqCst) {
             return;
         }
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the longest line, newline included.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return, // client closed
+            Ok(_) if line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n") => {
+                obs::counter!("service.conn.line_too_long").inc();
+                let error = render_error(&format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+                if write_line(&mut writer, &error).is_err() {
+                    obs::counter!("service.conn.write_error").inc();
+                }
+                return;
+            }
             Ok(_) => {
-                let trimmed = line.trim();
+                let Ok(text) = std::str::from_utf8(&line) else {
+                    obs::counter!("service.conn.read_error").inc();
+                    return;
+                };
+                let trimmed = text.trim();
                 if !trimmed.is_empty() {
                     let (response, stop) = handle_line(engine, trimmed);
-                    if writer.write_all(response.as_bytes()).is_err()
-                        || writer.write_all(b"\n").is_err()
-                        || writer.flush().is_err()
-                    {
+                    if write_line(&mut writer, &response).is_err() {
                         obs::counter!("service.conn.write_error").inc();
                         return;
                     }
@@ -205,7 +189,7 @@ fn serve_connection(stream: TcpStream, engine: &Arc<QueryEngine>, shutdown: &Arc
             {
                 // Idle poll tick: re-check the shutdown flag. Bytes a
                 // torn read already appended to `line` are kept — the
-                // next read_line keeps accumulating until the newline.
+                // next read keeps accumulating until the newline.
                 continue;
             }
             Err(_) => {
@@ -214,4 +198,11 @@ fn serve_connection(stream: TcpStream, engine: &Arc<QueryEngine>, shutdown: &Arc
             }
         }
     }
+}
+
+/// Write `text` and a newline, and flush.
+fn write_line(writer: &mut TcpStream, text: &str) -> std::io::Result<()> {
+    writer.write_all(text.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
 }

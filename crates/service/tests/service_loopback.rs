@@ -1,13 +1,16 @@
 //! End-to-end service behavior over a real loopback TCP connection:
 //! batched queries mixing database hits with a cold miss, certificate
 //! presence on every answer, the overlay on repeat misses, deferred
-//! resolution, graceful shutdown, and the write-behind overflow log.
+//! resolution, graceful shutdown, the write-behind overflow log, the
+//! request-line bound, and connections queued on a busy worker.
 
 use cubemesh_obs::{parse_json, JsonValue};
 use cubemesh_plandb::{build, load_checkpoint, BuildConfig, RecordStatus};
-use cubemesh_service::{handle_line, serve, EngineConfig, QueryEngine, ServerConfig, Source};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use cubemesh_service::{
+    handle_line, serve, EngineConfig, QueryEngine, Server, ServerConfig, Source, MAX_LINE_BYTES,
+};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -30,6 +33,25 @@ fn roundtrip(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &s
     let mut reply = String::new();
     reader.read_line(&mut reply).expect("read reply");
     parse_json(reply.trim()).expect("reply parses")
+}
+
+/// A server with one worker and no database: every shape is planned live.
+fn one_worker_server() -> Server {
+    let engine = Arc::new(QueryEngine::new(&EngineConfig::default()).expect("engine"));
+    let cfg = ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 1,
+    };
+    serve(&cfg, engine).expect("serve")
+}
+
+/// Everything the server sends before it closes the connection.
+fn read_to_close(stream: TcpStream) -> String {
+    let mut reply = String::new();
+    BufReader::new(stream)
+        .read_to_string(&mut reply)
+        .expect("replies, then a clean close");
+    reply
 }
 
 #[test]
@@ -232,4 +254,69 @@ fn concurrent_clients_get_consistent_answers() {
     server.request_shutdown();
     assert_eq!(server.join(), 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_over_long_line_is_refused_and_the_worker_serves_on() {
+    let server = one_worker_server();
+    let addr = server.local_addr();
+    // One byte past the bound and no newline. The server reads exactly
+    // that much before it answers, so its close is a clean end of stream.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(&vec![b' '; MAX_LINE_BYTES + 1])
+        .expect("write");
+    let reply = read_to_close(stream);
+    assert_eq!(reply.lines().count(), 1, "{reply}");
+    let v = parse_json(reply.trim()).expect("reply parses");
+    assert_eq!(v.get("ok"), Some(&JsonValue::Bool(false)));
+    let error = v.get("error").and_then(JsonValue::as_str).unwrap_or("");
+    assert_eq!(
+        error,
+        format!("request line exceeds {MAX_LINE_BYTES} bytes")
+    );
+
+    // The server's one worker is free for the next client.
+    let mut next = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(next.try_clone().expect("clone"));
+    let v = roundtrip(&mut next, &mut reader, "{\"op\":\"stats\"}");
+    assert_eq!(v.get("ok"), Some(&JsonValue::Bool(true)));
+    server.request_shutdown();
+    assert_eq!(server.join(), 0);
+}
+
+#[test]
+fn clients_queued_on_one_worker_are_answered_in_turn() {
+    let server = one_worker_server();
+    let addr = server.local_addr();
+    // All three connect and send before the worker has served any; the
+    // ones it is not serving wait in the listen backlog.
+    let clients: Vec<TcpStream> = (4..7)
+        .map(|c| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let request = format!("{{\"op\":\"plan\",\"shapes\":[[2,3,{c}]]}}\n");
+            stream.write_all(request.as_bytes()).expect("write");
+            stream
+                .shutdown(Shutdown::Write)
+                .expect("close the write half");
+            stream
+        })
+        .collect();
+    for (c, stream) in (4..7).zip(clients) {
+        let reply = read_to_close(stream);
+        let v = parse_json(reply.trim()).expect("reply parses");
+        let results = v
+            .get("results")
+            .and_then(JsonValue::as_arr)
+            .expect("results");
+        let shape = results[0].get("shape").and_then(JsonValue::as_arr);
+        let extents: Vec<u64> = shape
+            .expect("shape")
+            .iter()
+            .filter_map(JsonValue::as_u64)
+            .collect();
+        assert_eq!(extents, [2, 3, c], "{reply}");
+    }
+    server.request_shutdown();
+    assert_eq!(server.join(), 0);
 }

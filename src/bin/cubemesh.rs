@@ -40,7 +40,7 @@ use cubemesh::core::{classify3, construct, embed_mesh, plan_shape, Planner, MAX_
 use cubemesh::embedding::portable::{read_embedding, write_embedding};
 use cubemesh::embedding::{gray_mesh_embedding, Embedding};
 use cubemesh::netsim::{simulate_with, stencil_exchange, Switching};
-use cubemesh::obs::cli::{self, Args};
+use cubemesh::obs::cli::{self, Args, Halt};
 use cubemesh::replay::{
     bursty_trace, certificate_slack, rate_sweep, replay, replay_windows, saturation_knee,
     shift_trace, stencil_trace, ReplayConfig, Trace,
@@ -49,7 +49,7 @@ use cubemesh::reshape::snake_embedding;
 use cubemesh::topology::Shape;
 use cubemesh::torus::embed_torus;
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{self, BufReader, Write};
 use std::process::ExitCode;
 
 /// Every subcommand with its arguments; printed on `--help` and after a
@@ -132,12 +132,14 @@ fn embed(words: &[String]) -> Result<ExitCode, String> {
     Ok(CLI.outcome(write_embed(&shape, args.value("--out"))))
 }
 
-fn write_embed(shape: &Shape, out: Option<&str>) -> Result<ExitCode, String> {
+fn write_embed(shape: &Shape, file: Option<&str>) -> Result<ExitCode, Halt> {
+    let mut out = io::stdout().lock();
     let (emb, minimal) = embed_mesh(shape);
     emb.verify()
         .map_err(|e| format!("internal error: constructed embedding failed to verify: {e}"))?;
     let m = emb.metrics();
-    println!(
+    writeln!(
+        out,
         "{}: Q{} ({}), expansion {:.3}, dilation {}, congestion {}, avg dilation {:.3}",
         shape,
         m.host_dim,
@@ -150,11 +152,11 @@ fn write_embed(shape: &Shape, out: Option<&str>) -> Result<ExitCode, String> {
         m.dilation,
         m.congestion,
         m.avg_dilation
-    );
-    if let Some(path) = out {
+    )?;
+    if let Some(path) = file {
         let mut f = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
         write_embedding(&emb, &mut f).map_err(|e| format!("write failed: {e}"))?;
-        println!("wrote {}", path);
+        writeln!(out, "wrote {}", path)?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -165,46 +167,55 @@ fn classify(words: &[String]) -> Result<ExitCode, String> {
         return Err("classify needs three extents".into());
     }
     let shape = shape_arg(&args, MAX_EMBED_NODES)?;
+    Ok(CLI.outcome(classify_report(&shape)))
+}
+
+/// The paper's method for `shape` and the constructive plan's figures.
+fn classify_report(shape: &Shape) -> Result<ExitCode, Halt> {
+    let mut out = io::stdout().lock();
     let d = shape.dims();
     match classify3(d[0] as u64, d[1] as u64, d[2] as u64) {
-        Some(m) => println!(
+        Some(m) => writeln!(
+            out,
             "{}: paper method {:?} (cube Q{})",
             shape,
             m,
             shape.minimal_cube_dim()
-        ),
-        None => println!("{}: open under the paper's methods 1-4", shape),
+        )?,
+        None => writeln!(out, "{}: open under the paper's methods 1-4", shape)?,
     }
-    match plan_shape(&mut Planner::new(), &shape) {
+    match plan_shape(&mut Planner::new(), shape) {
         Some(hit) => {
-            let emb = construct(&shape, &hit.plan).expect("planner-produced plan lowers");
+            let emb = construct(shape, &hit.plan).expect("planner-produced plan lowers");
             let met = emb.metrics();
-            println!(
+            writeln!(
+                out,
                 "constructive: {} — dilation {}, congestion {} (strategy {}, confidence {})",
                 hit.plan, met.dilation, met.congestion, hit.strategy, hit.confidence
-            );
+            )?;
         }
-        None => println!("constructive: no plan in this repo's catalog"),
+        None => writeln!(out, "constructive: no plan in this repo's catalog")?,
     }
     Ok(ExitCode::SUCCESS)
 }
 
 fn torus(words: &[String]) -> Result<ExitCode, String> {
     let shape = shape_arg(&Args::parse(words, &[], &[])?, MAX_TORUS_NODES)?;
-    Ok(match embed_torus(&shape) {
-        Some(out) => {
-            let m = out.embedding.metrics();
-            println!(
-                "{} (wraparound): Q{}, dilation {} (bound {}), congestion {}, rule {:?}",
-                shape, m.host_dim, m.dilation, out.dilation_bound, m.congestion, out.rule
-            );
-            ExitCode::SUCCESS
-        }
-        None => {
-            println!("{}: no §6 construction lands in the minimal cube", shape);
-            ExitCode::from(1)
-        }
-    })
+    let run = || -> Result<ExitCode, Halt> {
+        let mut out = io::stdout().lock();
+        let Some(torus) = embed_torus(&shape) else {
+            writeln!(out, "{shape}: no §6 construction lands in the minimal cube")?;
+            return Ok(ExitCode::from(1));
+        };
+        let m = torus.embedding.metrics();
+        writeln!(
+            out,
+            "{} (wraparound): Q{}, dilation {} (bound {}), congestion {}, rule {:?}",
+            shape, m.host_dim, m.dilation, torus.dilation_bound, m.congestion, torus.rule
+        )?;
+        Ok(ExitCode::SUCCESS)
+    };
+    Ok(CLI.outcome(run()))
 }
 
 fn simulate_cmd(words: &[String]) -> Result<ExitCode, String> {
@@ -213,13 +224,25 @@ fn simulate_cmd(words: &[String]) -> Result<ExitCode, String> {
     let switching = switching(&args);
     let json = args.has("--json");
     let shape = shape_arg(&args, MAX_SIMULATE_NODES)?;
+    Ok(CLI.outcome(simulate_report(&shape, flits, switching, json)))
+}
+
+/// The stencil exchange on the decomposition, Gray and snake embeddings.
+fn simulate_report(
+    shape: &Shape,
+    flits: u32,
+    switching: Switching,
+    json: bool,
+) -> Result<ExitCode, Halt> {
+    let mut out = io::stdout().lock();
     if !json {
-        println!(
+        writeln!(
+            out,
             "{}: stencil exchange, {} flits, {:?}",
             shape, flits, switching
-        );
+        )?;
     }
-    let (decomp, minimal) = embed_mesh(&shape);
+    let (decomp, minimal) = embed_mesh(shape);
     let cases = [
         (
             if minimal {
@@ -229,21 +252,23 @@ fn simulate_cmd(words: &[String]) -> Result<ExitCode, String> {
             },
             decomp,
         ),
-        ("gray (expanded)", gray_mesh_embedding(&shape)),
-        ("snake (minimal)", snake_embedding(&shape)),
+        ("gray (expanded)", gray_mesh_embedding(shape)),
+        ("snake (minimal)", snake_embedding(shape)),
     ];
     for (name, emb) in cases {
         let r = simulate_with(emb.host(), &stencil_exchange(&emb, flits), switching);
         if json {
-            println!(
+            writeln!(
+                out,
                 "{{\"case\":\"{}\",\"host_dim\":{},\"dilation\":{},\"result\":{}}}",
                 name,
                 emb.host().dim(),
                 emb.metrics().dilation,
                 r.to_json()
-            );
+            )?;
         } else {
-            println!(
+            writeln!(
+                out,
                 "  {:<16} Q{:<3} dilation {:<2} makespan {:>6} ({:.2}x)  max queue {:<3} max latency {}",
                 name,
                 emb.host().dim(),
@@ -252,7 +277,7 @@ fn simulate_cmd(words: &[String]) -> Result<ExitCode, String> {
                 r.makespan as f64 / flits as f64,
                 r.max_queue_depth,
                 r.max_latency
-            );
+            )?;
         }
     }
     Ok(ExitCode::SUCCESS)
@@ -266,7 +291,8 @@ fn census(words: &[String]) -> Result<ExitCode, String> {
     };
     let c = cubemesh::census::census_3d(n);
     let s = c.cumulative_percent();
-    println!(
+    let line = writeln!(
+        io::stdout().lock(),
         "n={}: S1 {:.1}%  S2 {:.1}%  S3 {:.1}%  S4 {:.1}%  constructive {:.1}%",
         n,
         s[0],
@@ -275,7 +301,7 @@ fn census(words: &[String]) -> Result<ExitCode, String> {
         s[3],
         c.constructive_percent()
     );
-    Ok(ExitCode::SUCCESS)
+    Ok(CLI.outcome(line.map(|()| ExitCode::SUCCESS)))
 }
 
 fn replay_cmd(words: &[String]) -> Result<ExitCode, String> {
@@ -344,14 +370,16 @@ fn replay_cmd(words: &[String]) -> Result<ExitCode, String> {
         replay_windows(cycles, window).map_err(|e| format!("--window: {e}"))?;
     }
 
-    let run = || -> Result<ExitCode, String> {
+    let run = || -> Result<ExitCode, Halt> {
         if slack {
+            let mut out = io::stdout().lock();
             let entry = certificate_slack(&shape, flits, phases, switching)
                 .map_err(|e| format!("slack report failed: {e}"))?;
             if json {
-                println!("{}", entry.to_json());
+                writeln!(out, "{}", entry.to_json())?;
             } else {
-                println!(
+                writeln!(
+                    out,
                     "{}: certified <= {} flits/link/phase, measured {} \
                      (slack {}, utilization {:.2}){}",
                     shape,
@@ -360,7 +388,7 @@ fn replay_cmd(words: &[String]) -> Result<ExitCode, String> {
                     entry.slack_flits,
                     entry.utilization,
                     if entry.violation { "  VIOLATION" } else { "" }
-                );
+                )?;
             }
             return Ok(ExitCode::from(u8::from(entry.violation)));
         }
@@ -399,27 +427,30 @@ fn rate_sweep_cmd(
     seed: u64,
     switching: Switching,
     json: bool,
-) -> Result<ExitCode, String> {
+) -> Result<ExitCode, Halt> {
+    let mut out = io::stdout().lock();
     let rates: [(u64, u64); 7] = [(1, 64), (1, 32), (1, 16), (1, 8), (1, 4), (1, 2), (1, 1)];
     let points = rate_sweep(emb, &rates, flits, horizon, seed, switching)
         .map_err(|e| format!("sweep failed: {e}"))?;
     for p in &points {
         if json {
-            println!("{}", p.to_json());
+            writeln!(out, "{}", p.to_json())?;
         } else {
-            println!(
+            writeln!(
+                out,
                 "  rate {}/{:<3} offered {:>9.3}  delivered {:>9.3}  \
              avg latency {:>8.1}  makespan {}",
                 p.rate_num, p.rate_den, p.offered_rate, p.delivered_rate, p.avg_latency, p.makespan
-            );
+            )?;
         }
     }
     match saturation_knee(&points) {
-        Some(k) if !json => println!(
+        Some(k) if !json => writeln!(
+            out,
             "saturation knee at rate {}/{}",
             points[k].rate_num, points[k].rate_den
-        ),
-        None if !json => println!("no saturation within the ladder"),
+        )?,
+        None if !json => writeln!(out, "no saturation within the ladder")?,
         _ => {}
     }
     Ok(ExitCode::SUCCESS)
@@ -433,7 +464,7 @@ fn replay_trace(
     trace: &Trace,
     args: &Args,
     cfg: ReplayConfig,
-) -> Result<ExitCode, String> {
+) -> Result<ExitCode, Halt> {
     if let Some(path) = args.value("--record") {
         let mut f = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
         trace
@@ -442,31 +473,35 @@ fn replay_trace(
         eprintln!("recorded {} events to {}", trace.len(), path);
     }
     let report = replay(emb, trace, &cfg).map_err(|e| format!("replay failed: {e}"))?;
+    let mut out = io::stdout().lock();
     if args.has("--check") {
         let again = replay(emb, trace, &cfg)
             .map_err(|e| format!("replay check: second run failed: {e}"))?;
         if report.to_json() != again.to_json() {
-            return Err("replay check FAILED: reports differ between identical runs".into());
+            let reason = "replay check FAILED: reports differ between identical runs";
+            return Err(Halt::Failed(reason.into()));
         }
         if report.result.delivered != trace.len() {
-            return Err(format!(
+            return Err(Halt::Failed(format!(
                 "replay check FAILED: delivered {} != injected {}",
                 report.result.delivered,
                 trace.len()
-            ));
+            )));
         }
-        println!(
+        writeln!(
+            out,
             "replay check OK: {} messages, deterministic, makespan {}",
             trace.len(),
             report.result.makespan
-        );
+        )?;
         return Ok(ExitCode::SUCCESS);
     }
     if args.has("--json") {
-        println!("{}", report.to_json());
+        writeln!(out, "{}", report.to_json())?;
         return Ok(ExitCode::SUCCESS);
     }
-    println!(
+    writeln!(
+        out,
         "{}: {} events over horizon {}, window {} ({} windows, warm-up {})",
         shape,
         trace.len(),
@@ -474,8 +509,9 @@ fn replay_trace(
         report.window,
         report.windows.len(),
         report.warmup_windows
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "offered {:.3} flits/cycle, delivered-by-horizon {:.3}; peak link load {} \
          flits/window over {} directed links; makespan {}",
         report.offered_rate,
@@ -483,11 +519,15 @@ fn replay_trace(
         report.peak_link_flits_per_window,
         report.directed_links,
         report.result.makespan
-    );
+    )?;
     let cap = 24usize;
-    println!("  win   inj     dlv    p50    p99    maxlat  maxq   occupancy");
+    writeln!(
+        out,
+        "  win   inj     dlv    p50    p99    maxlat  maxq   occupancy"
+    )?;
     for w in report.windows.iter().take(cap) {
-        println!(
+        writeln!(
+            out,
             "  {:>4} {:>6} {:>6} {:>6} {:>6} {:>8} {:>5}   {:.4}",
             w.index,
             w.injected,
@@ -497,13 +537,14 @@ fn replay_trace(
             w.max_latency,
             w.max_queue_depth,
             w.occupancy
-        );
+        )?;
     }
     if report.windows.len() > cap {
-        println!(
+        writeln!(
+            out,
             "  … {} more windows (use --json for all)",
             report.windows.len() - cap
-        );
+        )?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -513,19 +554,21 @@ fn verify(words: &[String]) -> Result<ExitCode, String> {
     let [path] = args.positional() else {
         return Err("verify takes one FILE".into());
     };
-    let run = || -> Result<ExitCode, String> {
+    let run = || -> Result<ExitCode, Halt> {
         let f = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
         let emb =
             read_embedding(&mut BufReader::new(f)).map_err(|e| format!("parse error: {e}"))?;
         emb.verify().map_err(|e| format!("INVALID: {e}"))?;
         let m = emb.metrics();
-        println!(
+        let mut out = io::stdout().lock();
+        writeln!(
+            out,
             "OK: {} nodes -> Q{}, dilation {}, congestion {}",
             emb.guest_nodes(),
             m.host_dim,
             m.dilation,
             m.congestion
-        );
+        )?;
         Ok(ExitCode::SUCCESS)
     };
     Ok(CLI.outcome(run()))

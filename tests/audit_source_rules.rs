@@ -1,9 +1,8 @@
 //! The workspace's library sources pass the analyzer's hygiene rules
-//! (`CM-L001`, `L002`, `L005`–`L008`): no panics, no narrowing casts of
-//! addresses or extents, no chunk-loop allocation, no shared mutable
-//! state beside a fan-out, no dropped span guards.
+//! (`CM-L001`, `L002`, `L005`–`L007`): no panics, no narrowing casts of
+//! addresses or extents, no chunk-loop allocation, no `static mut`.
 //!
-//! Only the passes that carry those rules run here, so the test stays
+//! Only the pass that carries those rules runs here, so the test stays
 //! fast in a debug build; `cubemesh-audit analyze` in `scripts/check.sh`
 //! runs every pass over the same file set.
 

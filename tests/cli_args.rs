@@ -1,8 +1,9 @@
 //! `cubemesh` answers a bad command line with its usage and exit code 2,
 //! never with a panic or an allocator abort; `--help` prints the usage
-//! and succeeds; a good command line prints what it always printed.
+//! and succeeds; a good command line prints what it always printed; a
+//! run whose stdout reader has gone stops quietly with exit 0.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn cubemesh(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cubemesh"))
@@ -146,5 +147,39 @@ fn stats_report_the_peak_resident_set() {
             .and_then(|v| v.trim().parse().ok())
             .unwrap_or_else(|| panic!("no peak line in:\n{stderr}"));
         assert!(kib > 0);
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    for args in [
+        &["embed", "5", "6", "7"][..],
+        &["classify", "2", "5", "22"],
+        &["torus", "6", "10"],
+        &["simulate", "4", "4", "4"],
+        &["simulate", "4", "4", "--json"],
+        &["census", "3"],
+        &[
+            "replay", "2", "2", "--phases", "2", "--period", "262000", "--window", "1",
+        ],
+        &["replay", "3", "3", "--pattern", "sweep", "--horizon", "32"],
+        &["replay", "3", "3", "--slack"],
+        &["replay", "3", "3", "--check"],
+    ] {
+        // The read end of the pipe closes at spawn, so the first report
+        // line meets a broken pipe (a panic and exit 101 before), and the
+        // JSON snapshot that would follow it one more.
+        let mut child = Command::new(env!("CARGO_BIN_EXE_cubemesh"))
+            .args(args)
+            .env("CUBEMESH_STATS", "json")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("cubemesh runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("cubemesh exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
     }
 }
